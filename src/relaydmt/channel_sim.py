@@ -192,17 +192,21 @@ def _block_rng(seed: int, block_index: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=key))
 
 
-def sample_block(
-    dim: DimensionLike, seed: int, block_index: int, count: int = BLOCK_SIZE
-) -> ChannelRealization:
-    """Draw ``count`` stacked realizations from stream ``(seed, block_index)``."""
-    dim = as_dimension(dim)
-    rng = _block_rng(seed, block_index)
+def _draw_hops(dim: Dimension, rng: np.random.Generator, count: int) -> ChannelRealization:
+    """The hop matrices of ``count`` stacked trials, drawn first from ``rng``."""
     hops = []
     for i in range(dim.hops):
         raw = rng.standard_normal((count, dim[i + 1], dim[i], 2))
         hops.append((raw[..., 0] + 1j * raw[..., 1]) / np.sqrt(2.0))
     return ChannelRealization(dim=dim, hops=tuple(hops))
+
+
+def sample_block(
+    dim: DimensionLike, seed: int, block_index: int, count: int = BLOCK_SIZE
+) -> ChannelRealization:
+    """Draw ``count`` stacked realizations from stream ``(seed, block_index)``."""
+    dim = as_dimension(dim)
+    return _draw_hops(dim, _block_rng(seed, block_index), count)
 
 
 def sample_channel(dim: DimensionLike, seed: int, index: int = 0) -> ChannelRealization:
@@ -211,6 +215,76 @@ def sample_channel(dim: DimensionLike, seed: int, index: int = 0) -> ChannelReal
     block, offset = divmod(index, BLOCK_SIZE)
     stacked = sample_block(dim, seed, block)
     return ChannelRealization(dim=dim, hops=tuple(h[offset] for h in stacked.hops))
+
+
+# --------------------------------------------------------------------------
+# Batched small-matrix kernels
+# --------------------------------------------------------------------------
+#
+# Relay chains multiply and factor thousands of matrices of size 1 to 5
+# per block.  numpy's batched ``@`` and ``np.linalg`` dispatch one
+# BLAS/LAPACK call per matrix, which costs far more than the arithmetic
+# at these sizes; looping over the short matrix axes with broadcast
+# arithmetic over the whole batch does not.
+
+
+def _abs2(z: np.ndarray) -> np.ndarray:
+    return z.real * z.real + z.imag * z.imag if np.iscomplexobj(z) else z * z
+
+
+def _matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Batched ``a @ b`` as broadcast multiply-adds over the inner axis."""
+    if a.shape[-1] != b.shape[-2]:
+        raise ValueError(f"inner dimensions differ: {a.shape} @ {b.shape}")
+    out = a[..., :, 0, None] * b[..., None, 0, :]
+    for k in range(1, a.shape[-1]):
+        out += a[..., :, k, None] * b[..., None, k, :]
+    return out
+
+
+def _cholesky(a: np.ndarray) -> np.ndarray:
+    """Lower Cholesky factors of a batch of Hermitian positive-definite matrices.
+
+    Only the lower triangle is read.  Raises ``np.linalg.LinAlgError``
+    if any matrix has a non-finite entry or is not positive definite, so
+    a failed factorization can never pass on NaN as a result.
+    """
+    if not np.isfinite(a).all():
+        raise np.linalg.LinAlgError("matrix has non-finite entries")
+    n = a.shape[-1]
+    low = np.zeros(a.shape, dtype=np.result_type(a, float))
+    for j in range(n):
+        pivot = a[..., j, j].real
+        for k in range(j):
+            pivot = pivot - _abs2(low[..., j, k])
+        if not np.all(pivot > 0):
+            raise np.linalg.LinAlgError("matrix is not positive definite")
+        root = np.sqrt(pivot)
+        low[..., j, j] = root
+        if j + 1 < n:
+            col = a[..., j + 1 :, j]
+            for k in range(j):
+                col = col - low[..., j + 1 :, k] * low[..., j, k, None].conj()
+            low[..., j + 1 :, j] = col / root[..., None]
+    return low
+
+
+def _forward_sub(low: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Batched solution ``x`` of ``low @ x = b`` for lower-triangular ``low``."""
+    shape = np.broadcast_shapes(low.shape[:-2], b.shape[:-2]) + b.shape[-2:]
+    x = np.empty(shape, dtype=np.result_type(low, b))
+    for i in range(low.shape[-1]):
+        acc = b[..., i, :]
+        for k in range(i):
+            acc = acc - low[..., i, k, None] * x[..., k, :]
+        x[..., i, :] = acc / low[..., i, i, None]
+    return x
+
+
+def _logdet(a: np.ndarray) -> np.ndarray:
+    """Natural log-determinants of Hermitian positive-definite matrices."""
+    diag = np.diagonal(_cholesky(a), axis1=-2, axis2=-1).real
+    return 2.0 * np.sum(np.log(diag), axis=-1)
 
 
 # --------------------------------------------------------------------------
@@ -233,13 +307,18 @@ def _apply_left(op: np.ndarray, x: np.ndarray) -> np.ndarray:
     # op is a diagonal (vector) or a full matrix
     if op.ndim == x.ndim - 1:
         return op[..., :, None] * x
-    return op @ x
+    return _matmul(op, x)
 
 
 def _apply_right(x: np.ndarray, op: np.ndarray) -> np.ndarray:
     if op.ndim == x.ndim - 1:
         return x * op[..., None, :]
-    return x @ op
+    return _matmul(x, op)
+
+
+def _hermitian_square(m: np.ndarray) -> np.ndarray:
+    """``m @ m^H`` for a batch of matrices."""
+    return _matmul(m, m.conj().swapaxes(-1, -2))
 
 
 def _chain_effective(hops: Sequence[np.ndarray], relay_ops: Sequence[np.ndarray]) -> EffectiveChannel:
@@ -253,14 +332,14 @@ def _chain_effective(hops: Sequence[np.ndarray], relay_ops: Sequence[np.ndarray]
     n_hops = len(hops)
     gain = hops[0]
     for i in range(1, n_hops):
-        gain = hops[i] @ _apply_left(relay_ops[i - 1], gain)
+        gain = _matmul(hops[i], _apply_left(relay_ops[i - 1], gain))
     n_out = hops[-1].shape[-2]
     noise_cov = np.zeros(gain.shape[:-2] + (n_out, n_out), dtype=complex) + np.eye(n_out)
     m = None
     for j in range(n_hops - 1, 0, -1):
-        applied = hops[j] if m is None else m @ hops[j]
+        applied = hops[j] if m is None else _matmul(m, hops[j])
         m = _apply_right(applied, relay_ops[j - 1])
-        noise_cov = noise_cov + m @ m.conj().swapaxes(-1, -2)
+        noise_cov += _hermitian_square(m)
     return EffectiveChannel(gain=gain, noise_cov=noise_cov)
 
 
@@ -319,8 +398,8 @@ def pf_effective(real: ChannelRealization, snr: float) -> EffectiveChannel:
             q, r = np.linalg.qr(incoming)
             reduced = r
             new_rank = rank
-        gain = reduced if gain is None else reduced @ gain
-        noises = [reduced @ b for b in noises]
+        gain = reduced if gain is None else _matmul(reduced, gain)
+        noises = [_matmul(reduced, b) for b in noises]
         noises.append(np.broadcast_to(np.eye(new_rank), reduced.shape[:-2] + (new_rank, new_rank)))
         row_power = (snr / rank) * np.sum(np.abs(reduced) ** 2, axis=-1) + 1.0
         scale = np.sqrt((snr / new_rank) / row_power)
@@ -328,12 +407,12 @@ def pf_effective(real: ChannelRealization, snr: float) -> EffectiveChannel:
         noises = [scale[..., :, None] * b for b in noises]
         rank = new_rank
     last = real.hops[-1][..., :, :rank]
-    gain = last if gain is None else last @ gain
-    noises = [last @ b for b in noises]
+    gain = last if gain is None else _matmul(last, gain)
+    noises = [_matmul(last, b) for b in noises]
     n_out = dim[dim.hops]
     noise_cov = np.zeros(gain.shape[:-2] + (n_out, n_out), dtype=complex) + np.eye(n_out)
     for b in noises:
-        noise_cov = noise_cov + b @ b.conj().swapaxes(-1, -2)
+        noise_cov += _hermitian_square(b)
     return EffectiveChannel(gain=gain, noise_cov=noise_cov)
 
 
@@ -380,7 +459,7 @@ def alignment_rotations(real: ChannelRealization) -> list[np.ndarray]:
     for i in range(1, dim.hops):
         u_in = svds[i - 1][0]
         vh_out = svds[i][2]
-        rotations.append(vh_out.conj().swapaxes(-1, -2) @ u_in.conj().swapaxes(-1, -2))
+        rotations.append(_matmul(vh_out.conj().swapaxes(-1, -2), u_in.conj().swapaxes(-1, -2)))
     return rotations
 
 
@@ -394,7 +473,7 @@ def svd_align_effective(real: ChannelRealization, snr: float) -> EffectiveChanne
     n = dim[0]
     ops = []
     for i, rotation in enumerate(alignment_rotations(real), start=1):
-        rotated_hop = rotation @ real.hops[i - 1]
+        rotated_hop = _matmul(rotation, real.hops[i - 1])
         row_power = (snr / n) * np.sum(np.abs(rotated_hop) ** 2, axis=-1) + 1.0
         scale = np.sqrt((snr / n) / row_power)
         ops.append(scale[..., :, None] * rotation)
@@ -405,14 +484,14 @@ def mutual_info(eff: EffectiveChannel, snr: float, n0: int):
     """Gaussian mutual information, bits per channel use.
 
     ``log2 det(I + (snr/n0) K_z^{-1} G G^H)`` with isotropic input,
-    evaluated through a Cholesky factor of the noise covariance.
+    evaluated as ``logdet(K_z + (snr/n0) G G^H) - logdet(K_z)``, with
+    both log-determinants read off batched Cholesky factors.  Raises
+    ``np.linalg.LinAlgError`` on a covariance that is not positive
+    definite or not finite.
     """
-    chol = np.linalg.cholesky(eff.noise_cov)
-    whitened = np.linalg.solve(chol, eff.gain)
-    n_out = whitened.shape[-2]
-    s = np.eye(n_out) + (snr / n0) * (whitened @ whitened.conj().swapaxes(-1, -2))
-    _, logdet = np.linalg.slogdet(s)
-    return logdet.real / _LN2
+    signal = _hermitian_square(eff.gain)
+    nats = _logdet(eff.noise_cov + (snr / n0) * signal) - _logdet(eff.noise_cov)
+    return nats / _LN2
 
 
 def df_outage(real: ChannelRealization, decode: DecodeSet, snr: float, rate: float):
@@ -493,7 +572,8 @@ def estimate_outage(
         raise ValueError("need at least one trial")
     snr = 10.0 ** (snr_db / 10.0)
     n_blocks = math.ceil(trials / BLOCK_SIZE)
-    if workers <= 1 or n_blocks == 1:
+    workers = min(workers, n_blocks)
+    if workers <= 1:
         count = _count_block_range((dim, scheme, rate, snr, seed, range(n_blocks), trials))
     else:
         chunks = [

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from fractions import Fraction
@@ -61,6 +62,16 @@ def _parse_grid(text: str) -> list[float]:
         grid.append(round(value, 9))
         value += step
     return grid
+
+
+def _parse_trials(text: str) -> int:
+    try:
+        value = float(text)
+    except ValueError:
+        raise UsageError(f"--trials must be a number, got {text!r}") from None
+    if not value.is_integer() or value < 1:
+        raise UsageError(f"--trials must be a whole number of at least 1, got {text!r}")
+    return int(value)
 
 
 def _fmt(value) -> str:
@@ -214,9 +225,11 @@ def cmd_simulate(args) -> int:
     if args.scheme not in _SIM_SCHEMES:
         raise UsageError(f"unknown scheme {args.scheme!r}")
     grid = _parse_grid(args.snr)
-    trials = int(float(args.trials))
-    if trials < 1:
-        raise UsageError("--trials must be at least 1")
+    trials = _parse_trials(args.trials)
+    if args.workers < 1:
+        raise UsageError("--workers must be at least 1")
+    if args.rate is not None and not math.isfinite(args.rate):
+        raise UsageError(f"--rate must be finite, got {args.rate}")
     seed = args.seed
     if seed is None:
         env = os.environ.get(SEED_ENV_VAR)

@@ -16,7 +16,11 @@ same positive value as the constellation grows.
 
 Maximum-likelihood decoding whitens each sub-channel by a Cholesky
 factor of its noise covariance and minimizes the summed Frobenius
-distance exhaustively over the codebook.
+distance exhaustively over the codebook.  ``ml_decode`` does this for
+one reception with ``np.linalg``.  The coded simulation decides a whole
+block at once: it expands the distance, drops the part that does not
+depend on the codeword, and scores every codeword of every trial with
+one real matrix product against a precomputed codeword table.
 """
 
 from __future__ import annotations
@@ -38,6 +42,11 @@ from .channel_sim import (
     Scheme,
     _binomial_ci,
     _block_rng,
+    _cholesky,
+    _draw_hops,
+    _forward_sub,
+    _hermitian_square,
+    _matmul,
     af_effective,
     ff_effective,
 )
@@ -385,73 +394,79 @@ def _coded_effectives(
     return effs
 
 
-def _ser_block(dim, scheme, cb, snr, seed, block, words, word_flat, word_grams, live) -> int:
+def _word_table(words: np.ndarray, amp: float) -> np.ndarray:
+    """Real codeword table of the expanded ML metric, ``(2 D, M)``.
+
+    Per sub-channel ``k`` the whitened distance to codeword ``X`` is,
+    up to a term that does not depend on ``X``,
+    ``amp^2 tr(Q X X^H) - 2 amp Re<C, X>`` with ``Q = G^H G`` and
+    ``C = G^H Y`` (whitened ``G`` and ``Y``).  Laying ``[Q | C]`` of
+    every sub-channel out as one complex feature row ``f`` of length
+    ``D`` makes the metric ``Re(f . c)`` for a complex column ``c`` per
+    codeword, which is the real product ``[Re f, Im f] @ [Re c; -Im c]``.
+    """
+    cols = []
+    for k in range(words.shape[1]):
+        x = words[:, k]  # (M, n_t, T)
+        # tr(Q P) = sum_ij Q_ij P_ji, so Q_ij pairs with P^T.
+        gram_t = _hermitian_square(x).swapaxes(-1, -2)
+        cols.append(np.concatenate([amp * amp * gram_t, -2.0 * amp * x.conj()], axis=-1))
+    c = np.concatenate([col.reshape(col.shape[0], -1) for col in cols], axis=-1)
+    return np.concatenate([c.real, -c.imag], axis=-1).T.copy()
+
+
+def _ml_decisions(
+    received: Sequence[np.ndarray], effs: Sequence[EffectiveChannel], table: np.ndarray
+) -> np.ndarray:
+    """Maximum-likelihood codeword index of every trial in a batch.
+
+    ``received[k]`` is the ``(B, n_r, T)`` reception of sub-channel
+    ``k`` through ``effs[k]``; ``table`` comes from :func:`_word_table`
+    at the run's signal amplitude.  Ties resolve to the lowest index.
+    """
+    features = []
+    for y, eff in zip(received, effs):
+        n_t = eff.gain.shape[-1]
+        white = _forward_sub(_cholesky(eff.noise_cov), np.concatenate([eff.gain, y], axis=-1))
+        # [Q | C] = G_w^H [G_w | Y_w]
+        prods = _matmul(white[..., :n_t].conj().swapaxes(-1, -2), white)
+        features.append(prods.reshape(prods.shape[0], -1))
+    f = np.concatenate(features, axis=-1)
+    return np.argmin(np.concatenate([f.real, f.imag], axis=-1) @ table, axis=1)
+
+
+def _ser_block(dim, scheme, cb, snr, amp, seed, block, words, table, live) -> int:
     """Codeword errors among the first ``live`` trials of one block.
 
-    Draw order inside the block stream is fixed: hop variates, then the
-    transmitted codeword indices, then per-sub-channel noise.  Distances
-    are expanded as ``|Y|^2 - 2 amp Re<G^H Y, X> + amp^2 tr(Q X X^H)``
-    on the whitened quantities (``Q = G^H G``), so the codebook enters
-    only through two small matrix products per sub-channel instead of a
-    trials-by-codebook array of candidate receptions.
+    Draw order inside the block stream is fixed: hop variates (through
+    the shared hop sampler), then the transmitted codeword indices,
+    then per-sub-channel noise.  Decisions come from
+    :func:`_ml_decisions`.
     """
-    n0 = dim[0]
-    amp = math.sqrt(snr / n0) * cb.energy_norm
     rng = _block_rng(seed, block)
-    hop_mats = []
-    for i in range(dim.hops):
-        raw = rng.standard_normal((CODED_BLOCK_SIZE, dim[i + 1], dim[i], 2))
-        hop_mats.append((raw[..., 0] + 1j * raw[..., 1]) / np.sqrt(2.0))
-    real = ChannelRealization(dim=dim, hops=tuple(hop_mats))
-    n_words = words.shape[0]
-    sent = rng.integers(0, n_words, size=CODED_BLOCK_SIZE)
+    real = _draw_hops(dim, rng, CODED_BLOCK_SIZE)
+    sent = rng.integers(0, words.shape[0], size=CODED_BLOCK_SIZE)
     effs = _coded_effectives(dim, scheme, real, snr, cb.k_sub)
-    total = np.zeros((CODED_BLOCK_SIZE, n_words))
-    n_t = cb.n_t
-    for k in range(cb.k_sub):
-        gain, cov = effs[k].gain, effs[k].noise_cov
-        n_r = gain.shape[-2]
-        chol = np.linalg.cholesky(cov)
+    received = []
+    for k, eff in enumerate(effs):
+        n_r = eff.gain.shape[-2]
         raw = rng.standard_normal((CODED_BLOCK_SIZE, n_r, cb.time_span, 2))
         white = (raw[..., 0] + 1j * raw[..., 1]) / np.sqrt(2.0)
-        y = amp * (gain @ words[sent, k]) + chol @ white
-        y_w = np.linalg.solve(chol, y)
-        g_w = np.linalg.solve(chol, gain)  # (B, n_r, n_t)
-        corr = g_w.conj().swapaxes(-1, -2) @ y_w  # (B, n_t, T)
-        gram = g_w.conj().swapaxes(-1, -2) @ g_w  # (B, n_t, n_t)
-        term1 = np.sum(np.abs(y_w) ** 2, axis=(-2, -1))[:, None]
-        term2 = (corr.reshape(-1, n_t * cb.time_span) @ word_flat[k]).real
-        term3 = (gram.reshape(-1, n_t * n_t) @ word_grams[k]).real
-        total += term1 - 2.0 * amp * term2 + amp * amp * term3
-    decided = np.argmin(total, axis=1)
+        signal = amp * _matmul(eff.gain, words[sent, k])
+        received.append(signal + _matmul(_cholesky(eff.noise_cov), white))
+    decided = _ml_decisions(received, effs, table)
     return int(np.count_nonzero((decided != sent)[:live]))
-
-
-def _word_tables(words: np.ndarray) -> tuple[list[np.ndarray], list[np.ndarray]]:
-    """Codebook lookup tables for the expanded ML distance.
-
-    Per sub-channel k: the conjugated flattened codewords,
-    ``(n_t*T, M)``, and the transposed-flattened codeword Grams,
-    ``(n_t^2, M)``, laid out so ``tr(Q X X^H)`` is a single matrix
-    product against the flattened per-trial ``Q``.
-    """
-    flats, grams = [], []
-    for k in range(words.shape[1]):
-        w = words[:, k]  # (M, n_t, T)
-        flats.append(w.conj().reshape(w.shape[0], -1).T.copy())
-        xxh = w @ w.conj().swapaxes(-1, -2)
-        grams.append(xxh.swapaxes(-1, -2).reshape(w.shape[0], -1).T.copy())
-    return flats, grams
 
 
 def _ser_range(args) -> int:
     dim, scheme, cb, snr, seed, blocks, trials = args
     words, _ = cb.codewords()
-    word_flat, word_grams = _word_tables(words)
+    amp = math.sqrt(snr / dim[0]) * cb.energy_norm
+    table = _word_table(words, amp)
     errors = 0
     for b in blocks:
         live = min(trials - b * CODED_BLOCK_SIZE, CODED_BLOCK_SIZE)
-        errors += _ser_block(dim, scheme, cb, snr, seed, b, words, word_flat, word_grams, live)
+        errors += _ser_block(dim, scheme, cb, snr, amp, seed, b, words, table, live)
     return errors
 
 
@@ -475,9 +490,10 @@ def simulate_ser(
         raise ValueError("need at least one trial")
     points = []
     n_blocks = math.ceil(trials / CODED_BLOCK_SIZE)
+    workers = min(workers, n_blocks)
     for snr_db in snr_grid_db:
         snr = 10.0 ** (snr_db / 10.0)
-        if workers <= 1 or n_blocks == 1:
+        if workers <= 1:
             errors = _ser_range((dim, scheme, cb, snr, seed, range(n_blocks), trials))
         else:
             chunks = [

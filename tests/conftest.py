@@ -1,6 +1,9 @@
 import itertools
+from concurrent.futures import ProcessPoolExecutor
 
 import pytest
+
+from relaydmt import channel_sim, stbc
 
 
 def all_dims(max_count: int, max_hops: int):
@@ -23,3 +26,18 @@ def dims_to_4_3():
 @pytest.fixture(scope="session")
 def dims_to_3_3():
     return list(all_dims(3, 3))
+
+
+@pytest.fixture
+def pool_sizes(monkeypatch):
+    """``max_workers`` of every process pool the outage and SER runners open."""
+    seen = []
+
+    class RecordingPool(ProcessPoolExecutor):
+        def __init__(self, max_workers=None, **kwargs):
+            seen.append(max_workers)
+            super().__init__(max_workers=max_workers, **kwargs)
+
+    for module in (channel_sim, stbc):
+        monkeypatch.setattr(module, "ProcessPoolExecutor", RecordingPool)
+    return seen

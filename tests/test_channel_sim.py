@@ -138,6 +138,14 @@ class TestMutualInfo:
         eff = EffectiveChannel(np.ones((1, 1), complex), np.eye(1, dtype=complex))
         assert np.isclose(mutual_info(eff, 3.0, 1), 2.0)
 
+    def test_non_finite_covariance_raises(self):
+        # A NaN covariance must fail loudly, never read as "no outage".
+        cov = np.broadcast_to(np.eye(2, dtype=complex), (3, 2, 2)).copy()
+        cov[1, 1, 0] = np.nan
+        eff = EffectiveChannel(np.ones((3, 2, 2), complex), cov)
+        with pytest.raises(np.linalg.LinAlgError):
+            mutual_info(eff, 10.0, 2)
+
     def test_whitening_neutrality(self):
         # Ignoring the accumulated covariance shifts the rate by at most
         # log2 det(K_z), uniformly in SNR.
@@ -310,6 +318,13 @@ class TestEstimateOutage:
         b = estimate_outage((2, 2, 2), AfScheme(), **kwargs)
         c = estimate_outage((2, 2, 2), AfScheme(), workers=3, **kwargs)
         assert a.outage_count == b.outage_count == c.outage_count
+
+    def test_workers_clamped_to_block_count(self, pool_sizes):
+        kwargs = dict(rate=2.0, snr_db=8.0, trials=2 * BLOCK_SIZE, seed=77)
+        serial = estimate_outage((2, 2, 2), AfScheme(), **kwargs)
+        wide = estimate_outage((2, 2, 2), AfScheme(), workers=8, **kwargs)
+        assert pool_sizes == [2]
+        assert wide.outage_count == serial.outage_count
 
     def test_monotone_decreasing_in_snr(self):
         pts = outage_curve((2, 2, 2), AfScheme(), 2.0, [4.0, 8.0, 12.0, 16.0], 40000, seed=5)

@@ -188,6 +188,40 @@ class TestSimulateCommand:
         )
         assert code == 2
 
+    @pytest.mark.parametrize("workers", ["0", "-2"])
+    def test_workers_below_one_rejected(self, workers, capsys):
+        code, out, err = run(
+            capsys, "simulate", "--dim", "2,2", "--scheme", "af", "--rate", "1",
+            "--snr", "10:2:12", "--trials", "100", "--workers", workers,
+        )
+        assert code == 2 and out == ""
+        assert "--workers" in err
+
+    def test_fractional_trials_rejected(self, capsys):
+        code, out, err = run(
+            capsys, "simulate", "--dim", "2,2", "--scheme", "af", "--rate", "1",
+            "--snr", "10:2:12", "--trials", "2.9",
+        )
+        assert code == 2 and out == ""
+        assert "--trials" in err
+
+    def test_exponent_trials_accepted(self, capsys):
+        code, out, _ = run(
+            capsys, "simulate", "--dim", "2,2", "--scheme", "af", "--rate", "1",
+            "--snr", "10:2:10", "--trials", "2e3",
+        )
+        assert code == 0
+        assert out.splitlines()[1].split(",")[2] == "2000"
+
+    @pytest.mark.parametrize("rate", ["nan", "inf", "-inf"])
+    def test_non_finite_rate_rejected(self, rate, capsys):
+        code, out, err = run(
+            capsys, "simulate", "--dim", "2,2", "--scheme", "af", "--rate", rate,
+            "--snr", "10:2:12", "--trials", "100",
+        )
+        assert code == 2 and out == ""
+        assert "--rate" in err
+
     def test_unknown_scheme(self, capsys):
         code, _, _ = run(
             capsys, "simulate", "--dim", "2,2", "--scheme", "warp", "--rate", "1",

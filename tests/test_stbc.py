@@ -4,12 +4,14 @@ import math
 import numpy as np
 import pytest
 
+from relaydmt import stbc
 from relaydmt.channel_sim import (
     AfScheme,
     EffectiveChannel,
     af_effective,
     default_ff_scheme,
     ff_effective,
+    sample_block,
     sample_channel,
 )
 from relaydmt.stbc import (
@@ -246,6 +248,64 @@ class TestMlDecode:
         assert agree / trials >= 0.99
 
 
+class TestVectorisedDecisionOracle:
+    """The batched decision of the coded simulation against ``ml_decode``."""
+
+    ROWS = 200
+
+    @staticmethod
+    def reference_distances(ys, effs, words, amp):
+        # The full whitened distance of every codeword, through np.linalg.
+        total = 0.0
+        for k, (y, eff) in enumerate(zip(ys, effs)):
+            chol = np.linalg.cholesky(eff.noise_cov)
+            y_w = np.linalg.solve(chol, y)
+            g_w = np.linalg.solve(chol, eff.gain)
+            cand = amp * (g_w[:, None] @ words[None, :, k])  # (B, M, n_r, T)
+            total = total + np.sum(np.abs(y_w[:, None] - cand) ** 2, axis=(-2, -1))
+        return total
+
+    @pytest.mark.parametrize("snr_db", [6.0, 24.0])
+    @pytest.mark.parametrize("case", ["golden1-ff(2,2,2)", "orthogonal-af(2,1,2,2)"])
+    def test_matches_ml_decode(self, case, snr_db, q4):
+        if case == "golden1-ff(2,2,2)":
+            dim, cb = (2, 2, 2), golden(q4, m=1)
+            effs_of = lambda real, snr: ff_effective(real, default_ff_scheme(dim).schedule, snr)
+        else:
+            dim, cb = (2, 1, 2, 2), alamouti(q4)
+            effs_of = lambda real, snr: [af_effective(real, snr)]
+        snr = 10.0 ** (snr_db / 10.0)
+        amp = math.sqrt(snr / dim[0]) * cb.energy_norm
+        words, _ = cb.codewords()
+        rng = np.random.default_rng(int(snr_db))
+        effs = effs_of(sample_block(dim, seed=19, block_index=0, count=self.ROWS), snr)
+        sent = rng.integers(0, words.shape[0], size=self.ROWS)
+        ys = []
+        for k, eff in enumerate(effs):
+            noise = (
+                rng.standard_normal((self.ROWS, 2, 2)) + 1j * rng.standard_normal((self.ROWS, 2, 2))
+            ) / np.sqrt(2)
+            ys.append(amp * (eff.gain @ words[sent, k]) + np.linalg.cholesky(eff.noise_cov) @ noise)
+
+        fast = stbc._ml_decisions(ys, effs, stbc._word_table(words, amp))
+        ref = [
+            ml_decode(
+                [y[r] for y in ys],
+                [EffectiveChannel(e.gain[r], e.noise_cov[r]) for e in effs],
+                cb,
+                snr,
+            )
+            for r in range(self.ROWS)
+        ]
+        dist = np.sort(self.reference_distances(ys, effs, words, amp), axis=1)
+        clear = dist[:, 1] - dist[:, 0] > 1e-9 * (1.0 + dist[:, 0])
+        assert np.count_nonzero(clear) >= 0.9 * self.ROWS
+        assert np.array_equal(fast[clear], np.asarray(ref)[clear])
+        # Low SNR must actually exercise wrong decisions, high SNR right ones.
+        errors = np.count_nonzero(fast != sent)
+        assert errors > 0 if snr_db < 10 else errors < self.ROWS // 10
+
+
 class TestSimulateSer:
     def test_zero_noise_limit(self, q4):
         # At extreme SNR the error rate collapses to zero.
@@ -259,6 +319,13 @@ class TestSimulateSer:
         a = simulate_ser((2, 2, 2), ff, cb, [14.0], 3 * CODED_BLOCK_SIZE, seed=9)
         b = simulate_ser((2, 2, 2), ff, cb, [14.0], 3 * CODED_BLOCK_SIZE, seed=9, workers=2)
         assert a[0].outage_count == b[0].outage_count
+
+    def test_workers_clamped_to_block_count(self, q4, pool_sizes):
+        args = ((2, 2), AfScheme(), alamouti(q4), [6.0, 9.0], 2 * CODED_BLOCK_SIZE)
+        serial = simulate_ser(*args, seed=4)
+        wide = simulate_ser(*args, seed=4, workers=8)
+        assert pool_sizes == [2, 2]
+        assert [p.outage_count for p in wide] == [p.outage_count for p in serial]
 
     def test_subchannel_mismatch_rejected(self, q4):
         cb = golden(q4, m=1)
