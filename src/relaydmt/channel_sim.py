@@ -7,12 +7,20 @@ noise covariance ``K_z`` (the destination's own noise contributes an
 identity, so ``K_z`` always has eigenvalues >= 1).  Outage compares the
 Gaussian mutual information of that channel against the target rate.
 
+Every scheme subclasses :class:`Scheme`: ``kind`` names it,
+``describe()`` gives its manifest entry, ``effectives(real, snr)`` its
+effective channel(s) (one per path or flip mode where there are
+several), and ``outage(real, snr, rate)`` compares their average mutual
+information with the rate.  DF overrides ``outage`` with the minimum
+over its serial AF segments and has no effective channel.
+
 Reproducibility: trials are drawn in fixed-size blocks from a
 counter-based generator keyed by ``(seed, block_index)``, and outcomes
 are accumulated as integer counts.  Results are therefore bit-identical
 for a given seed regardless of how many workers process the blocks, and
 trial ``t`` sees the same channel realization no matter how many trials
-the run requests.
+the run requests.  The outage runner here and the coded runner in
+``stbc`` share one block map, :func:`_map_blocks`.
 """
 
 from __future__ import annotations
@@ -22,7 +30,7 @@ import json
 import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from typing import IO, Sequence, Union
+from typing import IO, Callable, Sequence
 
 import numpy as np
 
@@ -51,7 +59,6 @@ __all__ = [
     "alignment_rotations",
     "df_outage",
     "mutual_info",
-    "outage_mask",
     "estimate_outage",
     "outage_curve",
     "multiplexing_rate",
@@ -115,42 +122,65 @@ class OutageEstimate:
 # --------------------------------------------------------------------------
 
 
+class Scheme:
+    """A relaying strategy; the module docstring describes the interface."""
+
+    kind = ""
+
+    def describe(self) -> dict:
+        return {"kind": self.kind}
+
+    def effectives(self, real: ChannelRealization, snr: float) -> list[EffectiveChannel]:
+        raise TypeError(f"the {self.kind} scheme has no effective channel")
+
+    def outage(self, real: ChannelRealization, snr: float, rate: float):
+        """Boolean outage indicator(s) for one (stacked) realization."""
+        effs = self.effectives(real, snr)
+        return sum(mutual_info(e, snr, e.gain.shape[-1]) for e in effs) / len(effs) < rate
+
+
 @dataclass(frozen=True)
-class AfScheme:
+class AfScheme(Scheme):
     kind = "af"
 
-    def describe(self) -> dict:
-        return {"kind": self.kind}
+    def effectives(self, real, snr):
+        return [af_effective(real, snr)]
 
 
 @dataclass(frozen=True)
-class PfScheme:
+class PfScheme(Scheme):
     kind = "pf"
 
-    def describe(self) -> dict:
-        return {"kind": self.kind}
+    def effectives(self, real, snr):
+        return [pf_effective(real, snr)]
 
 
 @dataclass(frozen=True)
-class DfScheme:
+class DfScheme(Scheme):
     decode: DecodeSet
     kind = "df"
 
     def describe(self) -> dict:
         return {"kind": self.kind, "decode": list(self.decode.indices)}
 
+    def outage(self, real, snr, rate):
+        return df_outage(real, self.decode, snr, rate)
+
 
 @dataclass(frozen=True)
-class ParallelAfScheme:
+class ParallelAfScheme(Scheme):
     partition: Partition
     kind = "parallel-af"
 
     def describe(self) -> dict:
         return {"kind": self.kind, "path_dims": [list(w) for w in self.partition.path_dims()]}
 
+    def effectives(self, real, snr):
+        return parallel_af_effective(real, self.partition, snr)
+
 
 @dataclass(frozen=True)
-class FfScheme:
+class FfScheme(Scheme):
     schedule: FlipSchedule
     kind = "ff"
 
@@ -161,16 +191,16 @@ class FfScheme:
             "modes": self.schedule.mode_count,
         }
 
+    def effectives(self, real, snr):
+        return ff_effective(real, self.schedule, snr)
+
 
 @dataclass(frozen=True)
-class SvdAlignScheme:
+class SvdAlignScheme(Scheme):
     kind = "svd-align"
 
-    def describe(self) -> dict:
-        return {"kind": self.kind}
-
-
-Scheme = Union[AfScheme, PfScheme, DfScheme, ParallelAfScheme, FfScheme, SvdAlignScheme]
+    def effectives(self, real, snr):
+        return [svd_align_effective(real, snr)]
 
 
 def default_ff_scheme(dim: DimensionLike) -> FfScheme:
@@ -508,42 +538,49 @@ def df_outage(real: ChannelRealization, decode: DecodeSet, snr: float, rate: flo
     return out
 
 
-def outage_mask(dim: Dimension, scheme: Scheme, real: ChannelRealization, snr: float, rate: float):
-    """Boolean outage indicator(s) for one (stacked) realization."""
-    if isinstance(scheme, AfScheme):
-        return mutual_info(af_effective(real, snr), snr, dim[0]) < rate
-    if isinstance(scheme, PfScheme):
-        return mutual_info(pf_effective(real, snr), snr, dim[0]) < rate
-    if isinstance(scheme, SvdAlignScheme):
-        return mutual_info(svd_align_effective(real, snr), snr, dim[0]) < rate
-    if isinstance(scheme, DfScheme):
-        return df_outage(real, scheme.decode, snr, rate)
-    if isinstance(scheme, FfScheme):
-        effs = ff_effective(real, scheme.schedule, snr)
-        mi = sum(mutual_info(e, snr, dim[0]) for e in effs) / len(effs)
-        return mi < rate
-    if isinstance(scheme, ParallelAfScheme):
-        effs = parallel_af_effective(real, scheme.partition, snr)
-        widths = [path.widths[0] for path in scheme.partition.paths]
-        mi = sum(mutual_info(e, snr, w) for e, w in zip(effs, widths)) / len(effs)
-        return mi < rate
-    raise TypeError(f"unknown scheme {scheme!r}")
-
-
 # --------------------------------------------------------------------------
 # Estimation
 # --------------------------------------------------------------------------
 
 
-def _count_block_range(args) -> int:
-    dim, scheme, rate, snr, seed, blocks, trials = args
+def _outage_block(dim, scheme, rate, snr, seed, block, live) -> int:
+    """Outages among the first ``live`` trials of one block."""
+    real = sample_block(dim, seed, block)
+    return int(np.count_nonzero(scheme.outage(real, snr, rate)[:live]))
+
+
+def _count_blocks(args) -> int:
+    count_block, params, blocks, trials, block_size = args
     total = 0
     for b in blocks:
-        real = sample_block(dim, seed, b)
-        mask = outage_mask(dim, scheme, real, snr, rate)
-        live = min(trials - b * BLOCK_SIZE, BLOCK_SIZE)
-        total += int(np.count_nonzero(mask[:live]))
+        live = min(trials - b * block_size, block_size)
+        total += count_block(*params, b, live)
     return total
+
+
+def _map_blocks(
+    count_block: Callable[..., int], params: tuple, trials: int, block_size: int, workers: int
+) -> int:
+    """Sum of ``count_block(*params, block, live)`` over the blocks of a run.
+
+    ``live`` is the number of the block's trials that the run counts
+    (all but the last block count in full).  Worker ``w`` of ``workers``
+    takes blocks ``w, w + workers, ...``; the count is an integer sum,
+    so it does not depend on the worker count.  ``count_block`` must be
+    a module-level function so worker processes can unpickle it.
+    """
+    if trials < 1:
+        raise ValueError("need at least one trial")
+    n_blocks = math.ceil(trials / block_size)
+    workers = max(1, min(workers, n_blocks))
+    chunks = [
+        (count_block, params, range(w, n_blocks, workers), trials, block_size)
+        for w in range(workers)
+    ]
+    if workers == 1:
+        return _count_blocks(chunks[0])
+    with ProcessPoolExecutor(max_workers=workers) as pool:
+        return sum(pool.map(_count_blocks, chunks))
 
 
 def _binomial_ci(count: int, trials: int) -> tuple[float, float]:
@@ -552,6 +589,18 @@ def _binomial_ci(count: int, trials: int) -> tuple[float, float]:
     p_var = p if 0 < count < trials else (count + 0.5) / (trials + 1.0)
     se = math.sqrt(p_var * (1.0 - p_var) / trials)
     return (max(0.0, p - 1.96 * se), min(1.0, p + 1.96 * se))
+
+
+def _estimate(snr_db: float, rate: float, trials: int, count: int) -> OutageEstimate:
+    """The estimate of ``count`` events in ``trials`` at one SNR point."""
+    return OutageEstimate(
+        snr_db=float(snr_db),
+        rate_bpcu=float(rate),
+        trials=trials,
+        outage_count=count,
+        p_hat=count / trials,
+        ci95=_binomial_ci(count, trials),
+    )
 
 
 def estimate_outage(
@@ -568,28 +617,9 @@ def estimate_outage(
     Deterministic for a given seed, independent of ``workers``.
     """
     dim = as_dimension(dim)
-    if trials < 1:
-        raise ValueError("need at least one trial")
     snr = 10.0 ** (snr_db / 10.0)
-    n_blocks = math.ceil(trials / BLOCK_SIZE)
-    workers = min(workers, n_blocks)
-    if workers <= 1:
-        count = _count_block_range((dim, scheme, rate, snr, seed, range(n_blocks), trials))
-    else:
-        chunks = [
-            (dim, scheme, rate, snr, seed, range(w, n_blocks, workers), trials)
-            for w in range(workers)
-        ]
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            count = sum(pool.map(_count_block_range, chunks))
-    return OutageEstimate(
-        snr_db=float(snr_db),
-        rate_bpcu=float(rate),
-        trials=trials,
-        outage_count=count,
-        p_hat=count / trials,
-        ci95=_binomial_ci(count, trials),
-    )
+    count = _map_blocks(_outage_block, (dim, scheme, rate, snr, seed), trials, BLOCK_SIZE, workers)
+    return _estimate(snr_db, rate, trials, count)
 
 
 def multiplexing_rate(r: float, snr_db: float) -> float:

@@ -209,15 +209,11 @@ def _build_scheme(args, dim):
     raise UsageError(f"unknown scheme {kind!r}")
 
 
-def _build_codebook(args, scheme):
+def _build_codebook(args):
     q = stbc.QamAlphabet.qam(args.qam)
     if args.code == "alamouti":
         return stbc.alamouti(q)
-    if args.code == "golden":
-        return stbc.golden(q, m=0)
-    if args.code == "parallel-golden":
-        return stbc.golden(q, m=1)
-    raise UsageError(f"unknown code {args.code!r}")
+    return stbc.golden(q, m=1 if args.code == "parallel-golden" else 0)
 
 
 def cmd_simulate(args) -> int:
@@ -237,7 +233,9 @@ def cmd_simulate(args) -> int:
     scheme = _build_scheme(args, dim)
     coded = args.scheme.startswith("coded-")
     if coded:
-        cb = _build_codebook(args, scheme)
+        if args.rate is not None:
+            raise UsageError("--rate does not apply to coded schemes; the code sets the rate")
+        cb = _build_codebook(args)
         points = stbc.simulate_ser(dim, scheme, cb, grid, trials, seed, workers=args.workers)
         rate = points[0].rate_bpcu
         extra = {"code": cb.describe(), "block_size": stbc.CODED_BLOCK_SIZE}
@@ -324,7 +322,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim.add_argument("--workers", type=int, default=1)
     p_sim.add_argument("--decode", help="decode layers for the df scheme")
     p_sim.add_argument("--partition", help="partition JSON file for ff / parallel-af")
-    p_sim.add_argument("--code", default="alamouti", help="alamouti, golden, parallel-golden")
+    p_sim.add_argument(
+        "--code", default="alamouti", choices=("alamouti", "golden", "parallel-golden"),
+        help="space-time code for the coded schemes",
+    )
     p_sim.add_argument("--qam", type=int, default=4, choices=(4, 16))
     p_sim.add_argument("--output", help="CSV output (default stdout)")
     p_sim.add_argument("--manifest", help="manifest path (default <output>.manifest.json)")

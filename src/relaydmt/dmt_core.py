@@ -226,10 +226,6 @@ class DmtCurve:
 
     __call__ = evaluate
 
-    @classmethod
-    def from_integer_points(cls, points: Iterable[tuple[int, Rational]]) -> "DmtCurve":
-        return cls(list(points))
-
     @staticmethod
     def pointwise_min(curves: Sequence["DmtCurve"]) -> "DmtCurve":
         """Exact lower envelope of a set of curves.
@@ -339,7 +335,7 @@ def dmt_rp(dim: DimensionLike) -> DmtCurve:
     dim = as_dimension(dim)
     c = coeffs(dim).values
     points = [(k, sum(c[k:])) for k in range(dim.n_min + 1)]
-    return DmtCurve.from_integer_points(points)
+    return DmtCurve(points)
 
 
 def dmt_rayleigh(nt: int, nr: int) -> DmtCurve:
@@ -347,7 +343,7 @@ def dmt_rayleigh(nt: int, nr: int) -> DmtCurve:
     if nt < 1 or nr < 1:
         raise ValueError("antenna counts must be positive")
     points = [(k, (nt - k) * (nr - k)) for k in range(min(nt, nr) + 1)]
-    return DmtCurve.from_integer_points(points)
+    return DmtCurve(points)
 
 
 def cutset_bound(dim: DimensionLike) -> DmtCurve:
@@ -378,7 +374,7 @@ def dmt_symmetric(n: int, n_hops: int) -> DmtCurve:
         a, b = divmod(n - k, n_hops)
         d = Fraction((n - k) * (n + 1 - k), 2) + Fraction(a * ((a - 1) * n_hops + 2 * b), 2)
         points.append((k, d))
-    return DmtCurve.from_integer_points(points)
+    return DmtCurve(points)
 
 
 def dmt_serial_partition(dim: DimensionLike, decode: DecodeSet) -> DmtCurve:

@@ -25,31 +25,30 @@ one real matrix product against a precomputed codeword table.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
 from .channel_sim import (
-    ChannelRealization,
     EffectiveChannel,
     OutageEstimate,
-    AfScheme,
-    FfScheme,
     Scheme,
-    _binomial_ci,
     _block_rng,
     _cholesky,
     _draw_hops,
+    _estimate,
     _forward_sub,
     _hermitian_square,
+    _map_blocks,
     _matmul,
-    af_effective,
-    ff_effective,
 )
+
+# Unused here: the benchmark's traced run wraps these names in this module.
+from .channel_sim import ProcessPoolExecutor, af_effective, ff_effective  # noqa: F401
 from .dmt_core import DimensionLike, as_dimension
 
 __all__ = [
@@ -57,7 +56,6 @@ __all__ = [
     "Codebook",
     "alamouti",
     "golden",
-    "stacked",
     "verify_nvd",
     "ml_decode",
     "simulate_ser",
@@ -134,7 +132,6 @@ class Codebook:
     alphabet: QamAlphabet
     energy_norm: float
     rate_syms_per_use: float  # information symbols per end-to-end channel use (all k_sub * T uses)
-    linear: bool = True
 
     def encode(self, symbols: np.ndarray) -> np.ndarray:
         """Unnormalized codewords from raw symbols ``(..., num_symbols)``."""
@@ -185,21 +182,10 @@ def _encode_golden2(s: np.ndarray) -> np.ndarray:
     return _encode_golden_modes(s, (_ZETA8, -_ZETA8))
 
 
-def _encode_stacked2(s: np.ndarray) -> np.ndarray:
-    # Block-diagonal stack of the two-sub-channel lattice code: rows of
-    # the 4 x 4 full codeword split two per sub-channel.
-    modes = _encode_golden2(s)
-    x = np.zeros(s.shape[:-1] + (2, 2, 4), dtype=complex)
-    x[..., 0, :, 0:2] = modes[..., 0, :, :]
-    x[..., 1, :, 2:4] = modes[..., 1, :, :]
-    return x
-
-
 _ENCODERS = {
     "alamouti": _encode_alamouti,
     "golden": _encode_golden1,
     "parallel-golden": _encode_golden2,
-    "stacked-golden": _encode_stacked2,
 }
 
 
@@ -207,17 +193,7 @@ def _with_energy_norm(cb: Codebook) -> Codebook:
     words, _ = cb.codewords()
     mean_power = float(np.mean(np.sum(np.abs(words) ** 2, axis=(-2, -1))))
     norm = math.sqrt(cb.n_t * cb.time_span / mean_power)
-    return Codebook(
-        name=cb.name,
-        k_sub=cb.k_sub,
-        n_t=cb.n_t,
-        time_span=cb.time_span,
-        num_symbols=cb.num_symbols,
-        alphabet=cb.alphabet,
-        energy_norm=norm,
-        rate_syms_per_use=cb.rate_syms_per_use,
-        linear=cb.linear,
-    )
+    return dataclasses.replace(cb, energy_norm=norm)
 
 
 def alamouti(q: QamAlphabet) -> Codebook:
@@ -270,27 +246,6 @@ def golden(q: QamAlphabet, m: int = 0) -> Codebook:
     )
 
 
-def stacked(q: QamAlphabet) -> Codebook:
-    """Row-partitioned block-diagonal stack of the K=2 parallel code.
-
-    The 4 x 4 block-diagonal full codeword is cut into two aligned 2 x 4
-    row blocks, one per sub-channel.  Only sub-block-aligned row splits
-    keep the determinant product positive, so that is the split used.
-    """
-    return _with_energy_norm(
-        Codebook(
-            name="stacked-golden",
-            k_sub=2,
-            n_t=2,
-            time_span=4,
-            num_symbols=4,
-            alphabet=q,
-            energy_norm=1.0,
-            rate_syms_per_use=4.0 / (2 * 4),
-        )
-    )
-
-
 # --------------------------------------------------------------------------
 # Non-vanishing determinant search
 # --------------------------------------------------------------------------
@@ -310,8 +265,6 @@ def verify_nvd(
     tuples rather than silently sampling.  Raw lattice symbols are
     used; no energy normalization is applied.
     """
-    if not cb.linear:
-        return _verify_nvd_all_pairs(cb, cap)
     n_tuples = len(difference_points) ** cb.num_symbols
     if n_tuples > cap:
         raise ValueError(
@@ -335,19 +288,6 @@ def verify_nvd(
             best = float(prod[i])
             best_tuple = tuple(chunk[i])
     return best, best_tuple
-
-
-def _verify_nvd_all_pairs(cb: Codebook, cap: int) -> tuple[float, tuple[complex, ...]]:
-    words, symbols = cb.codewords()
-    n = words.shape[0]
-    if n * n > cap:
-        raise ValueError(f"{n * n} codeword pairs exceed the exhaustive cap of {cap}")
-    diff = words[:, None] - words[None, :]  # (n, n, K, n_t, T)
-    gram = diff @ diff.conj().swapaxes(-1, -2)
-    prod = np.prod(np.abs(np.linalg.det(gram)), axis=-1)
-    prod[np.arange(n), np.arange(n)] = math.inf
-    i, j = np.unravel_index(int(np.argmin(prod)), prod.shape)
-    return float(prod[i, j]), tuple(symbols[i] - symbols[j])
 
 
 # --------------------------------------------------------------------------
@@ -378,20 +318,6 @@ def ml_decode(
         cand = amp * (g_w @ words[:, k])  # (M, n_r, T)
         total += np.sum(np.abs(y_w[None] - cand) ** 2, axis=(-2, -1))
     return int(np.argmin(total))
-
-
-def _coded_effectives(
-    dim, scheme: Scheme, real: ChannelRealization, snr: float, k_sub: int
-) -> list[EffectiveChannel]:
-    if isinstance(scheme, AfScheme):
-        effs = [af_effective(real, snr)]
-    elif isinstance(scheme, FfScheme):
-        effs = ff_effective(real, scheme.schedule, snr)
-    else:
-        raise TypeError("coded simulation supports the af and ff schemes")
-    if len(effs) != k_sub:
-        raise ValueError(f"code has {k_sub} sub-channels but the scheme offers {len(effs)}")
-    return effs
 
 
 def _word_table(words: np.ndarray, amp: float) -> np.ndarray:
@@ -435,7 +361,7 @@ def _ml_decisions(
     return np.argmin(np.concatenate([f.real, f.imag], axis=-1) @ table, axis=1)
 
 
-def _ser_block(dim, scheme, cb, snr, amp, seed, block, words, table, live) -> int:
+def _ser_block(dim, scheme, cb, snr, amp, seed, words, table, block, live) -> int:
     """Codeword errors among the first ``live`` trials of one block.
 
     Draw order inside the block stream is fixed: hop variates (through
@@ -446,7 +372,9 @@ def _ser_block(dim, scheme, cb, snr, amp, seed, block, words, table, live) -> in
     rng = _block_rng(seed, block)
     real = _draw_hops(dim, rng, CODED_BLOCK_SIZE)
     sent = rng.integers(0, words.shape[0], size=CODED_BLOCK_SIZE)
-    effs = _coded_effectives(dim, scheme, real, snr, cb.k_sub)
+    effs = scheme.effectives(real, snr)
+    if len(effs) != cb.k_sub:
+        raise ValueError(f"code has {cb.k_sub} sub-channels but the scheme offers {len(effs)}")
     received = []
     for k, eff in enumerate(effs):
         n_r = eff.gain.shape[-2]
@@ -456,18 +384,6 @@ def _ser_block(dim, scheme, cb, snr, amp, seed, block, words, table, live) -> in
         received.append(signal + _matmul(_cholesky(eff.noise_cov), white))
     decided = _ml_decisions(received, effs, table)
     return int(np.count_nonzero((decided != sent)[:live]))
-
-
-def _ser_range(args) -> int:
-    dim, scheme, cb, snr, seed, blocks, trials = args
-    words, _ = cb.codewords()
-    amp = math.sqrt(snr / dim[0]) * cb.energy_norm
-    table = _word_table(words, amp)
-    errors = 0
-    for b in blocks:
-        live = min(trials - b * CODED_BLOCK_SIZE, CODED_BLOCK_SIZE)
-        errors += _ser_block(dim, scheme, cb, snr, amp, seed, b, words, table, live)
-    return errors
 
 
 def simulate_ser(
@@ -481,38 +397,26 @@ def simulate_ser(
 ) -> list[OutageEstimate]:
     """Codeword error rate per SNR point under exhaustive ML decoding.
 
-    The code's sub-channel count must match the scheme (one AF channel,
-    or one channel per flip mode).  Deterministic for a given seed,
-    independent of the worker count.
+    The code's transmit antennas must match the channel input and its
+    sub-channel count the scheme's effective channels (one for AF, one
+    per flip mode for FF); DF has no effective channel and raises
+    ``TypeError``.  Deterministic for a given seed, independent of the
+    worker count.
     """
     dim = as_dimension(dim)
-    if trials < 1:
-        raise ValueError("need at least one trial")
+    if cb.n_t != dim[0]:
+        raise ValueError(
+            f"code {cb.name!r} sends from {cb.n_t} antennas but the channel input has {dim[0]}"
+        )
+    words, _ = cb.codewords()
+    bits_per_use = cb.rate_syms_per_use * math.log2(cb.alphabet.order)
     points = []
-    n_blocks = math.ceil(trials / CODED_BLOCK_SIZE)
-    workers = min(workers, n_blocks)
     for snr_db in snr_grid_db:
         snr = 10.0 ** (snr_db / 10.0)
-        if workers <= 1:
-            errors = _ser_range((dim, scheme, cb, snr, seed, range(n_blocks), trials))
-        else:
-            chunks = [
-                (dim, scheme, cb, snr, seed, range(w, n_blocks, workers), trials)
-                for w in range(workers)
-            ]
-            with ProcessPoolExecutor(max_workers=workers) as pool:
-                errors = sum(pool.map(_ser_range, chunks))
-        bits_per_use = cb.rate_syms_per_use * math.log2(cb.alphabet.order)
-        points.append(
-            OutageEstimate(
-                snr_db=float(snr_db),
-                rate_bpcu=bits_per_use,
-                trials=trials,
-                outage_count=errors,
-                p_hat=errors / trials,
-                ci95=_binomial_ci(errors, trials),
-            )
-        )
+        amp = math.sqrt(snr / dim[0]) * cb.energy_norm
+        params = (dim, scheme, cb, snr, amp, seed, words, _word_table(words, amp))
+        errors = _map_blocks(_ser_block, params, trials, CODED_BLOCK_SIZE, workers)
+        points.append(_estimate(snr_db, bits_per_use, trials, errors))
     return points
 
 

@@ -3,7 +3,7 @@ from concurrent.futures import ProcessPoolExecutor
 
 import pytest
 
-from relaydmt import channel_sim, stbc
+from relaydmt import channel_sim
 
 
 def all_dims(max_count: int, max_hops: int):
@@ -30,7 +30,11 @@ def dims_to_3_3():
 
 @pytest.fixture
 def pool_sizes(monkeypatch):
-    """``max_workers`` of every process pool the outage and SER runners open."""
+    """``max_workers`` of every process pool the block runner opens.
+
+    The outage and SER runners share ``channel_sim``'s block runner, so
+    only that module opens pools.
+    """
     seen = []
 
     class RecordingPool(ProcessPoolExecutor):
@@ -38,6 +42,5 @@ def pool_sizes(monkeypatch):
             seen.append(max_workers)
             super().__init__(max_workers=max_workers, **kwargs)
 
-    for module in (channel_sim, stbc):
-        monkeypatch.setattr(module, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(channel_sim, "ProcessPoolExecutor", RecordingPool)
     return seen

@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from relaydmt import stbc
 from relaydmt.channel_sim import (
     BLOCK_SIZE,
     AfScheme,
@@ -24,7 +25,6 @@ from relaydmt.channel_sim import (
     ff_effective,
     mutual_info,
     outage_curve,
-    outage_mask,
     parallel_af_effective,
     pf_effective,
     run_manifest,
@@ -263,8 +263,8 @@ class TestDf:
     def test_decode_helps_weak_middle(self):
         real = sample_block((3, 1, 4, 2), seed=18, block_index=0, count=2048)
         snr, rate = 10 ** 1.8, 2.0
-        all_af = np.mean(outage_mask(real.dim, AfScheme(), real, snr, rate))
-        decoded = np.mean(outage_mask(real.dim, DfScheme(DecodeSet((2, 3))), real, snr, rate))
+        all_af = np.mean(AfScheme().outage(real, snr, rate))
+        decoded = np.mean(DfScheme(DecodeSet((2, 3))).outage(real, snr, rate))
         assert decoded < all_af
 
 
@@ -359,6 +359,30 @@ class TestEstimateOutage:
         for scheme in schemes:
             est = estimate_outage(dim, scheme, 2.0, 12.0, 4096, seed=3)
             assert 0.0 <= est.p_hat <= 1.0, scheme
+
+
+class TestBlockRunner:
+    def test_counts_independent_of_trials_and_workers(self):
+        # Trial t is the same draw for any trial or worker count: outage
+        # counts equal a replay of the public per-block stages, cut to
+        # the trial count, and coded error counts agree across workers.
+        dim, scheme, rate, snr_db, seed = (2, 2), AfScheme(), 2.0, 6.0, 31
+        snr = 10.0 ** (snr_db / 10.0)
+        replay = np.concatenate(
+            [scheme.outage(sample_block(dim, seed, b), snr, rate) for b in range(2)]
+        )
+        for trials in (1, BLOCK_SIZE - 1, BLOCK_SIZE, BLOCK_SIZE + 1):
+            want = int(np.count_nonzero(replay[:trials]))
+            for workers in (1, 2, 3):
+                got = estimate_outage(dim, scheme, rate, snr_db, trials, seed, workers=workers)
+                assert got.outage_count == want, (trials, workers)
+        assert np.count_nonzero(replay[:BLOCK_SIZE]) > 0
+
+        cb = stbc.alamouti(stbc.QamAlphabet.qam(4))
+        args = (dim, scheme, cb, [4.0, 8.0], stbc.CODED_BLOCK_SIZE + 1, seed)
+        serial = [p.outage_count for p in stbc.simulate_ser(*args, workers=1)]
+        assert serial[0] > 0
+        assert [p.outage_count for p in stbc.simulate_ser(*args, workers=2)] == serial
 
 
 class TestSchemeOrderings:

@@ -181,6 +181,22 @@ class TestSimulateCommand:
         manifest = json.loads((tmp_path / "ser.csv.manifest.json").read_text())
         assert manifest["code"]["code"] == "parallel-golden"
 
+    def test_rate_rejected_for_coded_schemes(self, capsys):
+        code, out, err = run(
+            capsys, "simulate", "--dim", "2,2,2", "--scheme", "coded-ff", "--rate", "3",
+            "--snr", "10:4:14", "--trials", "100",
+        )
+        assert code == 2 and out == ""
+        assert "--rate" in err
+
+    def test_unknown_code_rejected(self, capsys):
+        code, out, err = run(
+            capsys, "simulate", "--dim", "2,2", "--scheme", "coded-af", "--code", "stacked-golden",
+            "--snr", "10:4:14", "--trials", "100",
+        )
+        assert code == 2 and out == ""
+        assert "--code" in err
+
     def test_bad_grid(self, capsys):
         code, _, err = run(
             capsys, "simulate", "--dim", "2,2", "--scheme", "af", "--rate", "1",

@@ -7,6 +7,7 @@ import pytest
 from relaydmt import stbc
 from relaydmt.channel_sim import (
     AfScheme,
+    DfScheme,
     EffectiveChannel,
     af_effective,
     default_ff_scheme,
@@ -14,16 +15,15 @@ from relaydmt.channel_sim import (
     sample_block,
     sample_channel,
 )
+from relaydmt.dmt_core import DecodeSet
 from relaydmt.stbc import (
     CODED_BLOCK_SIZE,
-    Codebook,
     QamAlphabet,
     alamouti,
     codebook_to_json,
     golden,
     ml_decode,
     simulate_ser,
-    stacked,
     verify_nvd,
 )
 
@@ -124,21 +124,6 @@ class TestGolden:
             golden(q4, m=2)
 
 
-class TestStacked:
-    def test_nvd_positive(self, q4):
-        cb = stacked(q4)
-        mn, _ = verify_nvd(cb, q4.difference_points())
-        assert mn > 0
-
-    def test_aligned_row_blocks(self, q4):
-        words, _ = stacked(q4).codewords()
-        assert words.shape == (256, 2, 2, 4)
-        # Sub-channel 0 occupies the first two columns, sub-channel 1 the
-        # last two: block-diagonal layout.
-        assert np.all(words[:, 0, :, 2:] == 0)
-        assert np.all(words[:, 1, :, :2] == 0)
-
-
 class TestVerifyNvd:
     def test_cap_enforced(self, q4, q16):
         with pytest.raises(ValueError, match="cap"):
@@ -149,24 +134,6 @@ class TestVerifyNvd:
         mn, arg = verify_nvd(cb, q4.difference_points())
         assert any(a != 0 for a in arg)
         assert mn > 0
-
-    def test_nonlinear_fallback_all_pairs(self, q4):
-        # A hand-rolled non-linear codebook falls back to pair enumeration.
-        base = alamouti(q4)
-        nl = Codebook(
-            name="alamouti",
-            k_sub=1,
-            n_t=2,
-            time_span=2,
-            num_symbols=2,
-            alphabet=q4,
-            energy_norm=base.energy_norm,
-            rate_syms_per_use=1.0,
-            linear=False,
-        )
-        mn_pairs, _ = verify_nvd(nl, q4.difference_points())
-        mn_lattice, _ = verify_nvd(base, q4.difference_points())
-        assert np.isclose(mn_pairs, mn_lattice)
 
 
 class TestMlDecode:
@@ -331,6 +298,18 @@ class TestSimulateSer:
         cb = golden(q4, m=1)
         with pytest.raises(ValueError, match="sub-channels"):
             simulate_ser((2, 2), AfScheme(), cb, [10.0], 256, seed=1)
+
+    def test_df_has_no_effective_channel(self, q4):
+        with pytest.raises(TypeError, match="no effective channel"):
+            simulate_ser((2, 2, 2), DfScheme(DecodeSet((2,))), alamouti(q4), [10.0], 256, seed=1)
+
+    def test_code_width_mismatch_rejected_before_drawing(self, q4, monkeypatch):
+        def no_draw(*args):
+            raise AssertionError("a block was drawn")
+
+        monkeypatch.setattr(stbc, "_draw_hops", no_draw)
+        with pytest.raises(ValueError, match="2 antennas but the channel input has 3"):
+            simulate_ser((3, 3), AfScheme(), alamouti(q4), [10.0], 256, seed=1)
 
     def test_error_rate_decreases_with_snr(self, q4):
         cb = alamouti(q4)
