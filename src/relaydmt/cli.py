@@ -25,6 +25,7 @@ from .dmt_core import DecodeSet, as_dimension
 SEED_ENV_VAR = "RELAYDMT_SEED"
 
 _SIM_SCHEMES = ("af", "pf", "df", "parallel-af", "ff", "svd-align", "coded-af", "coded-ff")
+_PARTITION_SCHEMES = ("parallel-af", "ff", "coded-ff")
 _CURVES = ("rp", "cutset", "df", "serial", "ff-bound", "parallel-af")
 
 
@@ -226,12 +227,20 @@ def cmd_simulate(args) -> int:
         raise UsageError("--workers must be at least 1")
     if args.rate is not None and not math.isfinite(args.rate):
         raise UsageError(f"--rate must be finite, got {args.rate}")
+    coded = args.scheme.startswith("coded-")
+    if args.decode is not None and args.scheme != "df":
+        raise UsageError(f"--decode applies only to the df scheme, not {args.scheme!r}")
+    if args.partition is not None and args.scheme not in _PARTITION_SCHEMES:
+        raise UsageError(
+            f"--partition applies only to {', '.join(_PARTITION_SCHEMES)}, not {args.scheme!r}"
+        )
+    if coded and args.rate_policy == "multiplexing":
+        raise UsageError("--rate-policy multiplexing does not apply to coded schemes")
     seed = args.seed
     if seed is None:
         env = os.environ.get(SEED_ENV_VAR)
         seed = int(env) if env else 0
     scheme = _build_scheme(args, dim)
-    coded = args.scheme.startswith("coded-")
     if coded:
         if args.rate is not None:
             raise UsageError("--rate does not apply to coded schemes; the code sets the rate")

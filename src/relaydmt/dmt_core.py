@@ -211,7 +211,7 @@ class DmtCurve:
         return self._vertices[-1][0]
 
     def evaluate(self, r: Rational) -> Fraction:
-        r = Fraction(r)
+        r = r if isinstance(r, Fraction) else Fraction(r)
         if r <= 0:
             return self._vertices[0][1]
         if self._partial:
@@ -220,7 +220,7 @@ class DmtCurve:
             return Fraction(0)
         verts = self._vertices
         for (x0, y0), (x1, y1) in zip(verts, verts[1:]):
-            if x0 <= r <= x1:
+            if r <= x1:
                 return y0 + (y1 - y0) * (r - x0) / (x1 - x0)
         raise AssertionError("unreachable")
 
@@ -230,23 +230,37 @@ class DmtCurve:
     def pointwise_min(curves: Sequence["DmtCurve"]) -> "DmtCurve":
         """Exact lower envelope of a set of curves.
 
-        Breakpoints of the result are the union of the inputs'
-        breakpoints plus any pairwise segment intersections, so vertex
-        values can be rational even when all inputs are integral.
+        A sweep over the union of the inputs' breakpoints: between two
+        consecutive breakpoints every input is one line, so the envelope
+        follows the lowest line (ties to the smaller slope) and gains a
+        vertex only where a line of smaller slope first dips below it.
+        Those crossings can make vertex values rational even when all
+        inputs are integral.
         """
         if not curves:
             raise ValueError("need at least one curve")
         if any(c.partial for c in curves):
             raise ValueError("cannot take the envelope of partial curves")
         right = min(c.r_max for c in curves)
-        xs = {Fraction(0), right}
-        for c in curves:
-            xs.update(x for x, _ in c.vertices if x < right)
-        # Pairwise intersections interior to the current grid.
-        for ca, cb in itertools.combinations(curves, 2):
-            xs.update(_segment_intersections(ca, cb, right))
-        grid = sorted(xs)
-        verts = [(x, min(c.evaluate(x) for c in curves)) for x in grid]
+        grid = sorted({x for c in curves for x, _ in c.vertices if x < right} | {right})
+        values = [[c.evaluate(x) for x in grid] for c in curves]
+        verts = [(grid[0], min(v[0] for v in values))]
+        for i, (x0, x1) in enumerate(zip(grid, grid[1:])):
+            # Each input on [x0, x1] as (value at x0, slope); start on the lowest.
+            w = x1 - x0
+            lines = [(v[i], (v[i + 1] - v[i]) / w) for v in values]
+            y, s = min(lines)
+            # The first line of smaller slope to cross below takes over; the
+            # smallest slope wins a tie, as it stays lowest past the crossing.
+            while True:
+                t, s_next, y_next = min(
+                    (((yc - y) / (s - sc), sc, yc) for yc, sc in lines if sc < s), default=(w, s, y)
+                )
+                if t >= w:
+                    break
+                y, s = y_next, s_next
+                verts.append((x0 + t, y + s * t))
+            verts.append((x1, y + s * w))
         return DmtCurve(verts)
 
     def scale(self, factor: Rational) -> "DmtCurve":
@@ -281,24 +295,6 @@ def _merge_collinear(verts: list[tuple[Fraction, Fraction]]) -> list[tuple[Fract
             else:
                 break
         out.append(v)
-    return out
-
-
-def _segment_intersections(ca: DmtCurve, cb: DmtCurve, right: Fraction) -> list[Fraction]:
-    """Abscissas where two piecewise-linear curves cross, within (0, right)."""
-    out = []
-    for (ax0, ay0), (ax1, ay1) in zip(ca.vertices, ca.vertices[1:]):
-        for (bx0, by0), (bx1, by1) in zip(cb.vertices, cb.vertices[1:]):
-            lo, hi = max(ax0, bx0), min(ax1, bx1)
-            if lo >= hi or lo >= right:
-                continue
-            sa = (ay1 - ay0) / (ax1 - ax0)
-            sb = (by1 - by0) / (bx1 - bx0)
-            if sa == sb:
-                continue
-            x = (by0 - sb * bx0 - ay0 + sa * ax0) / (sa - sb)
-            if lo < x < hi and 0 < x < right:
-                out.append(x)
     return out
 
 
@@ -394,10 +390,12 @@ def where_to_decode(dim: DimensionLike, d: int) -> DecodeSet:
     Greedy construction: each decode layer is pushed as far toward the
     destination as possible while the AF segment ending there still has
     diversity >= ``d``.  AF diversity degrades as segments lengthen, so
-    the greedy choice is optimal.
+    the greedy choice is optimal.  Diversities are read as integers: a
+    segment's is the sum of its :func:`coeffs`, the cut-set ceiling is
+    ``min_i n_{i-1} n_i``.
     """
     dim = as_dimension(dim)
-    d_ceiling = cutset_bound(dim).d_max
+    d_ceiling = min(a * b for a, b in zip(dim.counts, dim.counts[1:]))
     if d > d_ceiling:
         raise ValueError(f"unachievable diversity: {d} > d_max = {d_ceiling}")
     indices = []
@@ -406,7 +404,7 @@ def where_to_decode(dim: DimensionLike, d: int) -> DecodeSet:
         best = None
         for end in range(start + 1, dim.hops + 1):
             seg = dim.counts[start : end + 1]
-            if dmt_rp(seg).d_max >= d:
+            if sum(coeffs(seg).values) >= d:
                 best = end
         if best is None:
             # Cannot happen for d <= d_max: a single hop always reaches it.
@@ -427,7 +425,7 @@ def dmt_ff_lower_bound(dim: DimensionLike, k_modes: int) -> DmtCurve:
     if k_modes < 1:
         raise ValueError("mode count must be positive")
     af = dmt_rp(dim)
-    deficit = cutset_bound(dim).d_max - af.d_max
+    deficit = min(a * b for a, b in zip(dim.counts, dim.counts[1:])) - af.d_max
     xs = sorted({Fraction(0), Fraction(1, k_modes)} | {x for x, _ in af.vertices})
     xs = [x for x in xs if x <= af.r_max]
     verts = []

@@ -19,6 +19,11 @@ def dims_to_5_4():
 
 
 @pytest.fixture(scope="session")
+def dims_to_5_3():
+    return list(all_dims(5, 3))
+
+
+@pytest.fixture(scope="session")
 def dims_to_4_3():
     return list(all_dims(4, 3))
 

@@ -189,6 +189,36 @@ class TestSimulateCommand:
         assert code == 2 and out == ""
         assert "--rate" in err
 
+    @pytest.mark.parametrize("scheme", ["af", "pf", "ff", "svd-align", "parallel-af", "coded-af"])
+    def test_decode_rejected_outside_df(self, scheme, capsys):
+        code, out, err = run(
+            capsys, "simulate", "--dim", "2,2,2", "--scheme", scheme, "--rate", "2",
+            "--snr", "10:4:14", "--trials", "100", "--decode", "1,2",
+        )
+        assert code == 2 and out == ""
+        assert "--decode" in err
+
+    @pytest.mark.parametrize("scheme", ["af", "pf", "svd-align", "df", "coded-af"])
+    def test_partition_rejected_for_schemes_without_one(self, scheme, tmp_path, capsys):
+        part_file = tmp_path / "p.json"
+        assert run(capsys, "partition", "--dim", "2,2,2", "--max", "--output", str(part_file))[0] == 0
+        extra = {"df": ["--rate", "2", "--decode", "2"], "coded-af": []}.get(scheme, ["--rate", "2"])
+        code, out, err = run(
+            capsys, "simulate", "--dim", "2,2,2", "--scheme", scheme, *extra,
+            "--snr", "10:4:14", "--trials", "100", "--partition", str(part_file),
+        )
+        assert code == 2 and out == ""
+        assert "--partition" in err
+
+    @pytest.mark.parametrize("scheme", ["coded-af", "coded-ff"])
+    def test_multiplexing_rate_policy_rejected_for_coded_schemes(self, scheme, capsys):
+        code, out, err = run(
+            capsys, "simulate", "--dim", "2,2,2", "--scheme", scheme,
+            "--rate-policy", "multiplexing", "--snr", "10:4:14", "--trials", "100",
+        )
+        assert code == 2 and out == ""
+        assert "--rate-policy" in err
+
     def test_unknown_code_rejected(self, capsys):
         code, out, err = run(
             capsys, "simulate", "--dim", "2,2", "--scheme", "coded-af", "--code", "stacked-golden",

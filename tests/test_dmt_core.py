@@ -2,6 +2,8 @@ import itertools
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from relaydmt.dmt_core import (
     DecodeSet,
@@ -22,6 +24,44 @@ from relaydmt.dmt_core import (
 
 def vertices(curve):
     return [(int(x) if x.denominator == 1 else x, y) for x, y in curve.vertices]
+
+
+def _segment_intersections(ca, cb, right):
+    """Abscissas where two piecewise-linear curves cross, within (0, right)."""
+    out = []
+    for (ax0, ay0), (ax1, ay1) in zip(ca.vertices, ca.vertices[1:]):
+        for (bx0, by0), (bx1, by1) in zip(cb.vertices, cb.vertices[1:]):
+            lo, hi = max(ax0, bx0), min(ax1, bx1)
+            if lo >= hi or lo >= right:
+                continue
+            sa = (ay1 - ay0) / (ax1 - ax0)
+            sb = (by1 - by0) / (bx1 - bx0)
+            if sa == sb:
+                continue
+            x = (by0 - sb * bx0 - ay0 + sa * ax0) / (sa - sb)
+            if lo < x < hi and 0 < x < right:
+                out.append(x)
+    return out
+
+
+def all_pairs_envelope(curves):
+    """Reference lower envelope: every input breakpoint and every pairwise
+    segment crossing, with the minimum of the inputs evaluated at each."""
+    right = min(c.r_max for c in curves)
+    xs = {Fraction(0), right}
+    for c in curves:
+        xs.update(x for x, _ in c.vertices if x < right)
+    for ca, cb in itertools.combinations(curves, 2):
+        xs.update(_segment_intersections(ca, cb, right))
+    return DmtCurve([(x, min(c.evaluate(x) for c in curves)) for x in sorted(xs)])
+
+
+@st.composite
+def integer_curves(draw):
+    """A curve with integer vertices, flat stretches allowed."""
+    xs = sorted(draw(st.lists(st.integers(1, 6), min_size=1, max_size=4, unique=True)))
+    ds = sorted(draw(st.lists(st.integers(0, 12), min_size=len(xs), max_size=len(xs))))
+    return DmtCurve(zip([0] + xs, ds[::-1] + [0]))
 
 
 class TestDimension:
@@ -59,6 +99,19 @@ class TestCurveArithmetic:
     def test_collinear_vertices_merge(self):
         c = DmtCurve([(0, 4), (1, 2), (2, 0)])
         assert c == DmtCurve([(0, 4), (2, 0)])
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(st.lists(integer_curves(), min_size=2, max_size=4))
+    def test_pointwise_min_is_the_lower_envelope(self, curves):
+        env = DmtCurve.pointwise_min(curves)
+        assert all(isinstance(x, Fraction) and isinstance(y, Fraction) for x, y in env.vertices)
+        for x, y in env.vertices:
+            assert y == min(c.evaluate(x) for c in curves), x
+        xs = sorted({x for c in [env, *curves] for x, _ in c.vertices})
+        probes = xs + [(a + b) / 2 for a, b in zip(xs, xs[1:])]
+        for x in probes:
+            assert all(env.evaluate(x) <= c.evaluate(x) for c in curves), x
+        assert env == all_pairs_envelope(curves)
 
     def test_partial_curve(self):
         c = DmtCurve([(0, 8)], partial=True)
@@ -185,6 +238,52 @@ class TestCutset:
                     predicted = True
             actual = dmt_rp(counts).d_max == cutset_bound(counts).d_max
             assert actual == predicted, counts
+
+
+class TestEnvelopeOracle:
+    def test_cutset_and_serial_match_all_pairs(self, dims_to_5_3):
+        # Up to (4,3) no two inputs cross inside an interval; the 5-antenna
+        # layers supply the crossings the sweep has to find.
+        crossings = {"cutset": 0, "serial": 0}
+        for counts in dims_to_5_3:
+            hops = len(counts) - 1
+            per_hop = [dmt_rayleigh(counts[i], counts[i + 1]) for i in range(hops)]
+            cases = [("cutset", cutset_bound(counts), per_hop)]
+            for size in range(hops):
+                for inner in itertools.combinations(range(1, hops), size):
+                    decode = DecodeSet(inner + (hops,))
+                    segments = [dmt_rp(seg) for seg in decode.segments(as_dimension(counts))]
+                    cases.append(("serial", dmt_serial_partition(counts, decode), segments))
+            for kind, curve, inputs in cases:
+                assert curve.vertices == all_pairs_envelope(inputs).vertices, (kind, counts)
+                crossings[kind] += any(x.denominator != 1 for x, _ in curve.vertices)
+        assert crossings["cutset"] and crossings["serial"], crossings
+
+
+class TestClosedForms:
+    def test_cutset_extremes(self, dims_to_5_4):
+        for counts in dims_to_5_4:
+            bound = cutset_bound(counts)
+            assert bound.d_max == min(a * b for a, b in zip(counts, counts[1:])), counts
+            assert bound.r_max == min(counts), counts
+
+    def test_segment_diversity_is_coefficient_sum(self, dims_to_5_4):
+        segments = {
+            counts[a : b + 1]
+            for counts in dims_to_5_4
+            for a in range(len(counts))
+            for b in range(a + 1, len(counts))
+        }
+        for seg in segments:
+            assert sum(coeffs(seg).values) == dmt_rp(seg).d_max, seg
+
+    def test_beyond_cutset_raises(self, dims_to_5_4):
+        for counts in dims_to_5_4:
+            d_max = min(a * b for a, b in zip(counts, counts[1:]))
+            message = f"unachievable diversity: {d_max + 1} > d_max = {d_max}"
+            with pytest.raises(ValueError) as info:
+                where_to_decode(counts, d_max + 1)
+            assert str(info.value) == message
 
 
 class TestSymmetric:

@@ -1,4 +1,6 @@
 import itertools
+import math
+import warnings
 
 import networkx as nx
 import pytest
@@ -256,9 +258,10 @@ class TestFlipSchedule:
         assert sched.mode_flips(1) == [(1, 1, 1)]
 
     def test_mode_map_is_bijection(self):
-        # The mode indexing covers the product of per-layer choices
-        # exactly once, whatever the supernode counts.
-        for layer_counts in itertools.product((1, 2, 3, 4), repeat=3):
+        # For one to three relay layers, the mode indexing lists every
+        # tuple of the product of per-layer choices exactly once.
+        shapes = [ks for n in (1, 2, 3) for ks in itertools.product((1, 2, 3, 4), repeat=n)]
+        for layer_counts in shapes:
             counts = (4,) + tuple(max(2, k) for k in layer_counts) + (4,)
             paths = []
             src = full_node(0, counts[0])
@@ -269,12 +272,15 @@ class TestFlipSchedule:
                     for layer, j in enumerate(combo, start=1)
                 ]
                 paths.append(AfPath((src, *nodes, dst)))
-            with pytest.warns(UserWarning):
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", UserWarning)
                 sched = ff_schedule(counts, Partition(tuple(paths)))
             assert sched.layer_counts == layer_counts
-            assert sorted(sched.mode_map) == sorted(
+            assert len(sched.mode_map) == math.prod(layer_counts), layer_counts
+            assert set(sched.mode_map) == set(
                 itertools.product(*[range(1, k + 1) for k in layer_counts])
             ), layer_counts
+            assert len(set(sched.mode_map)) == len(sched.mode_map), layer_counts
 
     def test_selection_vectors(self):
         _, p = min_full_div_partition_2hop(2, 4, 3)
