@@ -181,17 +181,18 @@ def cmd_partition(args) -> int:
 
 def _build_scheme(args, dim):
     kind = args.scheme
-    if kind in ("af", "coded-af"):
-        return channel_sim.AfScheme()
-    if kind == "pf":
-        return channel_sim.PfScheme()
-    if kind == "svd-align":
-        return channel_sim.SvdAlignScheme()
-    if kind == "df":
-        if not args.decode:
-            raise UsageError("--decode is required for the df scheme")
-        return channel_sim.DfScheme(_parse_decode(args.decode, dim))
-    # partition-based schemes
+    if kind not in _PARTITION_SCHEMES:
+        if args.partition is not None:
+            raise UsageError(
+                f"--partition applies only to {', '.join(_PARTITION_SCHEMES)}, not {kind!r}"
+            )
+        if kind == "df":
+            if not args.decode:
+                raise UsageError("--decode is required for the df scheme")
+            return channel_sim.DfScheme(_parse_decode(args.decode, dim))
+        simple = {"af": channel_sim.AfScheme, "coded-af": channel_sim.AfScheme,
+                  "pf": channel_sim.PfScheme, "svd-align": channel_sim.SvdAlignScheme}
+        return simple[kind]()
     if args.partition:
         with open(args.partition) as fh:
             pdim, part = partition.partition_from_json(fh.read())
@@ -205,9 +206,7 @@ def _build_scheme(args, dim):
         )
     if kind == "parallel-af":
         return channel_sim.ParallelAfScheme(part)
-    if kind in ("ff", "coded-ff"):
-        return channel_sim.FfScheme(partition.ff_schedule(dim, part))
-    raise UsageError(f"unknown scheme {kind!r}")
+    return channel_sim.FfScheme(partition.ff_schedule(dim, part))
 
 
 def _build_codebook(args):
@@ -230,10 +229,6 @@ def cmd_simulate(args) -> int:
     coded = args.scheme.startswith("coded-")
     if args.decode is not None and args.scheme != "df":
         raise UsageError(f"--decode applies only to the df scheme, not {args.scheme!r}")
-    if args.partition is not None and args.scheme not in _PARTITION_SCHEMES:
-        raise UsageError(
-            f"--partition applies only to {', '.join(_PARTITION_SCHEMES)}, not {args.scheme!r}"
-        )
     if coded and args.rate_policy == "multiplexing":
         raise UsageError("--rate-policy multiplexing does not apply to coded schemes")
     seed = args.seed

@@ -342,6 +342,11 @@ def dmt_rayleigh(nt: int, nr: int) -> DmtCurve:
     return DmtCurve(points)
 
 
+def _cutset_d_max(dim: Dimension) -> int:
+    # d_max of the cut-set bound, min_i n_{i-1} n_i, without building the curve.
+    return min(a * b for a, b in zip(dim.counts, dim.counts[1:]))
+
+
 def cutset_bound(dim: DimensionLike) -> DmtCurve:
     """Tradeoff upper bound for any relaying strategy.
 
@@ -395,7 +400,7 @@ def where_to_decode(dim: DimensionLike, d: int) -> DecodeSet:
     ``min_i n_{i-1} n_i``.
     """
     dim = as_dimension(dim)
-    d_ceiling = min(a * b for a, b in zip(dim.counts, dim.counts[1:]))
+    d_ceiling = _cutset_d_max(dim)
     if d > d_ceiling:
         raise ValueError(f"unachievable diversity: {d} > d_max = {d_ceiling}")
     indices = []
@@ -425,7 +430,7 @@ def dmt_ff_lower_bound(dim: DimensionLike, k_modes: int) -> DmtCurve:
     if k_modes < 1:
         raise ValueError("mode count must be positive")
     af = dmt_rp(dim)
-    deficit = min(a * b for a, b in zip(dim.counts, dim.counts[1:])) - af.d_max
+    deficit = _cutset_d_max(dim) - af.d_max
     xs = sorted({Fraction(0), Fraction(1, k_modes)} | {x for x, _ in af.vertices})
     xs = [x for x in xs if x <= af.r_max]
     verts = []

@@ -259,8 +259,11 @@ class TestFlipSchedule:
 
     def test_mode_map_is_bijection(self):
         # For one to three relay layers, the mode indexing lists every
-        # tuple of the product of per-layer choices exactly once.
+        # tuple of the product of per-layer choices exactly once, and
+        # ff_schedule warns exactly when the partition is not an
+        # independent full-diversity one.
         shapes = [ks for n in (1, 2, 3) for ks in itertools.product((1, 2, 3, 4), repeat=n)]
+        warned_shapes = set()
         for layer_counts in shapes:
             counts = (4,) + tuple(max(2, k) for k in layer_counts) + (4,)
             paths = []
@@ -272,15 +275,25 @@ class TestFlipSchedule:
                     for layer, j in enumerate(combo, start=1)
                 ]
                 paths.append(AfPath((src, *nodes, dst)))
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore", UserWarning)
-                sched = ff_schedule(counts, Partition(tuple(paths)))
+            p = Partition(tuple(paths))
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                sched = ff_schedule(counts, p)
+            warned = any(issubclass(w.category, UserWarning) for w in caught)
+            assert warned == (not (is_independent(counts, p) and is_full_diversity(counts, p))), (
+                layer_counts
+            )
+            if warned:
+                warned_shapes.add(layer_counts)
             assert sched.layer_counts == layer_counts
             assert len(sched.mode_map) == math.prod(layer_counts), layer_counts
-            assert set(sched.mode_map) == set(
+            assert sorted(sched.mode_map) == sorted(
                 itertools.product(*[range(1, k + 1) for k in layer_counts])
             ), layer_counts
-            assert len(set(sched.mode_map)) == len(sched.mode_map), layer_counts
+        # Both branches are exercised: every three-layer shape warns, and
+        # some shallower shape does not.
+        assert {ks for ks in shapes if len(ks) == 3} <= warned_shapes
+        assert warned_shapes != set(shapes)
 
     def test_selection_vectors(self):
         _, p = min_full_div_partition_2hop(2, 4, 3)
