@@ -7,6 +7,10 @@ noise covariance ``K_z`` (the destination's own noise contributes an
 identity, so ``K_z`` always has eigenvalues >= 1).  Outage compares the
 Gaussian mutual information of that channel against the target rate.
 
+Every builder states only its hops and relay operators (AF gains from
+:func:`_normalizer_diag`, flips, projected hops, rotations); one chain,
+:func:`_chain_effective`, turns them into the gain and noise covariance.
+
 Every scheme subclasses :class:`Scheme`: ``kind`` names it,
 ``describe()`` gives its manifest entry, ``effectives(real, snr)`` its
 effective channel(s) (one per path or flip mode where there are
@@ -373,13 +377,14 @@ def _chain_effective(hops: Sequence[np.ndarray], relay_ops: Sequence[np.ndarray]
     return EffectiveChannel(gain=gain, noise_cov=noise_cov)
 
 
+def _af_diags(real: ChannelRealization, snr: float) -> list[np.ndarray]:
+    d = real.dim
+    return [_normalizer_diag(real.hops[i - 1], snr, d[i - 1], d[i]) for i in range(1, d.hops)]
+
+
 def af_effective(real: ChannelRealization, snr: float) -> EffectiveChannel:
     """Amplify-and-forward: per-antenna normalization at every relay."""
-    dim = real.dim
-    diags = [
-        _normalizer_diag(real.hops[i - 1], snr, dim[i - 1], dim[i]) for i in range(1, dim.hops)
-    ]
-    return _chain_effective(real.hops, diags)
+    return _chain_effective(real.hops, _af_diags(real, snr))
 
 
 def ff_effective(
@@ -391,12 +396,9 @@ def ff_effective(
     mode k combines it with the +-1 pattern of each relay layer.  The
     scheme's mutual information is the average over modes.
     """
-    dim = real.dim
-    if sched.dim != dim:
+    if sched.dim != real.dim:
         raise ValueError("schedule was built for a different dimension")
-    diags = [
-        _normalizer_diag(real.hops[i - 1], snr, dim[i - 1], dim[i]) for i in range(1, dim.hops)
-    ]
+    diags = _af_diags(real, snr)
     out = []
     for mode in range(1, sched.mode_count + 1):
         flips = sched.mode_flips(mode)
@@ -406,44 +408,29 @@ def ff_effective(
 
 
 def pf_effective(real: ChannelRealization, snr: float) -> EffectiveChannel:
-    """Project-and-forward: project onto the incoming signal subspace.
+    """Project-and-forward: AF over the chain of projected hops.
 
-    A relay with more antennas than the incoming rank projects its
-    received vector onto the column space of the incoming matrix (an
-    orthonormal-basis factorization keeps the noise white), then
-    normalizes and forwards on rank-many antennas at full per-layer
-    power.  Square or thin relays forward exactly as in AF.
+    A relay with more antennas than the incoming rank projects onto the
+    incoming column space; its projected hop is the ``R`` of a QR
+    factorization, whose orthonormal ``Q`` keeps the noise white.
+    Square or thin relays keep the hop.  Each relay then normalizes its
+    projected hop as in AF and forwards on its first ``new_rank`` antennas.
     """
     dim = real.dim
     rank = dim[0]
-    gain = None  # map x0 -> current transmitted signal
-    noises: list[np.ndarray] = []  # maps from per-layer white noise
+    hops, scales = [], []
     for i in range(1, dim.hops):
-        incoming = real.hops[i - 1][..., :, :rank]
-        n_i = dim[i]
-        if n_i <= rank:
-            reduced = incoming
-            new_rank = n_i
+        hop = real.hops[i - 1][..., :, :rank]
+        if dim[i] <= rank:
+            new_rank = dim[i]
         else:
-            q, r = np.linalg.qr(incoming)
-            reduced = r
+            hop = np.linalg.qr(hop)[1]
             new_rank = rank
-        gain = reduced if gain is None else _matmul(reduced, gain)
-        noises = [_matmul(reduced, b) for b in noises]
-        noises.append(np.broadcast_to(np.eye(new_rank), reduced.shape[:-2] + (new_rank, new_rank)))
-        row_power = (snr / rank) * np.sum(np.abs(reduced) ** 2, axis=-1) + 1.0
-        scale = np.sqrt((snr / new_rank) / row_power)
-        gain = scale[..., :, None] * gain
-        noises = [scale[..., :, None] * b for b in noises]
+        hops.append(hop)
+        scales.append(_normalizer_diag(hop, snr, rank, new_rank))
         rank = new_rank
-    last = real.hops[-1][..., :, :rank]
-    gain = last if gain is None else _matmul(last, gain)
-    noises = [_matmul(last, b) for b in noises]
-    n_out = dim[dim.hops]
-    noise_cov = np.zeros(gain.shape[:-2] + (n_out, n_out), dtype=complex) + np.eye(n_out)
-    for b in noises:
-        noise_cov += _hermitian_square(b)
-    return EffectiveChannel(gain=gain, noise_cov=noise_cov)
+    hops.append(real.hops[-1][..., :, :rank])
+    return _chain_effective(hops, scales)
 
 
 def parallel_af_effective(
@@ -454,20 +441,11 @@ def parallel_af_effective(
     Power is path-local: a supernode of ``m`` antennas transmits
     ``snr/m`` per antenna while its path is active.
     """
-    dim = real.dim
     out = []
     for path in p.paths:
         idx = [node.sorted_antennas() for node in path.supernodes]
-        widths = path.widths
-        sub_hops = []
-        for i in range(dim.hops):
-            h = real.hops[i][..., idx[i + 1], :][..., :, idx[i]]
-            sub_hops.append(h)
-        diags = [
-            _normalizer_diag(sub_hops[i - 1], snr, widths[i - 1], widths[i])
-            for i in range(1, dim.hops)
-        ]
-        out.append(_chain_effective(sub_hops, diags))
+        sub_hops = tuple(h[..., idx[i + 1], :][..., :, idx[i]] for i, h in enumerate(real.hops))
+        out.append(af_effective(ChannelRealization(Dimension(path.widths), sub_hops), snr))
     return out
 
 
@@ -499,13 +477,11 @@ def svd_align_effective(real: ChannelRealization, snr: float) -> EffectiveChanne
     Each relay applies its alignment rotation, then the amplify
     normalization computed from the rotated hop's row powers.
     """
-    dim = real.dim
-    n = dim[0]
+    n = real.dim[0]
     ops = []
     for i, rotation in enumerate(alignment_rotations(real), start=1):
         rotated_hop = _matmul(rotation, real.hops[i - 1])
-        row_power = (snr / n) * np.sum(np.abs(rotated_hop) ** 2, axis=-1) + 1.0
-        scale = np.sqrt((snr / n) / row_power)
+        scale = _normalizer_diag(rotated_hop, snr, n, n)
         ops.append(scale[..., :, None] * rotation)
     return _chain_effective(real.hops, ops)
 

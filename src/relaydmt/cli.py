@@ -11,6 +11,7 @@ seed produces byte-identical CSV regardless of the worker count.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import math
 import os
@@ -80,10 +81,14 @@ def _fmt(value) -> str:
     return str(f.numerator) if f.denominator == 1 else f"{f.numerator}/{f.denominator}"
 
 
-def _open_out(path: str | None):
+@contextlib.contextmanager
+def _output(path: str | None):
+    """Stdout for ``None`` or ``-``, else the file at ``path``, closed on exit."""
     if path is None or path == "-":
-        return sys.stdout, False
-    return open(path, "w"), True
+        yield sys.stdout
+    else:
+        with open(path, "w") as fh:
+            yield fh
 
 
 def cmd_dmt(args) -> int:
@@ -117,8 +122,7 @@ def cmd_dmt(args) -> int:
             rows.append((name, _fmt(r), _fmt(d)))
         if curve.partial:
             rows.append((name, "partial", "only d(0) is known for heterogeneous paths"))
-    out, close = _open_out(args.output)
-    try:
+    with _output(args.output) as out:
         if args.format == "json":
             doc = {}
             for name, r, d in rows:
@@ -128,9 +132,6 @@ def cmd_dmt(args) -> int:
             out.write("curve,r,d\n")
             for row in rows:
                 out.write(",".join(row) + "\n")
-    finally:
-        if close:
-            out.close()
     return 0
 
 
@@ -146,16 +147,12 @@ def cmd_reduce(args) -> int:
         "n_bar": report.n_bar,
         "practical_vertical_reduction": list(practical.counts),
     }
-    out, close = _open_out(args.output)
-    try:
+    with _output(args.output) as out:
         if args.format == "json":
             out.write(json.dumps(doc, indent=2) + "\n")
         else:
             for key, value in doc.items():
                 out.write(f"{key},{' '.join(map(str, value)) if isinstance(value, list) else value}\n")
-    finally:
-        if close:
-            out.close()
     return 0
 
 
@@ -170,12 +167,8 @@ def cmd_partition(args) -> int:
     else:
         raise UsageError("choose one of --max or --min-full-div")
     text = partition.partition_to_json(dim, part)
-    out, close = _open_out(args.output)
-    try:
+    with _output(args.output) as out:
         out.write(text + "\n")
-    finally:
-        if close:
-            out.close()
     return 0
 
 
@@ -218,8 +211,6 @@ def _build_codebook(args):
 
 def cmd_simulate(args) -> int:
     dim = _parse_dim(args.dim)
-    if args.scheme not in _SIM_SCHEMES:
-        raise UsageError(f"unknown scheme {args.scheme!r}")
     grid = _parse_grid(args.snr)
     trials = _parse_trials(args.trials)
     if args.workers < 1:
@@ -252,12 +243,8 @@ def cmd_simulate(args) -> int:
             workers=args.workers, rate_policy=args.rate_policy,
         )
         extra = {"rate_policy": args.rate_policy}
-    out, close = _open_out(args.output)
-    try:
+    with _output(args.output) as out:
         channel_sim.write_outage_csv(points, out)
-    finally:
-        if close:
-            out.close()
     manifest = channel_sim.run_manifest(
         command="simulate",
         dim=dim,
@@ -317,7 +304,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_sim = sub.add_parser("simulate", help="Monte-Carlo outage / SER")
     p_sim.add_argument("--dim", required=True)
-    p_sim.add_argument("--scheme", required=True, help=f"one of {', '.join(_SIM_SCHEMES)}")
+    p_sim.add_argument("--scheme", required=True, choices=_SIM_SCHEMES)
     p_sim.add_argument("--rate", type=float, help="target rate (bits/use), or r under --rate-policy multiplexing")
     p_sim.add_argument("--rate-policy", choices=("fixed", "multiplexing"), default="fixed")
     p_sim.add_argument("--snr", required=True, help="dB grid start:step:stop")

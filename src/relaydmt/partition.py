@@ -26,7 +26,7 @@ import warnings
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .dmt_core import Dimension, DimensionLike, as_dimension, cutset_bound, dmt_rp
+from .dmt_core import Dimension, DimensionLike, _cutset_d_max, as_dimension, coeffs
 
 __all__ = [
     "Supernode",
@@ -204,7 +204,7 @@ def max_partition(dim: DimensionLike) -> Partition:
     repeats, and every hop's edges are distinct.
     """
     dim = as_dimension(dim)
-    d_max = int(cutset_bound(dim).d_max)
+    d_max = _cutset_d_max(dim)
     assign = [[k % dim[0] for k in range(d_max)]]
     for layer in range(1, len(dim)):
         prev = assign[-1]
@@ -271,13 +271,6 @@ class FlipSchedule:
                 pattern[a] = -1
         return tuple(pattern)
 
-    def selection_vector(self, layer: int, choice: int) -> tuple[int, ...]:
-        """Diagonal 0/1 pattern keeping only supernode ``choice`` of ``layer``."""
-        pattern = [0] * self.dim[layer]
-        for a in self.supernodes[layer - 1][choice - 1].antennas:
-            pattern[a] = 1
-        return tuple(pattern)
-
     def mode_flips(self, mode: int) -> list[tuple[int, ...]]:
         """Flip patterns of relay layers 1..N-1 for 1-based ``mode``."""
         choices = self.mode_map[mode - 1]
@@ -324,9 +317,9 @@ def nonind_partition_diversity(dim: DimensionLike, layer: int) -> int:
     dim = as_dimension(dim)
     if not 1 <= layer <= dim.hops - 1:
         raise ValueError("pivot layer must be a relay layer")
-    left = dmt_rp(dim.counts[: layer + 1]).d_max
-    right = dmt_rp(dim.counts[layer:]).d_max
-    return int(min(left, right))
+    left = sum(coeffs(dim.counts[: layer + 1]).values)
+    right = sum(coeffs(dim.counts[layer:]).values)
+    return min(left, right)
 
 
 # ---------------------------------------------------------------------------
@@ -359,7 +352,7 @@ def search_min_full_diversity_partition(
     dim = as_dimension(dim)
     if dim.n_max > 4 or dim.hops > 3:
         raise ValueError("exhaustive search is limited to <= 4 antennas per layer, <= 3 hops")
-    d_max = int(cutset_bound(dim).d_max)
+    d_max = _cutset_d_max(dim)
     structures = [list(_set_partitions(tuple(range(n)))) for n in dim.counts]
     budget = [node_budget]
 
@@ -370,7 +363,7 @@ def search_min_full_diversity_partition(
             for layer, nodes in enumerate(combo)
         ]
         all_paths = [AfPath(chain) for chain in itertools.product(*layer_nodes)]
-        path_div = [int(dmt_rp(path.widths).d_max) for path in all_paths]
+        path_div = [sum(coeffs(path.widths).values) for path in all_paths]
         order = sorted(range(len(all_paths)), key=lambda j: -path_div[j])
         found = _backtrack_full_div(
             [all_paths[j] for j in order], [path_div[j] for j in order], d_max, budget

@@ -188,6 +188,55 @@ class TestPf:
         eig = np.linalg.eigvalsh(pf_effective(real, 50.0).noise_cov)
         assert np.all(eig >= 1.0 - 1e-9)
 
+    @staticmethod
+    def _explicit_pf(real, snr):
+        """PF with every relay as a full matrix on the full hops.
+
+        Relay ``i`` is ``E diag(s) Q^H``: project onto the incoming
+        column space, normalize, and forward on the first ``rank``
+        antennas (``E`` embeds them).  A relay with ``n_i <= rank`` is
+        ``diag(s)``.  Then ``G = H_N R_{N-1} ... R_1 H_1`` and
+        ``K_z = I + sum_j M_j M_j^H`` with ``M_j = H_N R_{N-1} ... H_{j+1} R_j``.
+        """
+        dim = real.dim
+        rank = dim[0]
+        relays = []
+        for i in range(1, dim.hops):
+            n_i = dim[i]
+            incoming = real.hops[i - 1][..., :, :rank]
+            if n_i <= rank:
+                reduced, basis_h, new_rank = incoming, np.eye(n_i), n_i
+            else:
+                q = np.linalg.qr(incoming)[0]
+                basis_h = q.conj().swapaxes(-1, -2)
+                reduced, new_rank = basis_h @ incoming, rank
+            power = (snr / rank) * np.sum(np.abs(reduced) ** 2, axis=-1) + 1.0
+            s = np.sqrt((snr / new_rank) / power)
+            embed = np.eye(n_i, new_rank)
+            relays.append(embed @ (s[..., :, None] * basis_h))
+            rank = new_rank
+        gain = real.hops[0]
+        for hop, relay in zip(real.hops[1:], relays):
+            gain = hop @ relay @ gain
+        n_out = dim[dim.hops]
+        noise_cov = np.zeros(gain.shape[:-2] + (n_out, n_out), dtype=complex) + np.eye(n_out)
+        for j in range(len(relays)):
+            m = relays[j]
+            for hop, relay in zip(real.hops[j + 1 : -1], relays[j + 1 :]):
+                m = relay @ hop @ m
+            m = real.hops[-1] @ m
+            noise_cov += m @ m.conj().swapaxes(-1, -2)
+        return gain, noise_cov
+
+    @pytest.mark.parametrize("dim", [(1, 4, 2, 1), (2, 4, 3, 2), (3, 1, 4, 2), (1, 3, 3, 1)])
+    @pytest.mark.parametrize("snr", [3.0, 100.0, 1e4])
+    def test_matches_explicit_matrix_chain(self, dim, snr):
+        real = sample_block(dim, seed=21, block_index=0, count=256)
+        gain, noise_cov = self._explicit_pf(real, snr)
+        eff = pf_effective(real, snr)
+        np.testing.assert_allclose(eff.gain, gain, rtol=1e-12)
+        np.testing.assert_allclose(eff.noise_cov, noise_cov, rtol=1e-12)
+
 
 class TestFf:
     def test_mode_one_is_af(self):

@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -286,3 +287,51 @@ class TestSimulateCommand:
             )
             assert code == 0
         assert a.read_bytes() == b.read_bytes()
+
+
+# sha256 of the `simulate --seed 7 --trials 8192` CSV, one run per scheme.
+# The digests depend on the installed numpy's `Generator` streams (numpy
+# does not promise them stable across releases); a different numpy may
+# need them recorded again, but a code change must leave them alone.
+_PINNED_CSV = {
+    "af": (
+        ["--dim", "2,2,2", "--scheme", "af", "--rate", "2", "--snr", "6:4:14"],
+        "6531e4a1d878912b20bab65d4c3bc55acfb66258cb23bbaa41cc50b991650df7",
+    ),
+    "pf": (
+        ["--dim", "1,4,2,1", "--scheme", "pf", "--rate", "1", "--snr", "4:4:12"],
+        "73624ab78a6993fa677a28b9e063970d7a448a7d081f484cb00263d5ba794012",
+    ),
+    "ff": (
+        ["--dim", "2,2,2", "--scheme", "ff", "--rate", "2", "--snr", "6:4:14"],
+        "9a92191a11b90b54107abd84dcf9a3c50463844abe1718c0512662f7af0bfb28",
+    ),
+    "df": (
+        ["--dim", "3,1,4,2", "--scheme", "df", "--decode", "2,3", "--rate", "1", "--snr", "4:4:12"],
+        "9aadf7cadd66b460c49823cf43ae73bbb787aea2eba092064a1e0220a7bc99ea",
+    ),
+    "parallel-af": (
+        ["--dim", "2,2,2", "--scheme", "parallel-af", "--rate", "2", "--snr", "6:4:14"],
+        "121eec6a9e33a38ace2090ebf9d8d1b7af2cecf9ba06c28bd1eee2db73a98687",
+    ),
+    "svd-align": (
+        ["--dim", "2,2,2", "--scheme", "svd-align", "--rate", "2", "--snr", "2:4:10"],
+        "834cff137116d978bb631b61527e7f87a3851e398d22cacc50d47c3c4c87c206",
+    ),
+    "coded-ff": (
+        ["--dim", "2,2,2", "--scheme", "coded-ff", "--code", "parallel-golden", "--snr", "6:4:14"],
+        "c3f5d2024e3268abac2bd6612ef082f60e2be32de2b34b444b10db3ad1000818",
+    ),
+}
+
+
+@pytest.mark.parametrize("scheme", list(_PINNED_CSV))
+def test_fixed_seed_csv_digest(scheme, tmp_path, capsys):
+    """A fixed-seed CSV is byte-for-byte what it was when the digest was pinned."""
+    argv, digest = _PINNED_CSV[scheme]
+    out_csv = tmp_path / "run.csv"
+    code, _, _ = run(
+        capsys, "simulate", *argv, "--trials", "8192", "--seed", "7", "--output", str(out_csv)
+    )
+    assert code == 0
+    assert hashlib.sha256(out_csv.read_bytes()).hexdigest() == digest

@@ -295,12 +295,6 @@ class TestFlipSchedule:
         assert {ks for ks in shapes if len(ks) == 3} <= warned_shapes
         assert warned_shapes != set(shapes)
 
-    def test_selection_vectors(self):
-        _, p = min_full_div_partition_2hop(2, 4, 3)
-        sched = ff_schedule((2, 4, 3), p)
-        assert sched.selection_vector(1, 1) == (1, 1, 0, 0)
-        assert sched.selection_vector(1, 2) == (0, 0, 1, 1)
-
 
 class TestNonIndependentPartition:
     def test_32223_pivot_2(self):
