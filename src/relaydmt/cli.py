@@ -28,6 +28,8 @@ SEED_ENV_VAR = "RELAYDMT_SEED"
 _SIM_SCHEMES = ("af", "pf", "df", "parallel-af", "ff", "svd-align", "coded-af", "coded-ff")
 _PARTITION_SCHEMES = ("parallel-af", "ff", "coded-ff")
 _CURVES = ("rp", "cutset", "df", "serial", "ff-bound", "parallel-af")
+# The option each curve reads; no other curve accepts it.
+_CURVE_OPTIONS = {"serial": "decode", "ff-bound": "k_modes", "parallel-af": "paths"}
 
 
 class UsageError(Exception):
@@ -93,9 +95,12 @@ def _output(path: str | None):
 
 def cmd_dmt(args) -> int:
     dim = _parse_dim(args.dim)
+    names = [name.strip() for name in args.curve.split(",")]
+    for curve, option in _CURVE_OPTIONS.items():
+        if getattr(args, option) is not None and curve not in names:
+            raise UsageError(f"--{option.replace('_', '-')} applies only to the {curve} curve")
     rows = []
-    for name in args.curve.split(","):
-        name = name.strip()
+    for name in names:
         if name not in _CURVES:
             raise UsageError(f"unknown curve {name!r} (choose from {', '.join(_CURVES)})")
         if name == "rp":
@@ -109,14 +114,13 @@ def cmd_dmt(args) -> int:
                 raise UsageError("--decode is required for the serial curve")
             curve = dmt_core.dmt_serial_partition(dim, _parse_decode(args.decode, dim))
         elif name == "ff-bound":
-            if not args.k_modes:
+            if args.k_modes is None:
                 raise UsageError("--k-modes is required for the ff-bound curve")
+            if args.k_modes < 1:
+                raise UsageError(f"--k-modes must be at least 1, got {args.k_modes}")
             curve = dmt_core.dmt_ff_lower_bound(dim, args.k_modes)
         else:  # parallel-af
-            if args.paths:
-                dims = [_parse_dim(p) for p in args.paths.split(";")]
-            else:
-                dims = [dim]
+            dims = [_parse_dim(p) for p in args.paths.split(";")] if args.paths else [dim]
             curve = dmt_core.dmt_parallel_af(dim, dims)
         for r, d in curve.vertices:
             rows.append((name, _fmt(r), _fmt(d)))

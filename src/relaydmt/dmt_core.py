@@ -241,6 +241,8 @@ class DmtCurve:
             raise ValueError("need at least one curve")
         if any(c.partial for c in curves):
             raise ValueError("cannot take the envelope of partial curves")
+        if len(curves) == 1:
+            return curves[0]
         right = min(c.r_max for c in curves)
         grid = sorted({x for c in curves for x, _ in c.vertices if x < right} | {right})
         values = [[c.evaluate(x) for x in grid] for c in curves]
@@ -312,14 +314,20 @@ def coeffs(dim: DimensionLike) -> DmtCoeffs:
 
     for ``i = 1 .. n_min``, evaluated in exact integer arithmetic.
     """
-    dim = as_dimension(dim)
-    ordered = dim.ordered
+    return DmtCoeffs(tuple(_coeff_values(as_dimension(dim).counts)))
+
+
+def _coeff_values(counts: Sequence[int]) -> list[int]:
+    # The formula of coeffs on unvalidated counts.
+    ordered = sorted(counts)
     prefix = list(itertools.accumulate(ordered))  # prefix[k] = m_0 + ... + m_k
-    values = []
-    for i in range(1, dim.n_min + 1):
-        best = min((prefix[k] - i) // k for k in range(1, dim.hops + 1))
-        values.append(1 - i + best)
-    return DmtCoeffs(tuple(values))
+    ks = range(1, len(ordered))
+    return [1 - i + min((prefix[k] - i) // k for k in ks) for i in range(1, ordered[0] + 1)]
+
+
+def _af_d_max(counts: Sequence[int]) -> int:
+    # d_max of dmt_rp(counts), the sum of its coefficients, without building the curve.
+    return sum(_coeff_values(counts))
 
 
 def dmt_rp(dim: DimensionLike) -> DmtCurve:
@@ -352,10 +360,14 @@ def cutset_bound(dim: DimensionLike) -> DmtCurve:
 
     Pointwise minimum over hops of the per-hop Rayleigh tradeoff.  Its
     extremes are ``d_max = min_i n_{i-1} n_i`` and ``r_max = min_i n_i``.
+    Only Pareto-minimal hops ``(p <= q)`` enter: a hop bounded below in
+    both counts by another lies at or above its curve everywhere.
     """
     dim = as_dimension(dim)
-    hops = [dmt_rayleigh(dim[i], dim[i + 1]) for i in range(dim.hops)]
-    return DmtCurve.pointwise_min(hops)
+    pairs = sorted({tuple(sorted(hop)) for hop in zip(dim.counts, dim.counts[1:])})
+    # Earlier pairs have p' <= p, so a pair is Pareto-minimal iff every earlier q' > q.
+    front = [(p, q) for i, (p, q) in enumerate(pairs) if all(q < b for _, b in pairs[:i])]
+    return DmtCurve.pointwise_min([dmt_rayleigh(p, q) for p, q in front])
 
 
 def dmt_symmetric(n: int, n_hops: int) -> DmtCurve:
@@ -406,16 +418,13 @@ def where_to_decode(dim: DimensionLike, d: int) -> DecodeSet:
     indices = []
     start = 0
     while start < dim.hops:
-        best = None
-        for end in range(start + 1, dim.hops + 1):
-            seg = dim.counts[start : end + 1]
-            if sum(coeffs(seg).values) >= d:
-                best = end
-        if best is None:
+        ends = range(start + 1, dim.hops + 1)
+        feasible = [end for end in ends if _af_d_max(dim.counts[start : end + 1]) >= d]
+        if not feasible:
             # Cannot happen for d <= d_max: a single hop always reaches it.
             raise AssertionError(f"no feasible segment from layer {start}")
-        indices.append(best)
-        start = best
+        start = feasible[-1]
+        indices.append(start)
     return DecodeSet(tuple(indices))
 
 
@@ -433,11 +442,7 @@ def dmt_ff_lower_bound(dim: DimensionLike, k_modes: int) -> DmtCurve:
     deficit = _cutset_d_max(dim) - af.d_max
     xs = sorted({Fraction(0), Fraction(1, k_modes)} | {x for x, _ in af.vertices})
     xs = [x for x in xs if x <= af.r_max]
-    verts = []
-    for x in xs:
-        bonus = deficit * max(Fraction(0), 1 - k_modes * x)
-        verts.append((x, af.evaluate(x) + bonus))
-    return DmtCurve(verts)
+    return DmtCurve((x, af.evaluate(x) + deficit * max(Fraction(0), 1 - k_modes * x)) for x in xs)
 
 
 def dmt_parallel_af(dim: DimensionLike, path_dims: Sequence[DimensionLike]) -> DmtCurve:

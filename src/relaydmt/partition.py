@@ -26,7 +26,7 @@ import warnings
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .dmt_core import Dimension, DimensionLike, _cutset_d_max, as_dimension, coeffs
+from .dmt_core import Dimension, DimensionLike, _af_d_max, _cutset_d_max, as_dimension
 
 __all__ = [
     "Supernode",
@@ -153,9 +153,8 @@ def is_independent(dim: DimensionLike, p: Partition) -> bool:
 
 
 def _bottleneck_layers(dim: Dimension) -> list[int]:
-    products = [dim[i] * dim[i + 1] for i in range(dim.hops)]
-    best = min(products)
-    return [i for i, v in enumerate(products) if v == best]
+    d_max = _cutset_d_max(dim)
+    return [i for i in range(dim.hops) if dim[i] * dim[i + 1] == d_max]
 
 
 def is_full_diversity(dim: DimensionLike, p: Partition) -> bool:
@@ -182,14 +181,9 @@ def is_full_diversity(dim: DimensionLike, p: Partition) -> bool:
             continue
         if p.size != len(left_nodes) * len(right_nodes):
             continue
-        ok = True
-        for path in p.paths:
-            w = path.widths
-            others = [w[i] for i in range(len(dim)) if i not in (istar, istar + 1)]
-            if others and min(others) + 1 < w[istar] + w[istar + 1]:
-                ok = False
-                break
-        if ok:
+        others = [i for i in range(len(dim)) if i not in (istar, istar + 1)]
+        narrow = (min(w[i] for i in others) + 1 >= w[istar] + w[istar + 1] for w in p.path_dims())
+        if not others or all(narrow):
             return True
     return False
 
@@ -317,8 +311,8 @@ def nonind_partition_diversity(dim: DimensionLike, layer: int) -> int:
     dim = as_dimension(dim)
     if not 1 <= layer <= dim.hops - 1:
         raise ValueError("pivot layer must be a relay layer")
-    left = sum(coeffs(dim.counts[: layer + 1]).values)
-    right = sum(coeffs(dim.counts[layer:]).values)
+    left = _af_d_max(dim.counts[: layer + 1])
+    right = _af_d_max(dim.counts[layer:])
     return min(left, right)
 
 
@@ -363,7 +357,7 @@ def search_min_full_diversity_partition(
             for layer, nodes in enumerate(combo)
         ]
         all_paths = [AfPath(chain) for chain in itertools.product(*layer_nodes)]
-        path_div = [sum(coeffs(path.widths).values) for path in all_paths]
+        path_div = [_af_d_max(path.widths) for path in all_paths]
         order = sorted(range(len(all_paths)), key=lambda j: -path_div[j])
         found = _backtrack_full_div(
             [all_paths[j] for j in order], [path_div[j] for j in order], d_max, budget

@@ -260,9 +260,10 @@ def verify_nvd(
 
     Evaluates ``prod_k |det(D_k D_k^H)|`` for every nonzero tuple of
     difference symbols (codewords are symbol-linear, so these are
-    exactly the codeword differences).  Returns the minimum and an
-    attaining tuple.  Raises if the enumeration would exceed ``cap``
-    tuples rather than silently sampling.  Raw lattice symbols are
+    exactly the codeword differences), in closed form for 2x2 ``D_k``.
+    Returns the minimum and an attaining tuple.  Raises if the
+    enumeration would exceed ``cap`` tuples rather than silently
+    sampling, or the codewords are not 2x2.  Raw lattice symbols are
     used; no energy normalization is applied.
     """
     n_tuples = len(difference_points) ** cb.num_symbols
@@ -274,20 +275,25 @@ def verify_nvd(
     pts = np.asarray(difference_points, dtype=complex)
     grids = np.meshgrid(*([pts] * cb.num_symbols), indexing="ij")
     tuples = np.stack([g.ravel() for g in grids], axis=-1)
-    nonzero = ~np.all(tuples == 0, axis=-1)
-    tuples = tuples[nonzero]
+    tuples = tuples[np.any(tuples != 0, axis=-1)]
     best = math.inf
     best_tuple: tuple[complex, ...] = ()
     for start in range(0, tuples.shape[0], 65536):
         chunk = tuples[start : start + 65536]
-        words = cb.encode(chunk)  # (m, K, n_t, T)
-        gram = words @ words.conj().swapaxes(-1, -2)
-        prod = np.prod(np.abs(np.linalg.det(gram)), axis=-1)
+        prod = _det_products(cb.encode(chunk))
         i = int(np.argmin(prod))
         if prod[i] < best:
             best = float(prod[i])
             best_tuple = tuple(chunk[i])
     return best, best_tuple
+
+
+def _det_products(words: np.ndarray) -> np.ndarray:
+    """``prod_k det(D_k D_k^H) = prod_k |ad - bc|^2`` over ``(..., K, 2, 2)`` words."""
+    if words.shape[-2:] != (2, 2):
+        raise ValueError(f"closed-form determinants need 2x2 codewords, got {words.shape[-2:]}")
+    det = words[..., 0, 0] * words[..., 1, 1] - words[..., 0, 1] * words[..., 1, 0]
+    return np.prod(det.real**2 + det.imag**2, axis=-1)
 
 
 # --------------------------------------------------------------------------

@@ -49,6 +49,46 @@ class TestDmtCommand:
         code, _, err = run(capsys, "dmt", "--dim", "2,2,2", "--curve", "serial")
         assert code == 2
 
+    @pytest.mark.parametrize(
+        "option,value,curves",
+        [
+            ("--decode", "1,2", "rp"),
+            ("--decode", "1,2", "rp,cutset,df,ff-bound,parallel-af"),
+            ("--k-modes", "2", "rp,cutset"),
+            ("--k-modes", "2", "serial"),
+            ("--paths", "1,1,1;1,1,1", "rp"),
+            ("--paths", "1,1,1;1,1,1", "ff-bound"),
+        ],
+    )
+    def test_option_rejected_without_its_curve(self, option, value, curves, capsys):
+        code, out, err = run(
+            capsys, "dmt", "--dim", "2,2,2", "--curve", curves, option, value
+        )
+        assert code == 2 and out == ""
+        assert option in err
+
+    @pytest.mark.parametrize("k_modes", ["0", "-1"])
+    def test_k_modes_must_be_positive(self, k_modes, capsys):
+        code, out, err = run(
+            capsys, "dmt", "--dim", "2,2,2", "--curve", "ff-bound", "--k-modes", k_modes
+        )
+        assert code == 2 and out == ""
+        assert "--k-modes must be at least 1" in err
+
+    def test_ff_bound_requires_k_modes(self, capsys):
+        code, out, err = run(capsys, "dmt", "--dim", "2,2,2", "--curve", "ff-bound")
+        assert code == 2 and out == ""
+        assert "--k-modes is required" in err
+
+    def test_options_accepted_with_their_curves(self, capsys):
+        code, out, _ = run(
+            capsys, "dmt", "--dim", "2,2,2", "--curve", "serial,ff-bound,parallel-af",
+            "--decode", "1,2", "--k-modes", "2", "--paths", "1,1,1;1,1,1",
+        )
+        assert code == 0
+        names = {line.split(",")[0] for line in out.splitlines()[1:]}
+        assert names == {"serial", "ff-bound", "parallel-af"}
+
 
 class TestReduceCommand:
     def test_141(self, capsys):

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from relaydmt.dmt_core import (
+    _af_d_max,
     DecodeSet,
     Dimension,
     DmtCurve,
@@ -95,6 +96,10 @@ class TestCurveArithmetic:
         for num in range(0, 13):
             x = Fraction(num, 12)
             assert env.evaluate(x) == min(a.evaluate(x), b.evaluate(x))
+
+    def test_pointwise_min_of_one_curve_is_that_curve(self):
+        c = dmt_rayleigh(2, 3)
+        assert DmtCurve.pointwise_min([c]) is c
 
     def test_collinear_vertices_merge(self):
         c = DmtCurve([(0, 4), (1, 2), (2, 0)])
@@ -240,6 +245,24 @@ class TestCutset:
             assert actual == predicted, counts
 
 
+class TestCutsetPruning:
+    def test_matches_envelope_of_every_hop(self, dims_to_5_4):
+        # cutset_bound keeps only the Pareto-minimal hops; the envelope of
+        # all of them must be the same curve.
+        front_sizes = {"single": 0, "multi": 0}
+        for counts in dims_to_5_4:
+            hops = list(zip(counts, counts[1:]))
+            every_hop = [dmt_rayleigh(a, b) for a, b in hops]
+            assert cutset_bound(counts) == DmtCurve.pointwise_min(every_hop), counts
+            pairs = {tuple(sorted(h)) for h in hops}
+            front = [
+                a for a in pairs
+                if not any(b != a and b[0] <= a[0] and b[1] <= a[1] for b in pairs)
+            ]
+            front_sizes["single" if len(front) == 1 else "multi"] += 1
+        assert front_sizes == {"single": 3592, "multi": 308}, front_sizes
+
+
 class TestEnvelopeOracle:
     def test_cutset_and_serial_match_all_pairs(self, dims_to_5_3):
         # Up to (4,3) no two inputs cross inside an interval; the 5-antenna
@@ -276,6 +299,7 @@ class TestClosedForms:
         }
         for seg in segments:
             assert sum(coeffs(seg).values) == dmt_rp(seg).d_max, seg
+            assert _af_d_max(seg) == dmt_rp(seg).d_max, seg
 
     def test_beyond_cutset_raises(self, dims_to_5_4):
         for counts in dims_to_5_4:

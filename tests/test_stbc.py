@@ -129,6 +129,22 @@ class TestVerifyNvd:
         with pytest.raises(ValueError, match="cap"):
             verify_nvd(golden(q4, m=0), q16.difference_points())
 
+    @pytest.mark.parametrize("golden_m", [None, 0, 1], ids=["alamouti", "golden0", "golden1"])
+    def test_closed_form_matches_gram_determinant(self, golden_m, q4):
+        cb = alamouti(q4) if golden_m is None else golden(q4, m=golden_m)
+        pts = np.asarray(q4.difference_points())
+        grids = np.meshgrid(*([pts] * cb.num_symbols), indexing="ij")
+        tuples = np.stack([g.ravel() for g in grids], axis=-1)
+        words = cb.encode(tuples[np.any(tuples != 0, axis=-1)])
+        gram = words @ words.conj().swapaxes(-1, -2)
+        expect = np.prod(np.abs(np.linalg.det(gram)), axis=-1)
+        assert len(expect) == len(pts) ** cb.num_symbols - 1
+        np.testing.assert_allclose(stbc._det_products(words), expect, rtol=1e-9, atol=0)
+
+    def test_closed_form_rejects_other_shapes(self):
+        with pytest.raises(ValueError, match="2x2"):
+            stbc._det_products(np.ones((4, 1, 3, 3), dtype=complex))
+
     def test_enumeration_excludes_zero(self, q4):
         cb = alamouti(q4)
         mn, arg = verify_nvd(cb, q4.difference_points())
