@@ -85,7 +85,8 @@ class ChannelRealization:
     """One draw (or a stacked batch of draws) of the hop matrices.
 
     ``hops[i]`` has shape ``(..., n_{i+1}, n_i)``; entries are i.i.d.
-    circularly-symmetric complex Gaussian with unit variance.
+    circularly-symmetric complex Gaussian with unit variance.  Sampled hops
+    keep the trial axis innermost in memory; C-ordered ones work, more slowly.
     """
 
     dim: Dimension
@@ -103,7 +104,7 @@ class ChannelRealization:
 
 @dataclass(frozen=True)
 class EffectiveChannel:
-    """End-to-end gain and exact accumulated noise covariance."""
+    """End-to-end gain and exact noise covariance, trials innermost as in the hops."""
 
     gain: np.ndarray  # (..., n_out, n_in)
     noise_cov: np.ndarray  # (..., n_out, n_out), Hermitian, eigenvalues >= 1
@@ -228,11 +229,16 @@ def _block_rng(seed: int, block_index: int) -> np.random.Generator:
 
 def _draw_hops(dim: Dimension, rng: np.random.Generator, count: int) -> ChannelRealization:
     """The hop matrices of ``count`` stacked trials, drawn first from ``rng``."""
-    hops = []
-    for i in range(dim.hops):
-        raw = rng.standard_normal((count, dim[i + 1], dim[i], 2))
-        hops.append((raw[..., 0] + 1j * raw[..., 1]) / np.sqrt(2.0))
-    return ChannelRealization(dim=dim, hops=tuple(hops))
+    hops = tuple(_complex_normal(rng, (count, dim[i + 1], dim[i])) for i in range(dim.hops))
+    return ChannelRealization(dim=dim, hops=hops)
+
+
+def _complex_normal(rng: np.random.Generator, shape: tuple[int, ...]) -> np.ndarray:
+    """Unit-variance complex Gaussians of ``shape``, first (trial) axis innermost."""
+    # Drawn in C order of shape + (2,), real and imaginary parts adjacent,
+    # so the stream is the same whatever the layout of the result.
+    raw = rng.standard_normal(shape + (2,)).view(complex)[..., 0]
+    return np.divide(raw, np.sqrt(2.0), out=np.empty(shape[::-1], dtype=complex).T)
 
 
 def sample_block(
@@ -286,7 +292,7 @@ def _cholesky(a: np.ndarray) -> np.ndarray:
     if not np.isfinite(a).all():
         raise np.linalg.LinAlgError("matrix has non-finite entries")
     n = a.shape[-1]
-    low = np.zeros(a.shape, dtype=np.result_type(a, float))
+    low = np.zeros_like(a, dtype=np.result_type(a, float))
     for j in range(n):
         pivot = a[..., j, j].real
         for k in range(j):
@@ -306,7 +312,7 @@ def _cholesky(a: np.ndarray) -> np.ndarray:
 def _forward_sub(low: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Batched solution ``x`` of ``low @ x = b`` for lower-triangular ``low``."""
     shape = np.broadcast_shapes(low.shape[:-2], b.shape[:-2]) + b.shape[-2:]
-    x = np.empty(shape, dtype=np.result_type(low, b))
+    x = np.empty_like(b, dtype=np.result_type(low, b), shape=shape)
     for i in range(low.shape[-1]):
         acc = b[..., i, :]
         for k in range(i):
@@ -368,7 +374,8 @@ def _chain_effective(hops: Sequence[np.ndarray], relay_ops: Sequence[np.ndarray]
     for i in range(1, n_hops):
         gain = _matmul(hops[i], _apply_left(relay_ops[i - 1], gain))
     n_out = hops[-1].shape[-2]
-    noise_cov = np.zeros(gain.shape[:-2] + (n_out, n_out), dtype=complex) + np.eye(n_out)
+    noise_cov = np.zeros_like(gain, dtype=complex, shape=gain.shape[:-2] + (n_out, n_out))
+    noise_cov += np.eye(n_out)
     m = None
     for j in range(n_hops - 1, 0, -1):
         applied = hops[j] if m is None else _matmul(m, hops[j])
@@ -467,7 +474,9 @@ def alignment_rotations(real: ChannelRealization) -> list[np.ndarray]:
     for i in range(1, dim.hops):
         u_in = svds[i - 1][0]
         vh_out = svds[i][2]
-        rotations.append(_matmul(vh_out.conj().swapaxes(-1, -2), u_in.conj().swapaxes(-1, -2)))
+        rotation = _matmul(vh_out.conj().swapaxes(-1, -2), u_in.conj().swapaxes(-1, -2))
+        # np.linalg.svd returns C order; put the trial axis back innermost.
+        rotations.append(np.ascontiguousarray(rotation.T).T)
     return rotations
 
 
@@ -519,10 +528,14 @@ def df_outage(real: ChannelRealization, decode: DecodeSet, snr: float, rate: flo
 # --------------------------------------------------------------------------
 
 
+def _first_trials(real: ChannelRealization, live: int) -> ChannelRealization:
+    return ChannelRealization(dim=real.dim, hops=tuple(h[:live] for h in real.hops))
+
+
 def _outage_block(dim, scheme, rate, snr, seed, block, live) -> int:
-    """Outages among the first ``live`` trials of one block."""
-    real = sample_block(dim, seed, block)
-    return int(np.count_nonzero(scheme.outage(real, snr, rate)[:live]))
+    """Outages among the first ``live`` trials of one block (drawn in full)."""
+    real = _first_trials(sample_block(dim, seed, block), live)
+    return int(np.count_nonzero(scheme.outage(real, snr, rate)))
 
 
 def _count_blocks(args) -> int:

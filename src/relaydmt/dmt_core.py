@@ -452,6 +452,9 @@ def dmt_parallel_af(dim: DimensionLike, path_dims: Sequence[DimensionLike]) -> D
     channel achieves ``K * d_0(r)``.  For heterogeneous paths only the
     diversity point is known (sum of the per-path diversities); the
     returned curve is then partial.
+
+    Paths are time-multiplexed and may share antennas; a path wider than a
+    layer, or a summed diversity above the cut-set's, raises ``ValueError``.
     """
     dim = as_dimension(dim)
     if not path_dims:
@@ -460,8 +463,12 @@ def dmt_parallel_af(dim: DimensionLike, path_dims: Sequence[DimensionLike]) -> D
     for p in paths:
         if len(p) != len(dim):
             raise ValueError(f"path {p} does not span the {dim.hops}-hop channel")
+        if any(w > n for w, n in zip(p.counts, dim.counts)):
+            raise ValueError(f"path {p} is wider than the channel {dim} in some layer")
     curves = [dmt_rp(p) for p in paths]
+    d0, d_cut = sum(c.d_max for c in curves), _cutset_d_max(dim)
+    if d0 > d_cut:
+        raise ValueError(f"paths sum to diversity {d0}, above the cut-set d_max {d_cut}")
     if all(c == curves[0] for c in curves[1:]):
         return curves[0].scale(len(curves))
-    d0 = sum(c.d_max for c in curves)
     return DmtCurve([(0, d0)], partial=True)

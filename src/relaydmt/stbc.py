@@ -39,8 +39,10 @@ from .channel_sim import (
     Scheme,
     _block_rng,
     _cholesky,
+    _complex_normal,
     _draw_hops,
     _estimate,
+    _first_trials,
     _forward_sub,
     _hermitian_square,
     _map_blocks,
@@ -362,6 +364,8 @@ def _ml_decisions(
         white = _forward_sub(_cholesky(eff.noise_cov), np.concatenate([eff.gain, y], axis=-1))
         # [Q | C] = G_w^H [G_w | Y_w]
         prods = _matmul(white[..., :n_t].conj().swapaxes(-1, -2), white)
+        # The reshape copies trials-innermost products into C order, so the
+        # GEMM operand below is C-contiguous and BLAS scores stay bit-identical.
         features.append(prods.reshape(prods.shape[0], -1))
     f = np.concatenate(features, axis=-1)
     return np.argmin(np.concatenate([f.real, f.imag], axis=-1) @ table, axis=1)
@@ -372,24 +376,25 @@ def _ser_block(dim, scheme, cb, snr, amp, seed, words, table, block, live) -> in
 
     Draw order inside the block stream is fixed: hop variates (through
     the shared hop sampler), then the transmitted codeword indices,
-    then per-sub-channel noise.  Decisions come from
-    :func:`_ml_decisions`.
+    then per-sub-channel noise.  Every draw covers the whole block, so
+    the stream does not depend on ``live``; only the live trials are
+    decoded, by :func:`_ml_decisions`.
     """
     rng = _block_rng(seed, block)
-    real = _draw_hops(dim, rng, CODED_BLOCK_SIZE)
-    sent = rng.integers(0, words.shape[0], size=CODED_BLOCK_SIZE)
+    real = _first_trials(_draw_hops(dim, rng, CODED_BLOCK_SIZE), live)
+    sent = rng.integers(0, words.shape[0], size=CODED_BLOCK_SIZE)[:live]
     effs = scheme.effectives(real, snr)
     if len(effs) != cb.k_sub:
         raise ValueError(f"code has {cb.k_sub} sub-channels but the scheme offers {len(effs)}")
     received = []
     for k, eff in enumerate(effs):
         n_r = eff.gain.shape[-2]
-        raw = rng.standard_normal((CODED_BLOCK_SIZE, n_r, cb.time_span, 2))
-        white = (raw[..., 0] + 1j * raw[..., 1]) / np.sqrt(2.0)
-        signal = amp * _matmul(eff.gain, words[sent, k])
+        white = _complex_normal(rng, (CODED_BLOCK_SIZE, n_r, cb.time_span))[:live]
+        # Taken along the last axis of the transpose, so trials stay innermost.
+        signal = amp * _matmul(eff.gain, np.take(words[:, k].T, sent, axis=-1).T)
         received.append(signal + _matmul(_cholesky(eff.noise_cov), white))
     decided = _ml_decisions(received, effs, table)
-    return int(np.count_nonzero((decided != sent)[:live]))
+    return int(np.count_nonzero(decided != sent))
 
 
 def simulate_ser(

@@ -1,10 +1,13 @@
+import functools
 import io
 import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from relaydmt import stbc
+from relaydmt import channel_sim, stbc
 from relaydmt.channel_sim import (
     BLOCK_SIZE,
     AfScheme,
@@ -432,6 +435,94 @@ class TestBlockRunner:
         serial = [p.outage_count for p in stbc.simulate_ser(*args, workers=1)]
         assert serial[0] > 0
         assert [p.outage_count for p in stbc.simulate_ser(*args, workers=2)] == serial
+
+
+@functools.cache
+def _af_block_replay(dim, rate, snr_db, seed, blocks):
+    snr = 10.0 ** (snr_db / 10.0)
+    return np.concatenate(
+        [AfScheme().outage(sample_block(dim, seed, b), snr, rate) for b in range(blocks)]
+    )
+
+
+class TestBlockRunnerProperty:
+    @settings(max_examples=8, deadline=None, derandomize=True)
+    @given(trials=st.integers(1, 3 * BLOCK_SIZE), workers=st.sampled_from([1, 2]))
+    @example(trials=BLOCK_SIZE + 1, workers=2)
+    @example(trials=3 * BLOCK_SIZE, workers=2)
+    def test_counts_equal_block_replay(self, trials, workers):
+        # Any trial count, whole blocks or not, counts the replay's first trials.
+        dim, rate, snr_db, seed = (2, 2), 2.0, 6.0, 31
+        replay = _af_block_replay(dim, rate, snr_db, seed, blocks=3)
+        got = estimate_outage(dim, AfScheme(), rate, snr_db, trials, seed, workers=workers)
+        assert got.outage_count == int(np.count_nonzero(replay[:trials]))
+
+
+def trials_innermost(a):
+    """Whether the leading (trial) axis has the smallest stride of the axes longer than one."""
+    longer = [s for s, n in zip(a.strides, a.shape) if n > 1]
+    return a.strides[0] == min(longer)
+
+
+class TestMemoryLayout:
+    @pytest.mark.parametrize(
+        "dim,scheme",
+        [
+            ((2, 2, 2), AfScheme()),
+            ((3, 1, 4, 2), AfScheme()),
+            ((2, 2, 2), default_ff_scheme((2, 2, 2))),
+            ((1, 4, 1), PfScheme()),
+            ((2, 3, 4, 2), PfScheme()),
+            ((3, 1, 4, 2), DfScheme(DecodeSet((2, 3)))),
+            ((2, 4, 3), ParallelAfScheme(min_full_div_partition_2hop(2, 4, 3)[1])),
+            ((2, 2, 2), SvdAlignScheme()),
+        ],
+    )
+    def test_effective_channels_keep_trials_innermost(self, dim, scheme, monkeypatch):
+        # Every effective channel reaches mutual_info (DF through its
+        # segments), so recording its arguments covers every builder.
+        seen = []
+
+        def recording_mutual_info(eff, snr, n0):
+            seen.append(eff)
+            return mutual_info(eff, snr, n0)
+
+        monkeypatch.setattr(channel_sim, "mutual_info", recording_mutual_info)
+        real = channel_sim._first_trials(sample_block(dim, seed=4, block_index=0), 1000)
+        assert all(trials_innermost(h) for h in real.hops)
+        scheme.outage(real, 100.0, 2.0)
+        assert seen
+        for eff in seen:
+            assert eff.gain.shape[0] == eff.noise_cov.shape[0] == 1000
+            assert trials_innermost(eff.gain) and trials_innermost(eff.noise_cov)
+
+    @pytest.mark.parametrize(
+        "dim,scheme,cb",
+        [
+            ((2, 2, 2), default_ff_scheme((2, 2, 2)), stbc.golden(stbc.QamAlphabet.qam(4), m=1)),
+            ((2, 1, 2, 2), AfScheme(), stbc.alamouti(stbc.QamAlphabet.qam(4))),
+        ],
+    )
+    def test_coded_whitened_arrays_keep_trials_innermost(self, dim, scheme, cb, monkeypatch):
+        seen = []
+
+        def recording(kernel):
+            def run(*args):
+                out = kernel(*args)
+                seen.append(out)
+                return out
+
+            return run
+
+        # The noise draw, the Cholesky factors and the whitened [G | Y].
+        for name in ("_complex_normal", "_cholesky", "_forward_sub"):
+            monkeypatch.setattr(stbc, name, recording(getattr(stbc, name)))
+        stbc.simulate_ser(dim, scheme, cb, [10.0], 1000, seed=2)
+        # Per sub-channel: the noise (drawn for the whole block), then two
+        # factors of K_z and the whitened [G | Y] of the 1000 live trials.
+        want = [stbc.CODED_BLOCK_SIZE, 1000] * cb.k_sub + [1000, 1000] * cb.k_sub
+        assert [a.shape[0] for a in seen] == want
+        assert all(trials_innermost(a) for a in seen)
 
 
 class TestSchemeOrderings:

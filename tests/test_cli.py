@@ -80,6 +80,17 @@ class TestDmtCommand:
         assert code == 2 and out == ""
         assert "--k-modes is required" in err
 
+    @pytest.mark.parametrize(
+        "paths,message",
+        [("5,5,5;5,5,5", "wider than the channel"), ("2,2,2;2,2,2", "above the cut-set d_max 4")],
+    )
+    def test_parallel_af_paths_must_fit_the_channel(self, paths, message, capsys):
+        code, out, err = run(
+            capsys, "dmt", "--dim", "2,2,2", "--curve", "parallel-af", "--paths", paths
+        )
+        assert code == 2 and out == ""
+        assert message in err
+
     def test_options_accepted_with_their_curves(self, capsys):
         code, out, _ = run(
             capsys, "dmt", "--dim", "2,2,2", "--curve", "serial,ff-bound,parallel-af",

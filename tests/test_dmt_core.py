@@ -430,6 +430,21 @@ class TestParallelAf:
         assert curve.partial
         assert curve.d_max == dmt_rp((2, 2, 3)).d_max + dmt_rp((2, 1, 3)).d_max
 
+    @pytest.mark.parametrize("paths", [[(3, 2, 2)], [(5, 5, 5), (5, 5, 5)], [(1, 3, 1)]])
+    def test_path_wider_than_a_layer_rejected(self, paths):
+        with pytest.raises(ValueError, match="wider than the channel"):
+            dmt_parallel_af((2, 2, 2), paths)
+
+    @pytest.mark.parametrize("paths", [[(2, 2, 2)] * 2, [(1, 1, 1)] * 5, [(2, 1, 2)] * 3])
+    def test_diversity_above_cutset_rejected(self, paths):
+        with pytest.raises(ValueError, match="above the cut-set d_max 4"):
+            dmt_parallel_af((2, 2, 2), paths)
+
+    def test_paths_may_share_antennas_up_to_the_cutset(self):
+        # Widths per layer sum past the counts, yet the diversity reaches d_max.
+        curve = dmt_parallel_af((2, 2, 2), [(2, 1, 2)] * 2)
+        assert curve.d_max == cutset_bound((2, 2, 2)).d_max == 4
+
     def test_same_curve_different_dims_still_scales(self):
         # (2,2,3) and (3,2,2) share a curve; the parallel result is 2x it.
         curve = dmt_parallel_af((3, 4, 3), [(2, 2, 3), (3, 2, 2)])

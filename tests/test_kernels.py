@@ -1,4 +1,9 @@
-"""Property tests of the batched small-matrix kernels against ``np.linalg``."""
+"""Property tests of the batched small-matrix kernels against ``np.linalg``.
+
+Every property runs on C-ordered inputs and on inputs stored with their
+axes reversed, so that the first (trial) axis is innermost in memory as
+the Monte-Carlo sampler lays it out; the outputs must keep that order.
+"""
 
 import numpy as np
 import pytest
@@ -12,6 +17,7 @@ sizes = st.integers(1, 5)
 seeds = st.integers(0, 2**32 - 1)
 # log10 of the condition number of the Hermitian positive-definite inputs
 log_conds = st.floats(0.0, 10.0)
+orders = st.sampled_from(["C", "trials"])
 
 # Derandomized so that every run of the suite checks the same examples.
 KERNEL_SETTINGS = settings(max_examples=60, deadline=None, derandomize=True)
@@ -19,6 +25,20 @@ KERNEL_SETTINGS = settings(max_examples=60, deadline=None, derandomize=True)
 
 def complex_normal(rng, shape):
     return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+
+def arrange(a, order):
+    """``a`` in C order, or with its first axis innermost (Fortran order)."""
+    return np.ascontiguousarray(a) if order == "C" else np.asfortranarray(a)
+
+
+def assert_keeps_order(out, order, batch):
+    """The output is C-ordered for C input, else its first batch axis is innermost."""
+    if order == "C":
+        assert out.flags.c_contiguous, out.strides
+    elif batch and batch[0] > 1:
+        longer = [s for s, n in zip(out.strides, out.shape) if n > 1]
+        assert out.strides[0] == min(longer), out.strides
 
 
 def hermitian_pd(rng, batch, n, log_cond):
@@ -31,15 +51,22 @@ def hermitian_pd(rng, batch, n, log_cond):
 
 
 @KERNEL_SETTINGS
-@given(batch=batch_shapes, m=sizes, k=sizes, n=sizes, seed=seeds)
-def test_matmul_matches_numpy(batch, m, k, n, seed):
+@given(batch=batch_shapes, m=sizes, k=sizes, n=sizes, seed=seeds, order=orders)
+def test_matmul_matches_numpy(batch, m, k, n, seed, order):
     rng = np.random.default_rng(seed)
-    a = complex_normal(rng, batch + (m, k))
-    b = complex_normal(rng, batch + (k, n))
-    assert np.allclose(_matmul(a, b), a @ b, rtol=1e-12, atol=1e-12)
+    a = arrange(complex_normal(rng, batch + (m, k)), order)
+    b = arrange(complex_normal(rng, batch + (k, n)), order)
+    out = _matmul(a, b)
+    assert np.allclose(out, a @ b, rtol=1e-12, atol=1e-12)
+    assert_keeps_order(out, order, batch)
     # Broadcasting an unbatched real operand against a batch, as relay ops do.
     c = rng.standard_normal((m, k))
-    assert np.allclose(_matmul(c, b), c @ b, rtol=1e-12, atol=1e-12)
+    out = _matmul(c, b)
+    assert np.allclose(out, c @ b, rtol=1e-12, atol=1e-12)
+    # With one column neither operand orders the trial axis against the
+    # row axis (each has stride 0 on one of them), so numpy falls back to C.
+    if n > 1:
+        assert_keeps_order(out, order, batch)
 
 
 def test_matmul_rejects_mismatched_inner_dimensions():
@@ -48,11 +75,12 @@ def test_matmul_rejects_mismatched_inner_dimensions():
 
 
 @KERNEL_SETTINGS
-@given(batch=batch_shapes, n=sizes, seed=seeds, log_cond=log_conds)
-def test_cholesky_matches_numpy(batch, n, seed, log_cond):
+@given(batch=batch_shapes, n=sizes, seed=seeds, log_cond=log_conds, order=orders)
+def test_cholesky_matches_numpy(batch, n, seed, log_cond, order):
     rng = np.random.default_rng(seed)
-    a = hermitian_pd(rng, batch, n, log_cond)
+    a = arrange(hermitian_pd(rng, batch, n, log_cond), order)
     low = _cholesky(a)
+    assert_keeps_order(low, order, batch)
     ref = np.linalg.cholesky(a)
     norm = np.linalg.norm(a, axis=(-2, -1), keepdims=True)
     assert np.all(np.triu(low, 1) == 0)
@@ -63,24 +91,27 @@ def test_cholesky_matches_numpy(batch, n, seed, log_cond):
 
 
 @KERNEL_SETTINGS
-@given(batch=batch_shapes, n=sizes, seed=seeds, log_cond=log_conds)
-def test_logdet_matches_slogdet(batch, n, seed, log_cond):
+@given(batch=batch_shapes, n=sizes, seed=seeds, log_cond=log_conds, order=orders)
+def test_logdet_matches_slogdet(batch, n, seed, log_cond, order):
     rng = np.random.default_rng(seed)
-    a = hermitian_pd(rng, batch, n, log_cond)
+    a = arrange(hermitian_pd(rng, batch, n, log_cond), order)
     sign, ref = np.linalg.slogdet(a)
     assert np.all(sign.real > 0)
     # Rounding A moves log(lambda_min) by up to about cond(A) * eps.
     tol = 1e-12 + n * 1e-14 * 10.0**log_cond
-    assert np.allclose(_logdet(a), ref, rtol=1e-12, atol=tol)
+    out = _logdet(a)
+    assert np.allclose(out, ref, rtol=1e-12, atol=tol)
+    assert_keeps_order(out, order, batch)
 
 
 @KERNEL_SETTINGS
-@given(batch=batch_shapes, n=sizes, cols=sizes, seed=seeds, log_cond=log_conds)
-def test_forward_sub_matches_solve(batch, n, cols, seed, log_cond):
+@given(batch=batch_shapes, n=sizes, cols=sizes, seed=seeds, log_cond=log_conds, order=orders)
+def test_forward_sub_matches_solve(batch, n, cols, seed, log_cond, order):
     rng = np.random.default_rng(seed)
-    low = np.linalg.cholesky(hermitian_pd(rng, batch, n, log_cond))
-    b = complex_normal(rng, batch + (n, cols))
+    low = arrange(np.linalg.cholesky(hermitian_pd(rng, batch, n, log_cond)), order)
+    b = arrange(complex_normal(rng, batch + (n, cols)), order)
     x = _forward_sub(low, b)
+    assert_keeps_order(x, order, batch)
     ref = np.linalg.solve(low, b)
     # Backward error is small whatever the conditioning.
     resid = np.abs(low @ x - b)
@@ -90,10 +121,10 @@ def test_forward_sub_matches_solve(batch, n, cols, seed, log_cond):
 
 
 @KERNEL_SETTINGS
-@given(batch=batch_shapes, n=sizes, seed=seeds, negative=st.integers(0, 4))
-def test_cholesky_rejects_indefinite(batch, n, seed, negative):
+@given(batch=batch_shapes, n=sizes, seed=seeds, negative=st.integers(0, 4), order=orders)
+def test_cholesky_rejects_indefinite(batch, n, seed, negative, order):
     rng = np.random.default_rng(seed)
-    a = hermitian_pd(rng, batch, n, 3.0)
+    a = arrange(hermitian_pd(rng, batch, n, 3.0), order)
     # Shift one matrix of the batch until one eigenvalue is <= 0.
     idx = tuple(rng.integers(0, s) for s in batch)
     shift = np.linalg.eigvalsh(a[idx])[min(negative, n - 1)]
@@ -110,10 +141,11 @@ def test_cholesky_rejects_indefinite(batch, n, seed, negative):
     n=sizes,
     seed=seeds,
     bad=st.sampled_from([np.nan, np.inf, -np.inf, complex(0, np.nan), complex(np.inf, 1)]),
+    order=orders,
 )
-def test_cholesky_rejects_non_finite(batch, n, seed, bad):
+def test_cholesky_rejects_non_finite(batch, n, seed, bad, order):
     rng = np.random.default_rng(seed)
-    a = hermitian_pd(rng, batch, n, 2.0)
+    a = arrange(hermitian_pd(rng, batch, n, 2.0), order)
     idx = tuple(rng.integers(0, s) for s in batch + (n, n))
     a[idx] = bad
     with pytest.raises(np.linalg.LinAlgError):
