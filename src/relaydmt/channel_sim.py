@@ -32,7 +32,10 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import platform
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import contextmanager
+from contextvars import ContextVar
 from dataclasses import dataclass
 from typing import IO, Callable, Sequence
 
@@ -547,6 +550,30 @@ def _count_blocks(args) -> int:
     return total
 
 
+# The pool of the run in progress in this context, if it has one.  A run's
+# points all map their blocks over it; it closes when the run's scope exits.
+_open_pool: ContextVar[ProcessPoolExecutor | None] = ContextVar("_open_pool", default=None)
+
+
+@contextmanager
+def _block_pool(workers: int, n_blocks: int):
+    """Scope of a run's pool: yields ``workers`` clamped to ``n_blocks`` and the pool.
+
+    Opens no pool at width 1 (the pool is then ``None``) or inside a scope
+    that already has one open, whose pool it yields.
+    """
+    width, pool = max(1, min(workers, n_blocks)), _open_pool.get()
+    if width == 1 or pool is not None:
+        yield width, pool
+        return
+    with ProcessPoolExecutor(max_workers=width) as pool:
+        token = _open_pool.set(pool)
+        try:
+            yield width, pool
+        finally:
+            _open_pool.reset(token)
+
+
 def _map_blocks(
     count_block: Callable[..., int], params: tuple, trials: int, block_size: int, workers: int
 ) -> int:
@@ -555,21 +582,20 @@ def _map_blocks(
     ``live`` is the number of the block's trials that the run counts
     (all but the last block count in full).  Worker ``w`` of ``workers``
     takes blocks ``w, w + workers, ...``; the count is an integer sum,
-    so it does not depend on the worker count.  ``count_block`` must be
-    a module-level function so worker processes can unpickle it.
+    so it does not depend on the worker count.  The blocks go to the pool
+    of the run's :func:`_block_pool` scope, opened here if there is none.
+    ``count_block`` must be a module-level function so worker processes
+    can unpickle it.
     """
     if trials < 1:
         raise ValueError("need at least one trial")
     n_blocks = math.ceil(trials / block_size)
-    workers = max(1, min(workers, n_blocks))
-    chunks = [
-        (count_block, params, range(w, n_blocks, workers), trials, block_size)
-        for w in range(workers)
-    ]
-    if workers == 1:
-        return _count_blocks(chunks[0])
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        return sum(pool.map(_count_blocks, chunks))
+    with _block_pool(workers, n_blocks) as (width, pool):
+        chunks = [
+            (count_block, params, range(w, n_blocks, width), trials, block_size)
+            for w in range(width)
+        ]
+        return sum((pool.map if pool else map)(_count_blocks, chunks))
 
 
 def _binomial_ci(count: int, trials: int) -> tuple[float, float]:
@@ -626,7 +652,7 @@ def outage_curve(
     workers: int = 1,
     rate_policy: str = "fixed",
 ) -> list[OutageEstimate]:
-    """One outage point per grid SNR; every point reuses the same trial streams.
+    """One outage point per grid SNR; every point reuses the same trial streams and pool.
 
     With ``rate_policy="fixed"`` the target rate is constant (the slope
     then estimates the maximum diversity).  With ``"multiplexing"`` the
@@ -640,10 +666,11 @@ def outage_curve(
         rates = [multiplexing_rate(rate, s) for s in snr_grid_db]
     else:
         raise ValueError(f"unknown rate policy {rate_policy!r}")
-    return [
-        estimate_outage(dim, scheme, rr, s, trials, seed, workers=workers)
-        for rr, s in zip(rates, snr_grid_db)
-    ]
+    with _block_pool(workers, math.ceil(trials / BLOCK_SIZE)):
+        return [
+            estimate_outage(dim, scheme, rr, s, trials, seed, workers=workers)
+            for rr, s in zip(rates, snr_grid_db)
+        ]
 
 
 MIN_EVENTS_FOR_SLOPE = 20
@@ -701,7 +728,8 @@ def run_manifest(
     block_size: int = BLOCK_SIZE,
     extra: dict | None = None,
 ) -> dict:
-    """Reproducibility record for a simulation run, with a config digest."""
+    """Reproducibility record for a simulation run, with a digest of all but ``versions``."""
+    from . import __version__  # the package is fully imported by now
     doc = {
         "command": command,
         "dim": list(as_dimension(dim).counts),
@@ -716,4 +744,7 @@ def run_manifest(
         doc.update(extra)
     canon = json.dumps(doc, sort_keys=True, separators=(",", ":"))
     doc["config_hash"] = hashlib.sha1(canon.encode()).hexdigest()
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]["name"]
+    doc["versions"] = {"relaydmt": __version__, "numpy": np.__version__,
+                       "python": platform.python_version(), "blas": blas}
     return doc

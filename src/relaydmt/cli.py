@@ -25,7 +25,17 @@ from .dmt_core import DecodeSet, as_dimension
 
 SEED_ENV_VAR = "RELAYDMT_SEED"
 
-_SIM_SCHEMES = ("af", "pf", "df", "parallel-af", "ff", "svd-align", "coded-af", "coded-ff")
+# The constructor of each simulated scheme from the parsed arguments and the dimension.
+_SCHEMES = {
+    "af": lambda args, dim: channel_sim.AfScheme(),
+    "pf": lambda args, dim: channel_sim.PfScheme(),
+    "df": lambda args, dim: channel_sim.DfScheme(_parse_decode(args.decode, dim)),
+    "parallel-af": lambda args, dim: channel_sim.ParallelAfScheme(_partition(args, dim)),
+    "ff": lambda args, dim: channel_sim.FfScheme(partition.ff_schedule(dim, _partition(args, dim))),
+    "svd-align": lambda args, dim: channel_sim.SvdAlignScheme(),
+    "coded-af": lambda args, dim: channel_sim.AfScheme(),
+    "coded-ff": lambda args, dim: channel_sim.FfScheme(partition.ff_schedule(dim, _partition(args, dim))),
+}
 _PARTITION_SCHEMES = ("parallel-af", "ff", "coded-ff")
 _CURVES = ("rp", "cutset", "df", "serial", "ff-bound", "parallel-af")
 # The option each curve reads; no other curve accepts it.
@@ -176,34 +186,19 @@ def cmd_partition(args) -> int:
     return 0
 
 
-def _build_scheme(args, dim):
-    kind = args.scheme
-    if kind not in _PARTITION_SCHEMES:
-        if args.partition is not None:
-            raise UsageError(
-                f"--partition applies only to {', '.join(_PARTITION_SCHEMES)}, not {kind!r}"
-            )
-        if kind == "df":
-            if not args.decode:
-                raise UsageError("--decode is required for the df scheme")
-            return channel_sim.DfScheme(_parse_decode(args.decode, dim))
-        simple = {"af": channel_sim.AfScheme, "coded-af": channel_sim.AfScheme,
-                  "pf": channel_sim.PfScheme, "svd-align": channel_sim.SvdAlignScheme}
-        return simple[kind]()
+def _partition(args, dim):
+    """The ``--partition`` file's partition, else the two-hop minimum full-diversity one."""
     if args.partition:
         with open(args.partition) as fh:
             pdim, part = partition.partition_from_json(fh.read())
         if pdim != dim:
             raise UsageError("partition file was built for a different dimension")
-    elif dim.hops == 2:
-        _, part = partition.min_full_div_partition_2hop(*dim.counts)
-    else:
-        raise UsageError(
-            f"scheme {kind!r} needs --partition for channels with more than two hops"
-        )
-    if kind == "parallel-af":
-        return channel_sim.ParallelAfScheme(part)
-    return channel_sim.FfScheme(partition.ff_schedule(dim, part))
+        return part
+    if dim.hops == 2:
+        return partition.min_full_div_partition_2hop(*dim.counts)[1]
+    raise UsageError(
+        f"scheme {args.scheme!r} needs --partition for channels with more than two hops"
+    )
 
 
 def _build_codebook(args):
@@ -230,7 +225,13 @@ def cmd_simulate(args) -> int:
     if seed is None:
         env = os.environ.get(SEED_ENV_VAR)
         seed = int(env) if env else 0
-    scheme = _build_scheme(args, dim)
+    if args.partition is not None and args.scheme not in _PARTITION_SCHEMES:
+        raise UsageError(
+            f"--partition applies only to {', '.join(_PARTITION_SCHEMES)}, not {args.scheme!r}"
+        )
+    if args.scheme == "df" and not args.decode:
+        raise UsageError("--decode is required for the df scheme")
+    scheme = _SCHEMES[args.scheme](args, dim)
     if coded:
         if args.rate is not None:
             raise UsageError("--rate does not apply to coded schemes; the code sets the rate")
@@ -308,7 +309,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_sim = sub.add_parser("simulate", help="Monte-Carlo outage / SER")
     p_sim.add_argument("--dim", required=True)
-    p_sim.add_argument("--scheme", required=True, choices=_SIM_SCHEMES)
+    p_sim.add_argument("--scheme", required=True, choices=_SCHEMES)
     p_sim.add_argument("--rate", type=float, help="target rate (bits/use), or r under --rate-policy multiplexing")
     p_sim.add_argument("--rate-policy", choices=("fixed", "multiplexing"), default="fixed")
     p_sim.add_argument("--snr", required=True, help="dB grid start:step:stop")

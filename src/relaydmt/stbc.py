@@ -37,6 +37,7 @@ from .channel_sim import (
     EffectiveChannel,
     OutageEstimate,
     Scheme,
+    _block_pool,
     _block_rng,
     _cholesky,
     _complex_normal,
@@ -350,18 +351,22 @@ def _word_table(words: np.ndarray, amp: float) -> np.ndarray:
 
 
 def _ml_decisions(
-    received: Sequence[np.ndarray], effs: Sequence[EffectiveChannel], table: np.ndarray
+    received: Sequence[np.ndarray],
+    effs: Sequence[EffectiveChannel],
+    chols: Sequence[np.ndarray],
+    table: np.ndarray,
 ) -> np.ndarray:
     """Maximum-likelihood codeword index of every trial in a batch.
 
     ``received[k]`` is the ``(B, n_r, T)`` reception of sub-channel
-    ``k`` through ``effs[k]``; ``table`` comes from :func:`_word_table`
-    at the run's signal amplitude.  Ties resolve to the lowest index.
+    ``k`` through ``effs[k]``, and ``chols[k]`` the Cholesky factor of
+    its noise covariance; ``table`` comes from :func:`_word_table` at
+    the run's signal amplitude.  Ties resolve to the lowest index.
     """
     features = []
-    for y, eff in zip(received, effs):
+    for y, eff, chol in zip(received, effs, chols):
         n_t = eff.gain.shape[-1]
-        white = _forward_sub(_cholesky(eff.noise_cov), np.concatenate([eff.gain, y], axis=-1))
+        white = _forward_sub(chol, np.concatenate([eff.gain, y], axis=-1))
         # [Q | C] = G_w^H [G_w | Y_w]
         prods = _matmul(white[..., :n_t].conj().swapaxes(-1, -2), white)
         # The reshape copies trials-innermost products into C order, so the
@@ -378,7 +383,7 @@ def _ser_block(dim, scheme, cb, snr, amp, seed, words, table, block, live) -> in
     the shared hop sampler), then the transmitted codeword indices,
     then per-sub-channel noise.  Every draw covers the whole block, so
     the stream does not depend on ``live``; only the live trials are
-    decoded, by :func:`_ml_decisions`.
+    decoded, by :func:`_ml_decisions` with the factors that colour the noise.
     """
     rng = _block_rng(seed, block)
     real = _first_trials(_draw_hops(dim, rng, CODED_BLOCK_SIZE), live)
@@ -386,14 +391,15 @@ def _ser_block(dim, scheme, cb, snr, amp, seed, words, table, block, live) -> in
     effs = scheme.effectives(real, snr)
     if len(effs) != cb.k_sub:
         raise ValueError(f"code has {cb.k_sub} sub-channels but the scheme offers {len(effs)}")
-    received = []
+    received, chols = [], []
     for k, eff in enumerate(effs):
         n_r = eff.gain.shape[-2]
         white = _complex_normal(rng, (CODED_BLOCK_SIZE, n_r, cb.time_span))[:live]
         # Taken along the last axis of the transpose, so trials stay innermost.
         signal = amp * _matmul(eff.gain, np.take(words[:, k].T, sent, axis=-1).T)
-        received.append(signal + _matmul(_cholesky(eff.noise_cov), white))
-    decided = _ml_decisions(received, effs, table)
+        chols.append(_cholesky(eff.noise_cov))
+        received.append(signal + _matmul(chols[-1], white))
+    decided = _ml_decisions(received, effs, chols, table)
     return int(np.count_nonzero(decided != sent))
 
 
@@ -412,7 +418,7 @@ def simulate_ser(
     sub-channel count the scheme's effective channels (one for AF, one
     per flip mode for FF); DF has no effective channel and raises
     ``TypeError``.  Deterministic for a given seed, independent of the
-    worker count.
+    worker count; every point shares the run's one worker pool.
     """
     dim = as_dimension(dim)
     if cb.n_t != dim[0]:
@@ -422,12 +428,13 @@ def simulate_ser(
     words, _ = cb.codewords()
     bits_per_use = cb.rate_syms_per_use * math.log2(cb.alphabet.order)
     points = []
-    for snr_db in snr_grid_db:
-        snr = 10.0 ** (snr_db / 10.0)
-        amp = math.sqrt(snr / dim[0]) * cb.energy_norm
-        params = (dim, scheme, cb, snr, amp, seed, words, _word_table(words, amp))
-        errors = _map_blocks(_ser_block, params, trials, CODED_BLOCK_SIZE, workers)
-        points.append(_estimate(snr_db, bits_per_use, trials, errors))
+    with _block_pool(workers, math.ceil(trials / CODED_BLOCK_SIZE)):
+        for snr_db in snr_grid_db:
+            snr = 10.0 ** (snr_db / 10.0)
+            amp = math.sqrt(snr / dim[0]) * cb.energy_norm
+            params = (dim, scheme, cb, snr, amp, seed, words, _word_table(words, amp))
+            errors = _map_blocks(_ser_block, params, trials, CODED_BLOCK_SIZE, workers)
+            points.append(_estimate(snr_db, bits_per_use, trials, errors))
     return points
 
 

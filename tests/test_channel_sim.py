@@ -1,12 +1,17 @@
 import functools
+import hashlib
 import io
+import json
 import math
+import multiprocessing
+import platform
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import relaydmt
 from relaydmt import channel_sim, stbc
 from relaydmt.channel_sim import (
     BLOCK_SIZE,
@@ -378,6 +383,34 @@ class TestEstimateOutage:
         assert pool_sizes == [2]
         assert wide.outage_count == serial.outage_count
 
+    def test_curve_opens_one_pool_for_all_points(self, pool_sizes):
+        args = ((2, 2, 2), AfScheme(), 2.0, [4.0, 8.0, 12.0], 2 * BLOCK_SIZE)
+        serial = outage_curve(*args, seed=3)
+        wide = outage_curve(*args, seed=3, workers=2)
+        assert pool_sizes == [2]
+        assert [p.outage_count for p in wide] == [p.outage_count for p in serial]
+
+    def test_failed_point_closes_the_pool(self, pool_sizes, monkeypatch):
+        real_estimate = channel_sim.estimate_outage
+        calls = []
+
+        def second_point_fails(*args, **kwargs):
+            calls.append(args)
+            if len(calls) == 2:
+                raise RuntimeError("point failed")
+            return real_estimate(*args, **kwargs)
+
+        monkeypatch.setattr(channel_sim, "estimate_outage", second_point_fails)
+        args = ((2, 2, 2), AfScheme(), 2.0, [4.0, 8.0], 2 * BLOCK_SIZE, 3)
+        with pytest.raises(RuntimeError, match="point failed"):
+            outage_curve(*args, workers=2)
+        assert pool_sizes == [2]
+        assert channel_sim._open_pool.get() is None
+        monkeypatch.setattr(channel_sim, "estimate_outage", real_estimate)
+        outage_curve(*args, workers=2)
+        assert pool_sizes == [2, 2]
+        assert multiprocessing.active_children() == []
+
     def test_monotone_decreasing_in_snr(self):
         pts = outage_curve((2, 2, 2), AfScheme(), 2.0, [4.0, 8.0, 12.0, 16.0], 40000, seed=5)
         probs = [p.p_hat for p in pts]
@@ -518,9 +551,9 @@ class TestMemoryLayout:
         for name in ("_complex_normal", "_cholesky", "_forward_sub"):
             monkeypatch.setattr(stbc, name, recording(getattr(stbc, name)))
         stbc.simulate_ser(dim, scheme, cb, [10.0], 1000, seed=2)
-        # Per sub-channel: the noise (drawn for the whole block), then two
-        # factors of K_z and the whitened [G | Y] of the 1000 live trials.
-        want = [stbc.CODED_BLOCK_SIZE, 1000] * cb.k_sub + [1000, 1000] * cb.k_sub
+        # Per sub-channel: the noise (drawn for the whole block) and the one
+        # factor of K_z, then the whitened [G | Y] of the 1000 live trials.
+        want = [stbc.CODED_BLOCK_SIZE, 1000] * cb.k_sub + [1000] * cb.k_sub
         assert [a.shape[0] for a in seen] == want
         assert all(trials_innermost(a) for a in seen)
 
@@ -627,3 +660,16 @@ class TestOutputFormats:
         assert a["config_hash"] == b["config_hash"]
         c = run_manifest(**{**base, "seed": 8})
         assert c["config_hash"] != a["config_hash"]
+
+    def test_manifest_hash_leaves_out_versions(self):
+        doc = run_manifest("simulate", (2, 2), {"kind": "af"}, 1.0, [10.0], 100, seed=3)
+        rest = {k: v for k, v in doc.items() if k not in ("versions", "config_hash")}
+        canon = json.dumps(rest, sort_keys=True, separators=(",", ":"))
+        assert doc["config_hash"] == hashlib.sha1(canon.encode()).hexdigest()
+
+    def test_manifest_records_versions(self):
+        doc = run_manifest("simulate", (2, 2), {"kind": "af"}, 1.0, [10.0], 100, seed=3)
+        assert doc["versions"]["relaydmt"] == relaydmt.__version__
+        assert doc["versions"]["numpy"] == np.__version__
+        assert doc["versions"]["python"] == platform.python_version()
+        assert isinstance(doc["versions"]["blas"], str) and doc["versions"]["blas"]

@@ -160,18 +160,22 @@ class TestSimulateCommand:
         assert manifest["scheme"] == {"kind": "af"}
         assert "config_hash" in manifest
 
-    def test_rerun_byte_identical_any_workers(self, tmp_path, capsys):
+    def test_rerun_byte_identical_any_workers(self, tmp_path, capsys, pool_sizes):
         args = [
             "simulate", "--dim", "2,2,2", "--scheme", "ff", "--rate", "2",
             "--snr", "8:4:16", "--trials", "2e4", "--seed", "11",
         ]
         paths = []
-        for name, extra in [("a.csv", []), ("b.csv", []), ("c.csv", ["--workers", "3"])]:
+        runs = [("a.csv", []), ("b.csv", []), ("c.csv", ["--workers", "3"]),
+                ("d.csv", ["--workers", "2"])]
+        for name, extra in runs:
             out = tmp_path / name
             code, _, _ = run(capsys, *args, "--output", str(out), *extra)
             assert code == 0
             paths.append(out.read_bytes())
-        assert paths[0] == paths[1] == paths[2]
+        assert paths[0] == paths[1] == paths[2] == paths[3]
+        # One pool per pooled run, shared by its three SNR points.
+        assert pool_sizes == [3, 2]
 
     def test_ff_without_partition_beyond_two_hops(self, capsys):
         code, _, err = run(
