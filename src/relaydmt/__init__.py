@@ -33,7 +33,7 @@ from .reduction import (
     equivalent,
     practical_vertical_reduction,
 )
-from .recursion import cross_check, dmt_recursive
+from .recursion import dmt_recursive
 from .partition import (
     AfPath,
     FlipSchedule,
@@ -65,9 +65,8 @@ from .channel_sim import (
     outage_curve,
     parallel_af_effective,
     pf_effective,
-    sample_channel,
     svd_align_effective,
 )
-from .stbc import Codebook, QamAlphabet, alamouti, golden, ml_decode, simulate_ser, verify_nvd
+from .stbc import Codebook, QamAlphabet, alamouti, golden, simulate_ser, verify_nvd
 
 __version__ = "0.1.0"

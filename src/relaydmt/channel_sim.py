@@ -7,9 +7,10 @@ noise covariance ``K_z`` (the destination's own noise contributes an
 identity, so ``K_z`` always has eigenvalues >= 1).  Outage compares the
 Gaussian mutual information of that channel against the target rate.
 
-Every builder states only its hops and relay operators (AF gains from
-:func:`_normalizer_diag`, flips, projected hops, rotations); one chain,
-:func:`_chain_effective`, turns them into the gain and noise covariance.
+Every builder states only its hops and diagonal relay operators (AF
+gains from :func:`_normalizer_diag`, flips; PF and svd-align first
+project or rotate the hops); one chain, :func:`_chain_effective`, turns
+them into the gain and noise covariance.
 
 Every scheme subclasses :class:`Scheme`: ``kind`` names it,
 ``describe()`` gives its manifest entry, ``effectives(real, snr)`` its
@@ -56,7 +57,6 @@ __all__ = [
     "FfScheme",
     "SvdAlignScheme",
     "Scheme",
-    "sample_channel",
     "sample_block",
     "af_effective",
     "pf_effective",
@@ -68,7 +68,6 @@ __all__ = [
     "mutual_info",
     "estimate_outage",
     "outage_curve",
-    "multiplexing_rate",
     "estimate_slope",
     "write_outage_csv",
     "run_manifest",
@@ -252,14 +251,6 @@ def sample_block(
     return _draw_hops(dim, _block_rng(seed, block_index), count)
 
 
-def sample_channel(dim: DimensionLike, seed: int, index: int = 0) -> ChannelRealization:
-    """The single realization that trial ``index`` of a run with this seed sees."""
-    dim = as_dimension(dim)
-    block, offset = divmod(index, BLOCK_SIZE)
-    stacked = sample_block(dim, seed, block)
-    return ChannelRealization(dim=dim, hops=tuple(h[offset] for h in stacked.hops))
-
-
 # --------------------------------------------------------------------------
 # Batched small-matrix kernels
 # --------------------------------------------------------------------------
@@ -346,19 +337,6 @@ def _normalizer_diag(hop: np.ndarray, snr: float, n_in: int, n_out: int) -> np.n
     return np.sqrt((snr / n_out) / row_power)
 
 
-def _apply_left(op: np.ndarray, x: np.ndarray) -> np.ndarray:
-    # op is a diagonal (vector) or a full matrix
-    if op.ndim == x.ndim - 1:
-        return op[..., :, None] * x
-    return _matmul(op, x)
-
-
-def _apply_right(x: np.ndarray, op: np.ndarray) -> np.ndarray:
-    if op.ndim == x.ndim - 1:
-        return x * op[..., None, :]
-    return _matmul(x, op)
-
-
 def _hermitian_square(m: np.ndarray) -> np.ndarray:
     """``m @ m^H`` for a batch of matrices."""
     return _matmul(m, m.conj().swapaxes(-1, -2))
@@ -367,22 +345,22 @@ def _hermitian_square(m: np.ndarray) -> np.ndarray:
 def _chain_effective(hops: Sequence[np.ndarray], relay_ops: Sequence[np.ndarray]) -> EffectiveChannel:
     """Gain and noise covariance of ``H_N R_{N-1} ... R_1 H_1``.
 
-    ``relay_ops[i]`` is the linear operation of relay layer ``i+1``,
-    either a diagonal given as a vector or a full matrix.  Noise terms
-    are ``M_j = H_N R_{N-1} ... H_{j+1} R_j`` plus the identity for the
+    ``relay_ops[i]`` is the diagonal of relay layer ``i+1``'s linear
+    operation, given as a vector.  Noise terms are
+    ``M_j = H_N R_{N-1} ... H_{j+1} R_j`` plus the identity for the
     destination's own noise.
     """
     n_hops = len(hops)
     gain = hops[0]
     for i in range(1, n_hops):
-        gain = _matmul(hops[i], _apply_left(relay_ops[i - 1], gain))
+        gain = _matmul(hops[i], relay_ops[i - 1][..., :, None] * gain)
     n_out = hops[-1].shape[-2]
     noise_cov = np.zeros_like(gain, dtype=complex, shape=gain.shape[:-2] + (n_out, n_out))
     noise_cov += np.eye(n_out)
     m = None
     for j in range(n_hops - 1, 0, -1):
         applied = hops[j] if m is None else _matmul(m, hops[j])
-        m = _apply_right(applied, relay_ops[j - 1])
+        m = applied * relay_ops[j - 1][..., None, :]
         noise_cov += _hermitian_square(m)
     return EffectiveChannel(gain=gain, noise_cov=noise_cov)
 
@@ -487,15 +465,16 @@ def svd_align_effective(real: ChannelRealization, snr: float) -> EffectiveChanne
     """CSI-aided alignment for symmetric channels.
 
     Each relay applies its alignment rotation, then the amplify
-    normalization computed from the rotated hop's row powers.
+    normalization computed from the rotated hop's row powers.  The chain
+    runs AF over the rotated hops: a rotation is unitary, so the relay
+    noise it rotates stays white.
     """
     n = real.dim[0]
-    ops = []
-    for i, rotation in enumerate(alignment_rotations(real), start=1):
-        rotated_hop = _matmul(rotation, real.hops[i - 1])
-        scale = _normalizer_diag(rotated_hop, snr, n, n)
-        ops.append(scale[..., :, None] * rotation)
-    return _chain_effective(real.hops, ops)
+    hops, scales = [], []
+    for hop, rotation in zip(real.hops, alignment_rotations(real)):
+        hops.append(_matmul(rotation, hop))
+        scales.append(_normalizer_diag(hops[-1], snr, n, n))
+    return _chain_effective(hops + [real.hops[-1]], scales)
 
 
 def mutual_info(eff: EffectiveChannel, snr: float, n0: int):
@@ -637,11 +616,6 @@ def estimate_outage(
     return _estimate(snr_db, rate, trials, count)
 
 
-def multiplexing_rate(r: float, snr_db: float) -> float:
-    """Rate in bits per use growing as ``r * log2(SNR)``, the tradeoff's scaling."""
-    return r * (snr_db / 10.0) * math.log2(10.0)
-
-
 def outage_curve(
     dim: DimensionLike,
     scheme: Scheme,
@@ -663,7 +637,7 @@ def outage_curve(
     if rate_policy == "fixed":
         rates = [rate] * len(snr_grid_db)
     elif rate_policy == "multiplexing":
-        rates = [multiplexing_rate(rate, s) for s in snr_grid_db]
+        rates = [rate * (s / 10.0) * math.log2(10.0) for s in snr_grid_db]
     else:
         raise ValueError(f"unknown rate policy {rate_policy!r}")
     with _block_pool(workers, math.ceil(trials / BLOCK_SIZE)):

@@ -174,12 +174,10 @@ def cmd_partition(args) -> int:
     dim = _parse_dim(args.dim)
     if args.max:
         part = partition.max_partition(dim)
-    elif args.min_full_div:
-        if dim.hops != 2:
-            raise UsageError("--min-full-div applies to two-hop channels")
-        _, part = partition.min_full_div_partition_2hop(*dim.counts)
+    elif dim.hops != 2:
+        raise UsageError("--min-full-div applies to two-hop channels")
     else:
-        raise UsageError("choose one of --max or --min-full-div")
+        _, part = partition.min_full_div_partition_2hop(*dim.counts)
     text = partition.partition_to_json(dim, part)
     with _output(args.output) as out:
         out.write(text + "\n")
@@ -238,7 +236,7 @@ def cmd_simulate(args) -> int:
         cb = _build_codebook(args)
         points = stbc.simulate_ser(dim, scheme, cb, grid, trials, seed, workers=args.workers)
         rate = points[0].rate_bpcu
-        extra = {"code": cb.describe(), "block_size": stbc.CODED_BLOCK_SIZE}
+        extra = {"code": cb.describe()}
     else:
         if args.rate is None:
             raise UsageError("--rate is required for outage simulations")
@@ -300,8 +298,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_part = sub.add_parser("partition", help="construct parallel partitions")
     p_part.add_argument("--dim", required=True)
-    p_part.add_argument("--max", action="store_true", help="maximum single-antenna partition")
-    p_part.add_argument(
+    mode = p_part.add_mutually_exclusive_group(required=True)
+    mode.add_argument("--max", action="store_true", help="maximum single-antenna partition")
+    mode.add_argument(
         "--min-full-div", action="store_true", help="minimum full-diversity partition (2 hops)"
     )
     p_part.add_argument("--output")

@@ -24,7 +24,7 @@ import json
 import math
 import warnings
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from .dmt_core import Dimension, DimensionLike, _af_d_max, _cutset_d_max, as_dimension
 
@@ -39,7 +39,6 @@ __all__ = [
     "min_full_div_partition_2hop",
     "ff_schedule",
     "nonind_partition_diversity",
-    "search_min_full_diversity_partition",
     "partition_to_json",
     "partition_from_json",
 ]
@@ -83,12 +82,6 @@ class AfPath:
     def widths(self) -> tuple[int, ...]:
         """Per-layer antenna counts of the path, its own sub-dimension."""
         return tuple(node.size for node in self.supernodes)
-
-    def hop_edges(self, hop: int) -> set[tuple[int, int]]:
-        """All antenna pairs the path uses on hop ``hop`` (1-based)."""
-        left = self.supernodes[hop - 1].antennas
-        right = self.supernodes[hop].antennas
-        return {(a, b) for a in left for b in right}
 
 
 @dataclass(frozen=True)
@@ -152,40 +145,15 @@ def is_independent(dim: DimensionLike, p: Partition) -> bool:
     return True
 
 
-def _bottleneck_layers(dim: Dimension) -> list[int]:
-    d_max = _cutset_d_max(dim)
-    return [i for i in range(dim.hops) if dim[i] * dim[i + 1] == d_max]
-
-
 def is_full_diversity(dim: DimensionLike, p: Partition) -> bool:
     """Whether an independent partition reaches the cut-set diversity.
 
-    True iff, for some bottleneck hop (i*, i*+1): the partition's
-    supernodes cover both bottleneck layers, the partition size equals
-    the supernode-count product ``K_{i*} * K_{i*+1}``, and every path
-    is narrow enough elsewhere::
-
-        min over other layers of n_{k,i}  +  1  >=  n_{k,i*} + n_{k,i*+1}
-
-    Equivalent to the per-path diversities summing to ``d_max``.
+    True iff its per-path AF diversities sum to the cut-set ``d_max``.
     """
     dim = as_dimension(dim)
     if not is_independent(dim, p):
         raise ValueError("partition is not independent")
-    for istar in _bottleneck_layers(dim):
-        left_nodes = p.layer_supernodes(istar)
-        right_nodes = p.layer_supernodes(istar + 1)
-        if sum(n.size for n in left_nodes) != dim[istar]:
-            continue
-        if sum(n.size for n in right_nodes) != dim[istar + 1]:
-            continue
-        if p.size != len(left_nodes) * len(right_nodes):
-            continue
-        others = [i for i in range(len(dim)) if i not in (istar, istar + 1)]
-        narrow = (min(w[i] for i in others) + 1 >= w[istar] + w[istar + 1] for w in p.path_dims())
-        if not others or all(narrow):
-            return True
-    return False
+    return sum(_af_d_max(w) for w in p.path_dims()) == _cutset_d_max(dim)
 
 
 def max_partition(dim: DimensionLike) -> Partition:
@@ -317,103 +285,6 @@ def nonind_partition_diversity(dim: DimensionLike, layer: int) -> int:
 
 
 # ---------------------------------------------------------------------------
-# Exhaustive search (exponential; small channels only)
-# ---------------------------------------------------------------------------
-
-
-def _set_partitions(items: tuple[int, ...]) -> Iterable[list[frozenset[int]]]:
-    if not items:
-        yield []
-        return
-    first, rest = items[0], items[1:]
-    for sub in _set_partitions(rest):
-        for i in range(len(sub)):
-            yield sub[:i] + [sub[i] | {first}] + sub[i + 1 :]
-        yield sub + [frozenset({first})]
-
-
-def search_min_full_diversity_partition(
-    dim: DimensionLike, node_budget: int = 2_000_000
-) -> tuple[int, Partition]:
-    """Exhaustive minimum-size full-diversity partition.
-
-    Exponential in the channel size; refuses dims with more than 4
-    antennas per layer or more than 3 hops.  Enumerates supernode
-    structures per layer (set partitions), then backtracks over
-    edge-disjoint path families, pruning on the achievable diversity
-    budget.  Returns the first (smallest) full-diversity partition.
-    """
-    dim = as_dimension(dim)
-    if dim.n_max > 4 or dim.hops > 3:
-        raise ValueError("exhaustive search is limited to <= 4 antennas per layer, <= 3 hops")
-    d_max = _cutset_d_max(dim)
-    structures = [list(_set_partitions(tuple(range(n)))) for n in dim.counts]
-    budget = [node_budget]
-
-    best: tuple[int, Partition] | None = None
-    for combo in itertools.product(*structures):
-        layer_nodes = [
-            [Supernode(layer, s) for s in sorted(nodes, key=lambda s: min(s))]
-            for layer, nodes in enumerate(combo)
-        ]
-        all_paths = [AfPath(chain) for chain in itertools.product(*layer_nodes)]
-        path_div = [_af_d_max(path.widths) for path in all_paths]
-        order = sorted(range(len(all_paths)), key=lambda j: -path_div[j])
-        found = _backtrack_full_div(
-            [all_paths[j] for j in order], [path_div[j] for j in order], d_max, budget
-        )
-        if found is not None and (best is None or len(found) < best[0]):
-            best = (len(found), Partition(tuple(found)))
-            if best[0] == 1:
-                break
-    if best is None:
-        raise RuntimeError("no full-diversity partition found (budget exhausted?)")
-    return best
-
-
-def _backtrack_full_div(
-    paths: list[AfPath], divs: list[int], target: int, budget: list[int]
-) -> list[AfPath] | None:
-    hops = len(paths[0].supernodes) - 1 if paths else 0
-
-    # Iterative deepening on the partition size keeps the first hit minimal.
-    for size_cap in range(1, target + 1):
-        cap_best: list[AfPath] | None = None
-
-        def bounded(start: int, chosen: list[AfPath], used: list[set], total: int) -> None:
-            nonlocal cap_best
-            if cap_best is not None or budget[0] <= 0:
-                return
-            budget[0] -= 1
-            if total >= target:
-                cap_best = list(chosen)
-                return
-            if len(chosen) == size_cap:
-                return
-            slots = size_cap - len(chosen)
-            for j in range(start, len(paths)):
-                if total + divs[j] * slots < target:
-                    break
-                edges = [paths[j].hop_edges(h + 1) for h in range(hops)]
-                if any(e & used[h] for h, e in enumerate(edges)):
-                    continue
-                for h, e in enumerate(edges):
-                    used[h] |= e
-                chosen.append(paths[j])
-                bounded(j + 1, chosen, used, total + divs[j])
-                chosen.pop()
-                for h, e in enumerate(edges):
-                    used[h] -= e
-                if cap_best is not None:
-                    return
-
-        bounded(0, [], [set() for _ in range(hops)], 0)
-        if cap_best is not None:
-            return cap_best
-    return None
-
-
-# ---------------------------------------------------------------------------
 # JSON round-trip
 # ---------------------------------------------------------------------------
 
@@ -438,16 +309,29 @@ def partition_to_json(dim: DimensionLike, p: Partition) -> str:
 
 
 def partition_from_json(text: str) -> tuple[Dimension, Partition]:
+    """Inverse of :func:`partition_to_json`; raises ``ValueError`` on a malformed document."""
     doc = json.loads(text)
-    dim = as_dimension(doc["dim"])
-    layer_nodes = [
-        [Supernode(layer, frozenset(ants)) for ants in nodes]
-        for layer, nodes in enumerate(doc["layers"])
-    ]
-    paths = tuple(
-        AfPath(tuple(layer_nodes[layer][ref] for layer, ref in enumerate(refs)))
-        for refs in doc["paths"]
-    )
+    if not isinstance(doc, dict) or not {"dim", "layers", "paths"} <= doc.keys():
+        raise ValueError("a partition document is an object with 'dim', 'layers' and 'paths'")
+
+    def node(layer: int, ref) -> Supernode:
+        count = len(layer_nodes[layer]) if layer < len(layer_nodes) else 0
+        if not (isinstance(ref, int) and 0 <= ref < count):
+            raise ValueError(f"a path refers to supernode {ref!r} of layer {layer}, which has {count}")
+        return layer_nodes[layer][ref]
+
+    try:
+        dim = as_dimension(doc["dim"])
+        layer_nodes = [
+            [Supernode(layer, frozenset(ants)) for ants in nodes]
+            for layer, nodes in enumerate(doc["layers"])
+        ]
+        paths = tuple(
+            AfPath(tuple(node(layer, ref) for layer, ref in enumerate(refs)))
+            for refs in doc["paths"]
+        )
+    except TypeError as exc:  # a field of the wrong JSON type
+        raise ValueError(f"malformed partition document: {exc}") from None
     p = Partition(paths)
     _validate(dim, p)
     return dim, p

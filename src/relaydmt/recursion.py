@@ -18,9 +18,9 @@ from __future__ import annotations
 
 from functools import lru_cache
 
-from .dmt_core import DimensionLike, as_dimension, dmt_rp
+from .dmt_core import DimensionLike, as_dimension
 
-__all__ = ["dmt_recursive", "cross_check", "split_values"]
+__all__ = ["dmt_recursive"]
 
 
 @lru_cache(maxsize=None)
@@ -43,49 +43,3 @@ def dmt_recursive(dim: DimensionLike, k: int) -> int:
     if not 0 <= k <= dim.n_min:
         raise ValueError(f"k must be in 0..{dim.n_min}")
     return _d(dim.ordered, k)
-
-
-def split_values(dim: DimensionLike, k: int, layer: int) -> int:
-    """Recursion value when the chain is cut at ``layer`` (1..N-1).
-
-    Every interior cut must give the same minimum; disagreement at any
-    layer falsifies the recursion.
-    """
-    dim = as_dimension(dim)
-    if not 1 <= layer <= dim.hops - 1:
-        raise ValueError("cut layer must be interior")
-    left = dim.counts[: layer + 1]
-    right = dim.counts[layer + 1 :]
-    j_hi = min(left)
-    best = None
-    for j in range(k, j_hi + 1):
-        tail_dim = (j,) + right
-        cost = _d(tuple(sorted(left)), j) + _d(tuple(sorted(tail_dim)), k)
-        best = cost if best is None else min(best, cost)
-    assert best is not None
-    return best
-
-
-def cross_check(dim: DimensionLike) -> bool:
-    """Full agreement between the recursion and the closed-form curve.
-
-    Checks, for every integer ``k``:
-
-    * recursion == closed-form vertex value;
-    * cut invariance: every interior cut layer yields the same minimum;
-    * shift identity, whenever all counts stay positive after shifting.
-    """
-    dim = as_dimension(dim)
-    curve = dmt_rp(dim)
-    for k in range(dim.n_min + 1):
-        expected = curve.evaluate(k)
-        if dmt_recursive(dim, k) != expected:
-            return False
-        for layer in range(1, dim.hops):
-            if split_values(dim, k, layer) != expected:
-                return False
-        if all(n > k for n in dim.counts):
-            shifted = tuple(n - k for n in dim.counts)
-            if dmt_recursive(shifted, 0) != expected:
-                return False
-    return True

@@ -26,7 +26,6 @@ __all__ = [
     "analyze",
     "equivalent",
     "practical_vertical_reduction",
-    "interval_boundaries",
 ]
 
 
@@ -37,16 +36,13 @@ class ReductionReport:
     ``order`` is the minimal number of hops; ``minimal_form`` the sorted
     dimension of that length; ``n_bar`` the per-layer antenna count that
     suffices to pad the minimal form back to the original hop count
-    (``minimal_vertical_form``).  ``boundaries`` are the cost-interval
-    edges ``p_0 >= p_1 >= ...`` that govern which sorted prefix
-    dominates each disconnection cost.
+    (``minimal_vertical_form``).
     """
 
     order: int
     minimal_form: Dimension
     minimal_vertical_form: Dimension
     n_bar: int
-    boundaries: tuple[int, ...]
 
 
 def can_reduce(dim: DimensionLike, k: int) -> bool:
@@ -73,7 +69,6 @@ def analyze(dim: DimensionLike) -> ReductionReport:
         minimal_form=Dimension(head),
         minimal_vertical_form=Dimension(padded),
         n_bar=n_bar,
-        boundaries=interval_boundaries(dim),
     )
 
 
@@ -94,19 +89,3 @@ def practical_vertical_reduction(dim: DimensionLike) -> Dimension:
     for i in range(1, dim.hops):
         counts[i] = min(counts[i], n_bar)
     return Dimension(tuple(counts))
-
-
-def interval_boundaries(dim: DimensionLike) -> tuple[int, ...]:
-    """Cost-interval edges ``(p_0, ..., p_{N-1})``.
-
-    ``p_0`` is the smallest count; ``p_k = m_0 + ... + m_k - k*m_{k+1}``
-    on the sorted counts.  Within ``[p_k, p_{k-1}]`` the k-th sorted
-    prefix attains the minimum in the disconnection-cost formula, which
-    is what makes prefix-only reduction tests sound.
-    """
-    dim = as_dimension(dim)
-    ordered = dim.ordered
-    out = [ordered[0]]
-    for k in range(1, dim.hops):
-        out.append(sum(ordered[: k + 1]) - k * ordered[k + 1])
-    return tuple(out)

@@ -16,11 +16,10 @@ same positive value as the constellation grows.
 
 Maximum-likelihood decoding whitens each sub-channel by a Cholesky
 factor of its noise covariance and minimizes the summed Frobenius
-distance exhaustively over the codebook.  ``ml_decode`` does this for
-one reception with ``np.linalg``.  The coded simulation decides a whole
-block at once: it expands the distance, drops the part that does not
-depend on the codeword, and scores every codeword of every trial with
-one real matrix product against a precomputed codeword table.
+distance exhaustively over the codebook.  The coded simulation decides
+a whole block at once: it expands the distance, drops the part that
+does not depend on the codeword, and scores every codeword of every
+trial with one real matrix product against a precomputed codeword table.
 """
 
 from __future__ import annotations
@@ -60,7 +59,6 @@ __all__ = [
     "alamouti",
     "golden",
     "verify_nvd",
-    "ml_decode",
     "simulate_ser",
     "codebook_to_json",
     "NVD_EVALUATION_CAP",
@@ -302,31 +300,6 @@ def _det_products(words: np.ndarray) -> np.ndarray:
 # --------------------------------------------------------------------------
 # Decoding and coded simulation
 # --------------------------------------------------------------------------
-
-
-def ml_decode(
-    received: Sequence[np.ndarray],
-    effs: Sequence[EffectiveChannel],
-    cb: Codebook,
-    snr: float,
-) -> int:
-    """Exhaustive maximum-likelihood codeword index for one reception.
-
-    Whitens each sub-channel by the Cholesky factor of its noise
-    covariance and minimizes the summed squared distance; ties resolve
-    to the lowest index.
-    """
-    words, _ = cb.codewords()
-    n0 = effs[0].gain.shape[-1]
-    amp = math.sqrt(snr / n0) * cb.energy_norm
-    total = np.zeros(words.shape[0])
-    for k in range(cb.k_sub):
-        chol = np.linalg.cholesky(effs[k].noise_cov)
-        y_w = np.linalg.solve(chol, received[k])
-        g_w = np.linalg.solve(chol, effs[k].gain)
-        cand = amp * (g_w @ words[:, k])  # (M, n_r, T)
-        total += np.sum(np.abs(y_w[None] - cand) ** 2, axis=(-2, -1))
-    return int(np.argmin(total))
 
 
 def _word_table(words: np.ndarray, amp: float) -> np.ndarray:

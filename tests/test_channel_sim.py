@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from oracles import sample_channel
 
 import relaydmt
 from relaydmt import channel_sim, stbc
@@ -37,7 +38,6 @@ from relaydmt.channel_sim import (
     pf_effective,
     run_manifest,
     sample_block,
-    sample_channel,
     svd_align_effective,
     write_outage_csv,
 )
@@ -168,6 +168,23 @@ class TestMutualInfo:
             assert np.all(gap <= logdet.real / math.log(2) + 1e-9)
 
 
+def explicit_matrix_chain(hops, relays):
+    """``G = H_N R_{N-1} ... R_1 H_1`` and ``K_z = I + sum_j M_j M_j^H``,
+    ``M_j = H_N R_{N-1} ... H_{j+1} R_j``, with every relay a full matrix."""
+    gain = hops[0]
+    for hop, relay in zip(hops[1:], relays):
+        gain = hop @ relay @ gain
+    n_out = hops[-1].shape[-2]
+    noise_cov = np.zeros(gain.shape[:-2] + (n_out, n_out), dtype=complex) + np.eye(n_out)
+    for j in range(len(relays)):
+        m = relays[j]
+        for hop, relay in zip(hops[j + 1 : -1], relays[j + 1 :]):
+            m = relay @ hop @ m
+        m = hops[-1] @ m
+        noise_cov += m @ m.conj().swapaxes(-1, -2)
+    return gain, noise_cov
+
+
 class TestPf:
     def test_square_hops_equal_af(self):
         real = sample_block((2, 2, 2), seed=6, block_index=0, count=64)
@@ -203,8 +220,7 @@ class TestPf:
         Relay ``i`` is ``E diag(s) Q^H``: project onto the incoming
         column space, normalize, and forward on the first ``rank``
         antennas (``E`` embeds them).  A relay with ``n_i <= rank`` is
-        ``diag(s)``.  Then ``G = H_N R_{N-1} ... R_1 H_1`` and
-        ``K_z = I + sum_j M_j M_j^H`` with ``M_j = H_N R_{N-1} ... H_{j+1} R_j``.
+        ``diag(s)``.
         """
         dim = real.dim
         rank = dim[0]
@@ -223,18 +239,7 @@ class TestPf:
             embed = np.eye(n_i, new_rank)
             relays.append(embed @ (s[..., :, None] * basis_h))
             rank = new_rank
-        gain = real.hops[0]
-        for hop, relay in zip(real.hops[1:], relays):
-            gain = hop @ relay @ gain
-        n_out = dim[dim.hops]
-        noise_cov = np.zeros(gain.shape[:-2] + (n_out, n_out), dtype=complex) + np.eye(n_out)
-        for j in range(len(relays)):
-            m = relays[j]
-            for hop, relay in zip(real.hops[j + 1 : -1], relays[j + 1 :]):
-                m = relay @ hop @ m
-            m = real.hops[-1] @ m
-            noise_cov += m @ m.conj().swapaxes(-1, -2)
-        return gain, noise_cov
+        return explicit_matrix_chain(real.hops, relays)
 
     @pytest.mark.parametrize("dim", [(1, 4, 2, 1), (2, 4, 3, 2), (3, 1, 4, 2), (1, 3, 3, 1)])
     @pytest.mark.parametrize("snr", [3.0, 100.0, 1e4])
@@ -355,6 +360,22 @@ class TestSvdAlign:
         real = sample_channel((2, 3, 2), seed=22)
         with pytest.raises(ValueError):
             svd_align_effective(real, 10.0)
+
+    @pytest.mark.parametrize("dim", [(2, 2, 2), (3, 3, 3, 3), (4, 4, 4, 4), (2, 2, 2, 2, 2)])
+    @pytest.mark.parametrize("snr", [3.0, 100.0, 1e4])
+    def test_matches_explicit_matrix_chain(self, dim, snr):
+        # Relay i is the full matrix diag(s) T_i: rotate, then normalize
+        # the rotated hop's rows as in AF.
+        real = sample_block(dim, seed=23, block_index=0, count=256)
+        n = dim[0]
+        relays = []
+        for hop, rot in zip(real.hops, alignment_rotations(real)):
+            power = (snr / n) * np.sum(np.abs(rot @ hop) ** 2, axis=-1) + 1.0
+            relays.append(np.sqrt((snr / n) / power)[..., :, None] * rot)
+        gain, noise_cov = explicit_matrix_chain(real.hops, relays)
+        eff = svd_align_effective(real, snr)
+        np.testing.assert_allclose(eff.gain, gain, rtol=1e-12)
+        np.testing.assert_allclose(eff.noise_cov, noise_cov, rtol=1e-12)
 
     def test_steeper_outage_decay_than_af(self):
         # Aligned relaying restores the per-hop diversity; its decay rate

@@ -142,6 +142,12 @@ class TestPartitionCommand:
         code, _, err = run(capsys, "partition", "--dim", "2,2,2")
         assert code == 2
 
+    def test_rejects_both_modes(self, capsys):
+        code, out, err = run(capsys, "partition", "--dim", "2,2,2", "--max", "--min-full-div")
+        assert code == 2
+        assert out == ""
+        assert "not allowed with" in err
+
 
 class TestSimulateCommand:
     def test_af_csv_and_manifest(self, tmp_path, capsys):
@@ -198,6 +204,25 @@ class TestSimulateCommand:
         )
         assert code == 0
         assert len(out_csv.read_text().splitlines()) == 3
+
+    @pytest.mark.parametrize(
+        "doc,message",
+        [
+            ({}, "'dim', 'layers' and 'paths'"),
+            ({"dim": [2, 2, 2], "layers": [[[0, 1]], [[0], [1]], [[0, 1]]], "paths": [[0, 5, 0]]},
+             "supernode 5 of layer 1, which has 2"),
+        ],
+    )
+    def test_malformed_partition_file(self, doc, message, tmp_path, capsys):
+        part_file = tmp_path / "p.json"
+        part_file.write_text(json.dumps(doc))
+        code, out, err = run(
+            capsys, "simulate", "--dim", "2,2,2", "--scheme", "ff", "--rate", "2",
+            "--snr", "10:2:12", "--trials", "1000", "--partition", str(part_file),
+        )
+        assert code == 2
+        assert out == ""
+        assert message in err
 
     @pytest.mark.parametrize("scheme", ["pf", "svd-align", "parallel-af"])
     def test_other_schemes_parse_and_run(self, scheme, capsys):

@@ -1,9 +1,13 @@
 import itertools
+import json
 import math
 import warnings
 
 import networkx as nx
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from oracles import bottleneck_full_diversity, search_min_full_diversity_partition
 
 from relaydmt.dmt_core import cutset_bound, dmt_rp
 from relaydmt.partition import (
@@ -18,7 +22,6 @@ from relaydmt.partition import (
     nonind_partition_diversity,
     partition_from_json,
     partition_to_json,
-    search_min_full_diversity_partition,
     singleton_path,
 )
 
@@ -29,6 +32,31 @@ def full_node(layer, n):
 
 def trivial_partition(counts):
     return Partition((AfPath(tuple(full_node(i, n) for i, n in enumerate(counts))),))
+
+
+@st.composite
+def independent_partitions(draw):
+    """A dimension of up to 4 antennas over 1-2 hops or 3 over 3 hops, and
+    an independent partition of it on a random supernode structure."""
+    hops = draw(st.integers(1, 3))
+    counts = tuple(draw(st.integers(1, 4 if hops < 3 else 3)) for _ in range(hops + 1))
+    layers = []
+    for layer, n in enumerate(counts):
+        # Antenna a joins one of the groups 0..a: every set partition is reachable.
+        groups = {}
+        for a in range(n):
+            groups.setdefault(draw(st.integers(0, a)), set()).add(a)
+        layers.append([Supernode(layer, frozenset(g)) for g in groups.values()])
+    chains = list(itertools.product(*layers))
+    order = draw(st.permutations(range(len(chains))))
+    wanted = draw(st.integers(1, len(chains)))
+    paths, used = [], set()
+    for j in order[:wanted]:
+        ends = {(h, chains[j][h], chains[j][h + 1]) for h in range(hops)}
+        if not ends & used:
+            used |= ends
+            paths.append(AfPath(chains[j]))
+    return counts, Partition(tuple(paths))
 
 
 class TestIndependence:
@@ -95,13 +123,20 @@ class TestFullDiversity:
             is_full_diversity((2, 2, 2), Partition((path, path)))
 
     def test_agrees_with_diversity_sum(self, dims_to_3_3):
-        # The structural conditions and the per-path diversity sum must
-        # be the same predicate on independent partitions.
+        # The per-path diversity sum and the paper's bottleneck criterion
+        # must be the same predicate on independent partitions.
         for counts in dims_to_3_3:
             p = max_partition(counts)
-            d_max = int(cutset_bound(counts).d_max)
-            total = sum(int(dmt_rp(path.widths).d_max) for path in p.paths)
-            assert is_full_diversity(counts, p) == (total == d_max), counts
+            assert is_full_diversity(counts, p) == bottleneck_full_diversity(counts, p), counts
+
+    @settings(max_examples=400, deadline=None, derandomize=True)
+    @given(case=independent_partitions())
+    @example(case=((2, 4, 3), min_full_div_partition_2hop(2, 4, 3)[1]))
+    @example(case=((1, 2, 2, 1), Partition((singleton_path((0, 0, 0, 0)),))))
+    def test_agrees_with_bottleneck_oracle_on_random_partitions(self, case):
+        counts, p = case
+        assert is_independent(counts, p)
+        assert is_full_diversity(counts, p) == bottleneck_full_diversity(counts, p)
 
     def test_uncovered_bottleneck_layer_is_not_full_diversity(self):
         # A single narrow path leaves relay antennas unused: the count
@@ -339,3 +374,31 @@ class TestJsonRoundTrip:
         _, p = min_full_div_partition_2hop(2, 4, 3)
         dim2, p2 = partition_from_json(partition_to_json((2, 4, 3), p))
         assert p2.path_dims() == ((2, 2, 3), (2, 2, 3))
+
+    def test_missing_keys_rejected(self):
+        for text in ["{}", '{"dim": [2, 2, 2], "layers": []}', "[]"]:
+            with pytest.raises(ValueError, match="'dim', 'layers' and 'paths'"):
+                partition_from_json(text)
+
+    @pytest.mark.parametrize("ref", [5, 2, -1, "0"])
+    def test_unknown_supernode_rejected(self, ref):
+        doc = json.loads(partition_to_json((2, 2, 2), max_partition((2, 2, 2))))
+        doc["paths"][0][1] = ref
+        with pytest.raises(ValueError, match="refers to supernode .* of layer 1, which has 2"):
+            partition_from_json(json.dumps(doc))
+
+    @pytest.mark.parametrize(
+        "field,value",
+        [("dim", 5), ("layers", [[["a"]], [[0], [1]], [[0, 1]]]), ("paths", 3), ("paths", [7])],
+    )
+    def test_wrong_json_types_rejected(self, field, value):
+        doc = json.loads(partition_to_json((2, 2, 2), max_partition((2, 2, 2))))
+        doc[field] = value
+        with pytest.raises(ValueError, match="malformed partition document"):
+            partition_from_json(json.dumps(doc))
+
+    def test_path_longer_than_the_layers_rejected(self):
+        doc = json.loads(partition_to_json((2, 2, 2), max_partition((2, 2, 2))))
+        doc["paths"][0].append(0)
+        with pytest.raises(ValueError, match="of layer 3, which has 0"):
+            partition_from_json(json.dumps(doc))

@@ -1,7 +1,8 @@
 import pytest
+from oracles import cross_check, split_values
 
 from relaydmt.dmt_core import as_dimension, dmt_rp
-from relaydmt.recursion import cross_check, dmt_recursive, split_values
+from relaydmt.recursion import dmt_recursive
 
 
 class TestRecursiveValues:

@@ -1,13 +1,8 @@
 import pytest
+from oracles import interval_boundaries
 
 from relaydmt.dmt_core import as_dimension, coeffs, dmt_rp
-from relaydmt.reduction import (
-    analyze,
-    can_reduce,
-    equivalent,
-    interval_boundaries,
-    practical_vertical_reduction,
-)
+from relaydmt.reduction import analyze, can_reduce, equivalent, practical_vertical_reduction
 
 
 class TestCanReduce:

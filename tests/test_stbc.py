@@ -3,6 +3,7 @@ import math
 
 import numpy as np
 import pytest
+from oracles import ml_decode, sample_channel
 
 from relaydmt import stbc
 from relaydmt.channel_sim import (
@@ -13,7 +14,6 @@ from relaydmt.channel_sim import (
     default_ff_scheme,
     ff_effective,
     sample_block,
-    sample_channel,
 )
 from relaydmt.dmt_core import DecodeSet
 from relaydmt.stbc import (
@@ -22,7 +22,6 @@ from relaydmt.stbc import (
     alamouti,
     codebook_to_json,
     golden,
-    ml_decode,
     simulate_ser,
     verify_nvd,
 )
