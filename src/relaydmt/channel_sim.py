@@ -33,6 +33,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import operator
 import platform
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager
@@ -225,7 +226,10 @@ def default_ff_scheme(dim: DimensionLike) -> FfScheme:
 
 
 def _block_rng(seed: int, block_index: int) -> np.random.Generator:
-    key = np.array([seed & 0xFFFFFFFFFFFFFFFF, block_index], dtype=np.uint64)
+    # Philox keys are 64-bit words; a seed outside them would alias one inside.
+    if not 0 <= operator.index(seed) < 2**64:
+        raise ValueError(f"seed must be an integer in 0..2**64-1, got {seed}")
+    key = np.array([seed, block_index], dtype=np.uint64)
     return np.random.Generator(np.random.Philox(key=key))
 
 

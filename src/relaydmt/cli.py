@@ -25,25 +25,59 @@ from .dmt_core import DecodeSet, as_dimension
 
 SEED_ENV_VAR = "RELAYDMT_SEED"
 
-# The constructor of each simulated scheme from the parsed arguments and the dimension.
+# Each --scheme: the options it reads beyond those every run reads, and its
+# constructor from the parsed arguments and the dimension.  An option in the
+# table that the chosen scheme does not read is refused (``_refuse_unread``).
+_OUTAGE = ("rate", "rate_policy")
+_CODED = ("code", "qam")
 _SCHEMES = {
-    "af": lambda args, dim: channel_sim.AfScheme(),
-    "pf": lambda args, dim: channel_sim.PfScheme(),
-    "df": lambda args, dim: channel_sim.DfScheme(_parse_decode(args.decode, dim)),
-    "parallel-af": lambda args, dim: channel_sim.ParallelAfScheme(_partition(args, dim)),
-    "ff": lambda args, dim: channel_sim.FfScheme(partition.ff_schedule(dim, _partition(args, dim))),
-    "svd-align": lambda args, dim: channel_sim.SvdAlignScheme(),
-    "coded-af": lambda args, dim: channel_sim.AfScheme(),
-    "coded-ff": lambda args, dim: channel_sim.FfScheme(partition.ff_schedule(dim, _partition(args, dim))),
+    "af": (_OUTAGE, lambda args, dim: channel_sim.AfScheme()),
+    "pf": (_OUTAGE, lambda args, dim: channel_sim.PfScheme()),
+    "df": (_OUTAGE + ("decode",), lambda args, dim: channel_sim.DfScheme(
+        _parse_decode(_required(args, "decode", "the df scheme"), dim))),
+    "parallel-af": (_OUTAGE + ("partition",),
+                    lambda args, dim: channel_sim.ParallelAfScheme(_partition(args, dim))),
+    "ff": (_OUTAGE + ("partition",), lambda args, dim: _ff_scheme(args, dim)),
+    "svd-align": (_OUTAGE, lambda args, dim: channel_sim.SvdAlignScheme()),
+    "coded-af": (_CODED, lambda args, dim: channel_sim.AfScheme()),
+    "coded-ff": (_CODED + ("partition",), lambda args, dim: _ff_scheme(args, dim)),
 }
-_PARTITION_SCHEMES = ("parallel-af", "ff", "coded-ff")
-_CURVES = ("rp", "cutset", "df", "serial", "ff-bound", "parallel-af")
-# The option each curve reads; no other curve accepts it.
-_CURVE_OPTIONS = {"serial": "decode", "ff-bound": "k_modes", "parallel-af": "paths"}
+# Each dmt --curve: the options it reads, and the curve of the dimension.
+_CURVES = {
+    "rp": ((), lambda args, dim: dmt_core.dmt_rp(dim)),
+    "cutset": ((), lambda args, dim: dmt_core.cutset_bound(dim)),
+    "df": ((), lambda args, dim: dmt_core.dmt_serial_partition(
+        dim, DecodeSet(tuple(range(1, dim.hops + 1))))),
+    "serial": (("decode",), lambda args, dim: dmt_core.dmt_serial_partition(
+        dim, _parse_decode(_required(args, "decode", "the serial curve"), dim))),
+    "ff-bound": (("k_modes",), lambda args, dim: dmt_core.dmt_ff_lower_bound(dim, _k_modes(args))),
+    "parallel-af": (("paths",), lambda args, dim: dmt_core.dmt_parallel_af(
+        dim, [_parse_dim(p) for p in args.paths.split(";")] if args.paths else [dim])),
+}
 
 
 class UsageError(Exception):
     pass
+
+
+def _required(args, option: str, user: str):
+    """The value of ``option``, without which ``user`` cannot run."""
+    value = getattr(args, option)
+    if value is None:
+        raise UsageError(f"--{option.replace('_', '-')} is required for {user}")
+    return value
+
+
+def _refuse_unread(args, table: dict, chosen: list[str]) -> None:
+    """Refuse every option of ``table`` that is set but read by none of ``chosen``."""
+    read = {option for name in chosen for option in table[name][0]}
+    unread = [
+        "--" + option.replace("_", "-")
+        for option in dict.fromkeys(o for options, _ in table.values() for o in options)
+        if option not in read and getattr(args, option) is not None
+    ]
+    if unread:
+        raise UsageError(f"{', '.join(unread)} not read by {', '.join(chosen)}")
 
 
 def _parse_dim(text: str):
@@ -68,8 +102,8 @@ def _parse_grid(text: str) -> list[float]:
         start, step, stop = (float(tok) for tok in text.split(":"))
     except ValueError:
         raise UsageError(f"SNR grid must be start:step:stop, got {text!r}") from None
-    if step <= 0 or stop < start:
-        raise UsageError("SNR grid must be strictly increasing")
+    if not (math.isfinite(start) and math.isfinite(stop) and 0 < step < math.inf and start <= stop):
+        raise UsageError(f"SNR grid must be finite and increasing, got {text!r}")
     grid = []
     value = start
     while value <= stop + 1e-9:
@@ -106,32 +140,12 @@ def _output(path: str | None):
 def cmd_dmt(args) -> int:
     dim = _parse_dim(args.dim)
     names = [name.strip() for name in args.curve.split(",")]
-    for curve, option in _CURVE_OPTIONS.items():
-        if getattr(args, option) is not None and curve not in names:
-            raise UsageError(f"--{option.replace('_', '-')} applies only to the {curve} curve")
+    if not set(names) <= set(_CURVES) or len(set(names)) < len(names):
+        raise UsageError(f"--curve takes distinct names from {', '.join(_CURVES)}, got {args.curve!r}")
+    _refuse_unread(args, _CURVES, names)
     rows = []
     for name in names:
-        if name not in _CURVES:
-            raise UsageError(f"unknown curve {name!r} (choose from {', '.join(_CURVES)})")
-        if name == "rp":
-            curve = dmt_core.dmt_rp(dim)
-        elif name == "cutset":
-            curve = dmt_core.cutset_bound(dim)
-        elif name == "df":
-            curve = dmt_core.dmt_serial_partition(dim, DecodeSet(tuple(range(1, dim.hops + 1))))
-        elif name == "serial":
-            if not args.decode:
-                raise UsageError("--decode is required for the serial curve")
-            curve = dmt_core.dmt_serial_partition(dim, _parse_decode(args.decode, dim))
-        elif name == "ff-bound":
-            if args.k_modes is None:
-                raise UsageError("--k-modes is required for the ff-bound curve")
-            if args.k_modes < 1:
-                raise UsageError(f"--k-modes must be at least 1, got {args.k_modes}")
-            curve = dmt_core.dmt_ff_lower_bound(dim, args.k_modes)
-        else:  # parallel-af
-            dims = [_parse_dim(p) for p in args.paths.split(";")] if args.paths else [dim]
-            curve = dmt_core.dmt_parallel_af(dim, dims)
+        curve = _CURVES[name][1](args, dim)
         for r, d in curve.vertices:
             rows.append((name, _fmt(r), _fmt(d)))
         if curve.partial:
@@ -194,14 +208,23 @@ def _partition(args, dim):
         return part
     if dim.hops == 2:
         return partition.min_full_div_partition_2hop(*dim.counts)[1]
-    raise UsageError(
-        f"scheme {args.scheme!r} needs --partition for channels with more than two hops"
-    )
+    raise UsageError(f"scheme {args.scheme!r} needs --partition for channels with more than two hops")
+
+
+def _ff_scheme(args, dim):
+    return channel_sim.FfScheme(partition.ff_schedule(dim, _partition(args, dim)))
+
+
+def _k_modes(args) -> int:
+    k_modes = _required(args, "k_modes", "the ff-bound curve")
+    if k_modes < 1:
+        raise UsageError(f"--k-modes must be at least 1, got {k_modes}")
+    return k_modes
 
 
 def _build_codebook(args):
-    q = stbc.QamAlphabet.qam(args.qam)
-    if args.code == "alamouti":
+    q = stbc.QamAlphabet.qam(args.qam or 4)
+    if args.code in (None, "alamouti"):
         return stbc.alamouti(q)
     return stbc.golden(q, m=1 if args.code == "parallel-golden" else 0)
 
@@ -212,40 +235,27 @@ def cmd_simulate(args) -> int:
     trials = _parse_trials(args.trials)
     if args.workers < 1:
         raise UsageError("--workers must be at least 1")
-    if args.rate is not None and not math.isfinite(args.rate):
-        raise UsageError(f"--rate must be finite, got {args.rate}")
-    coded = args.scheme.startswith("coded-")
-    if args.decode is not None and args.scheme != "df":
-        raise UsageError(f"--decode applies only to the df scheme, not {args.scheme!r}")
-    if coded and args.rate_policy == "multiplexing":
-        raise UsageError("--rate-policy multiplexing does not apply to coded schemes")
+    _refuse_unread(args, _SCHEMES, [args.scheme])
     seed = args.seed
     if seed is None:
         env = os.environ.get(SEED_ENV_VAR)
         seed = int(env) if env else 0
-    if args.partition is not None and args.scheme not in _PARTITION_SCHEMES:
-        raise UsageError(
-            f"--partition applies only to {', '.join(_PARTITION_SCHEMES)}, not {args.scheme!r}"
-        )
-    if args.scheme == "df" and not args.decode:
-        raise UsageError("--decode is required for the df scheme")
-    scheme = _SCHEMES[args.scheme](args, dim)
+    scheme = _SCHEMES[args.scheme][1](args, dim)
+    coded = "code" in _SCHEMES[args.scheme][0]
     if coded:
-        if args.rate is not None:
-            raise UsageError("--rate does not apply to coded schemes; the code sets the rate")
         cb = _build_codebook(args)
         points = stbc.simulate_ser(dim, scheme, cb, grid, trials, seed, workers=args.workers)
         rate = points[0].rate_bpcu
         extra = {"code": cb.describe()}
     else:
-        if args.rate is None:
-            raise UsageError("--rate is required for outage simulations")
-        rate = args.rate
+        rate = _required(args, "rate", "outage simulations")
+        if not math.isfinite(rate):
+            raise UsageError(f"--rate must be finite, got {rate}")
+        policy = args.rate_policy or "fixed"
         points = channel_sim.outage_curve(
-            dim, scheme, rate, grid, trials, seed,
-            workers=args.workers, rate_policy=args.rate_policy,
+            dim, scheme, rate, grid, trials, seed, workers=args.workers, rate_policy=policy,
         )
-        extra = {"rate_policy": args.rate_policy}
+        extra = {"rate_policy": policy}
     with _output(args.output) as out:
         channel_sim.write_outage_csv(points, out)
     manifest = channel_sim.run_manifest(
@@ -262,14 +272,13 @@ def cmd_simulate(args) -> int:
     manifest_path = args.manifest
     if manifest_path is None and args.output not in (None, "-"):
         manifest_path = args.output + ".manifest.json"
+    text = json.dumps(manifest, indent=2, sort_keys=True) + "\n"
     if manifest_path:
         with open(manifest_path, "w") as fh:
-            json.dump(manifest, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+            fh.write(text)
     else:
         # CSV owns stdout; the reproducibility record goes to stderr.
-        json.dump(manifest, sys.stderr, indent=2, sort_keys=True)
-        sys.stderr.write("\n")
+        sys.stderr.write(text)
     return 0
 
 
@@ -310,18 +319,18 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim.add_argument("--dim", required=True)
     p_sim.add_argument("--scheme", required=True, choices=_SCHEMES)
     p_sim.add_argument("--rate", type=float, help="target rate (bits/use), or r under --rate-policy multiplexing")
-    p_sim.add_argument("--rate-policy", choices=("fixed", "multiplexing"), default="fixed")
+    p_sim.add_argument("--rate-policy", choices=("fixed", "multiplexing"), help="outage schemes (default fixed)")
     p_sim.add_argument("--snr", required=True, help="dB grid start:step:stop")
     p_sim.add_argument("--trials", default="1e5", help="trials per point (accepts 1e6)")
     p_sim.add_argument("--seed", type=int, help=f"RNG seed (default ${SEED_ENV_VAR} or 0)")
     p_sim.add_argument("--workers", type=int, default=1)
     p_sim.add_argument("--decode", help="decode layers for the df scheme")
-    p_sim.add_argument("--partition", help="partition JSON file for ff / parallel-af")
+    p_sim.add_argument("--partition", help="partition JSON file for parallel-af, ff and coded-ff")
     p_sim.add_argument(
-        "--code", default="alamouti", choices=("alamouti", "golden", "parallel-golden"),
-        help="space-time code for the coded schemes",
+        "--code", choices=("alamouti", "golden", "parallel-golden"),
+        help="space-time code for the coded schemes (default alamouti)",
     )
-    p_sim.add_argument("--qam", type=int, default=4, choices=(4, 16))
+    p_sim.add_argument("--qam", type=int, choices=(4, 16), help="coded schemes (default 4)")
     p_sim.add_argument("--output", help="CSV output (default stdout)")
     p_sim.add_argument("--manifest", help="manifest path (default <output>.manifest.json)")
     p_sim.set_defaults(func=cmd_simulate)
@@ -336,10 +345,7 @@ def main(argv: list[str] | None = None) -> int:
         return 2 if exc.code not in (0, None) else 0
     try:
         return args.func(args)
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (ValueError, OSError) as exc:
+    except (UsageError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except np.linalg.LinAlgError as exc:

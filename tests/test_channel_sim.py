@@ -92,6 +92,24 @@ class TestSampling:
         single = sample_channel((2, 3, 2), seed=4, index=17)
         assert all(np.array_equal(s[17], h) for s, h in zip(stacked.hops, single.hops))
 
+    @pytest.mark.parametrize("seed", [0, 7, 2**63, 2**64 - 1])
+    def test_seed_is_the_philox_key(self, seed):
+        """Block ``b`` of a seed in 0..2**64-1 is the Philox stream keyed ``(seed, b)``."""
+        rng = np.random.Generator(np.random.Philox(key=np.array([seed, 5], dtype=np.uint64)))
+        expected = rng.standard_normal((16, 1, 1, 2)).view(complex)[..., 0] / np.sqrt(2.0)
+        assert np.array_equal(sample_block((1, 1), seed, 5, count=16).hops[0], expected)
+
+    @pytest.mark.parametrize("seed", [-1, 2**64, -(2**64), 2**65 + 7])
+    def test_seed_outside_64_bits_rejected(self, seed):
+        with pytest.raises(ValueError, match="seed must be an integer in 0..2\\*\\*64-1"):
+            sample_block((1, 1), seed, 0, count=4)
+        with pytest.raises(ValueError, match="seed must be"):
+            estimate_outage((1, 1), AfScheme(), 1.0, 10.0, 4, seed=seed)
+
+    def test_non_integer_seed_rejected(self):
+        with pytest.raises(TypeError):
+            sample_block((1, 1), 1.5, 0, count=4)
+
 
 class TestAfEffective:
     def test_scalar_chain_hand_values(self):

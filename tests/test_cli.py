@@ -1,9 +1,19 @@
+import argparse
+import contextlib
 import hashlib
+import io
 import json
+import os
+import re
+import shutil
+from unittest import mock
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
-from relaydmt.cli import main
+from relaydmt import partition
+from relaydmt.cli import SEED_ENV_VAR, build_parser, main
 
 
 def run(capsys, *argv):
@@ -90,6 +100,14 @@ class TestDmtCommand:
         )
         assert code == 2 and out == ""
         assert message in err
+
+    @pytest.mark.parametrize("curves", ["rp,rp", "rp,cutset,rp", "serial, serial"])
+    def test_duplicate_curves_rejected(self, curves, capsys):
+        code, out, err = run(
+            capsys, "dmt", "--dim", "2,2,2", "--curve", curves, "--decode", "1", "--format", "json"
+        )
+        assert code == 2 and out == ""
+        assert "--curve takes distinct names" in err
 
     def test_options_accepted_with_their_curves(self, capsys):
         code, out, _ = run(
@@ -300,6 +318,49 @@ class TestSimulateCommand:
         assert code == 2 and out == ""
         assert "--rate-policy" in err
 
+    @pytest.mark.parametrize("scheme", ["coded-af", "coded-ff"])
+    def test_fixed_rate_policy_rejected_for_coded_schemes(self, scheme, capsys):
+        code, out, err = run(
+            capsys, "simulate", "--dim", "2,2,2", "--scheme", scheme,
+            "--rate-policy", "fixed", "--snr", "10:4:14", "--trials", "100",
+        )
+        assert code == 2 and out == ""
+        assert f"--rate-policy not read by {scheme}" in err
+
+    @pytest.mark.parametrize("scheme", ["af", "pf", "ff", "svd-align", "parallel-af"])
+    @pytest.mark.parametrize("option,value", [("--qam", "16"), ("--qam", "4"), ("--code", "golden")])
+    def test_coded_options_rejected_for_outage_schemes(self, scheme, option, value, capsys):
+        code, out, err = run(
+            capsys, "simulate", "--dim", "2,2,2", "--scheme", scheme, "--rate", "2",
+            "--snr", "10:4:14", "--trials", "100", option, value,
+        )
+        assert code == 2 and out == ""
+        assert f"{option} not read by {scheme}" in err
+
+    def test_every_unread_option_named(self, capsys):
+        code, out, err = run(
+            capsys, "simulate", "--dim", "2,2,2", "--scheme", "coded-af", "--rate", "2",
+            "--decode", "1", "--snr", "10:4:14", "--trials", "100",
+        )
+        assert code == 2 and out == ""
+        assert "--rate, --decode not read by coded-af" in err
+
+    def test_coded_defaults_are_alamouti_and_4qam(self, tmp_path, capsys):
+        """Omitting --code and --qam is the same run as naming alamouti and 4-QAM."""
+        outputs = []
+        for extra in ([], ["--code", "alamouti", "--qam", "4"]):
+            out_csv = tmp_path / f"{len(extra)}.csv"
+            code, _, _ = run(
+                capsys, "simulate", "--dim", "2,2", "--scheme", "coded-af", "--snr", "10:4:14",
+                "--trials", "256", "--seed", "3", "--output", str(out_csv), *extra,
+            )
+            manifest = tmp_path / f"{out_csv.name}.manifest.json"
+            outputs.append((code, out_csv.read_bytes(), manifest.read_bytes()))
+        assert outputs[0] == outputs[1] and outputs[0][0] == 0
+        assert json.loads(outputs[0][2])["code"] == {
+            "code": "alamouti", "k_sub": 1, "n_t": 2, "time_span": 2, "qam": 4
+        }
+
     def test_unknown_code_rejected(self, capsys):
         code, out, err = run(
             capsys, "simulate", "--dim", "2,2", "--scheme", "coded-af", "--code", "stacked-golden",
@@ -314,6 +375,18 @@ class TestSimulateCommand:
             "--snr", "20:-2:10", "--trials", "100",
         )
         assert code == 2
+
+    @pytest.mark.parametrize("grid", ["nan:1:3", "0:nan:3", "0:1:nan", "-inf:1:0", "0:1:inf", "0:inf:3"])
+    @pytest.mark.parametrize("scheme", ["af", "coded-af"])
+    def test_non_finite_grid_rejected(self, grid, scheme, capsys):
+        # A nan bound compares false and an infinite one is never reached.
+        rate = ["--rate", "1"] if scheme == "af" else []
+        code, out, err = run(
+            capsys, "simulate", "--dim", "2,2", "--scheme", scheme, *rate,
+            f"--snr={grid}", "--trials", "100",
+        )
+        assert code == 2 and out == ""
+        assert "SNR grid must be finite and increasing" in err
 
     @pytest.mark.parametrize("workers", ["0", "-2"])
     def test_workers_below_one_rejected(self, workers, capsys):
@@ -368,6 +441,27 @@ class TestSimulateCommand:
             assert code == 0
         assert a.read_bytes() == b.read_bytes()
 
+    @pytest.mark.parametrize("seed", ["18446744073709551616", "-18446744073709551616", "-1"])
+    def test_seed_outside_64_bits_rejected(self, seed, capsys, monkeypatch):
+        # Philox keys are 64-bit words; a wider seed would alias one inside.
+        argv = ["simulate", "--dim", "2,2", "--scheme", "af", "--rate", "1",
+                "--snr", "10:2:12", "--trials", "100"]
+        code, out, err = run(capsys, *argv, "--seed", seed)
+        assert code == 2 and out == ""
+        assert "seed must be an integer in 0..2**64-1" in err
+        monkeypatch.setenv("RELAYDMT_SEED", seed)
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == ""
+        assert "seed must be an integer in 0..2**64-1" in err
+
+    def test_largest_seed_accepted(self, capsys):
+        code, out, err = run(
+            capsys, "simulate", "--dim", "2,2", "--scheme", "af", "--rate", "1",
+            "--snr", "10:2:12", "--trials", "100", "--seed", "18446744073709551615",
+        )
+        assert code == 0
+        assert json.loads(err)["seed"] == 2**64 - 1
+
 
 # sha256 of the `simulate --seed 7 --trials 8192` CSV, one run per scheme.
 # The digests depend on the installed numpy's `Generator` streams (numpy
@@ -415,3 +509,175 @@ def test_fixed_seed_csv_digest(scheme, tmp_path, capsys):
     )
     assert code == 0
     assert hashlib.sha256(out_csv.read_bytes()).hexdigest() == digest
+
+
+# --------------------------------------------------------------------------
+# Every accepted option is honoured
+# --------------------------------------------------------------------------
+#
+# The property builds argv for every subcommand from `build_parser()`'s
+# actions: an option's choices, or values of its type, with malformed and
+# out-of-range strings mixed in.  An option the parser types only as a
+# string takes its values from `_STRING_VALUES`, so a new string option
+# without an entry there fails the property.  Valid grids have one point
+# and valid trial counts are at most 3, so a command takes milliseconds.
+
+# Options whose value may leave every output byte unchanged, and why.
+_EXEMPT = {
+    "output": "it says where the CSV or JSON goes, not what it holds",
+    "manifest": "it says where the manifest goes, not what it holds",
+    "workers": "a run's results are the same for every worker count by design",
+}
+# Each option's valid values, then its malformed ones.  The dimensions are
+# multi-hop: on one hop AF already meets the cut-set bound, so every FF mode
+# count gives the same curve, a fact of the channel, not an ignored option.
+_STRING_VALUES = {
+    "dim": (("2,2,2", "2,4,3", "3,1,4,2"), ("2,x", "0,2", "")),
+    "curve": (
+        ("rp", "cutset", "df", "serial", "ff-bound", "parallel-af", "rp,ff-bound", "serial,df"),
+        ("rp,rp", "warp"),
+    ),
+    "decode": (("2", "1,2", "3", "2,3"), ("0", "x")),
+    "paths": (("1,1,1", "1,1,1;1,1,1", "1,2,1;1,1,1"), ("5,5,5", "1;x")),
+    "snr": (("10:1:10", "14:1:14"), ("nan:1:3", "-inf:1:0", "0:1:inf", "20:-2:10", "1:2")),
+    "trials": (("1", "3"), ("2.5", "0", "x")),
+    "partition": (("min-2,2,2.json", "max-2,2,2.json", "max-2,4,3.json"),
+                  ("empty.json", "missing.json")),
+    "output": (("-", "out.txt"), ()),
+    "manifest": (("manifest.json",), ()),
+}
+_TYPED_VALUES = {
+    int: (("1", "2", "3"), ("0", "-1", str(2**64), "x")),
+    float: (("0.5", "2", "-1"), ("nan", "inf", "x")),
+}
+
+
+def _option_values(action, dirs) -> tuple[list[str], list[str]]:
+    """The valid and the malformed values of one option, as argv strings."""
+    if action.choices is not None:
+        return [str(c) for c in action.choices], ["bogus"]
+    valid, bad = _TYPED_VALUES[action.type] if action.type else _STRING_VALUES[action.dest]
+    folder = {"partition": dirs[0], "output": dirs[1], "manifest": dirs[1]}.get(action.dest)
+    if folder is not None:
+        valid, bad = ([v if v == "-" else str(folder / v) for v in vs] for vs in (valid, bad))
+    return list(valid), list(bad)
+
+
+def _subcommands() -> dict:
+    parser = build_parser()
+    return next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction)).choices
+
+
+def _slots(dirs) -> dict:
+    """Per subcommand, ``{key: (flags, required, valid, malformed)}``; values are argv lists.
+
+    A mutually exclusive group of flags is one slot whose values are its flags.
+    """
+    slots = {}
+    for command, sub in _subcommands().items():
+        slots[command] = {}
+        grouped = set()
+        for group in sub._mutually_exclusive_groups:
+            flags = [a.option_strings[0] for a in group._group_actions]
+            assert all(a.nargs == 0 for a in group._group_actions), "extend the property"
+            slots[command]["/".join(flags)] = (flags, group.required, [[f] for f in flags], [flags])
+            grouped.update(group._group_actions)
+        for action in sub._actions:
+            if isinstance(action, argparse._HelpAction) or action in grouped:
+                continue
+            valid, bad = _option_values(action, dirs)
+            flag = action.option_strings[0]
+            slots[command][action.dest] = (
+                [flag], action.required, [[f"{flag}={v}"] for v in valid], [[f"{flag}={v}"] for v in bad]
+            )
+    return slots
+
+
+def _argv(command, chosen) -> list[str]:
+    return [command] + [token for tokens in chosen.values() for token in tokens]
+
+
+def _run_in(run_dir, argv):
+    """Exit code, output bytes (stdout, the manifest on stderr, written files) and stderr."""
+    shutil.rmtree(run_dir, ignore_errors=True)
+    run_dir.mkdir()
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert code in (0, 2, 3), (argv, code)
+    files = tuple((p.name, p.read_bytes()) for p in sorted(run_dir.iterdir()))
+    return code, (out.getvalue(), err.getvalue() if code == 0 else "", files), err.getvalue()
+
+
+@pytest.fixture(scope="module")
+def cli_slots(tmp_path_factory):
+    """The slots of every subcommand, and the folder each command runs in.
+
+    ``--partition`` values are files of a folder holding partitions of two
+    dimensions and one empty document.
+    """
+    parts = tmp_path_factory.mktemp("partitions")
+    for counts in ((2, 2, 2), (2, 4, 3)):
+        name = ",".join(map(str, counts))
+        (parts / f"max-{name}.json").write_text(
+            partition.partition_to_json(counts, partition.max_partition(counts))
+        )
+    min_222 = partition.min_full_div_partition_2hop(2, 2, 2)[1]
+    (parts / "min-2,2,2.json").write_text(partition.partition_to_json((2, 2, 2), min_222))
+    (parts / "empty.json").write_text("{}")
+    run_dir = tmp_path_factory.mktemp("run") / "out"
+    return _slots((parts, run_dir)), run_dir
+
+
+@pytest.mark.parametrize("command", sorted(_subcommands()))
+@settings(max_examples=40, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(rng=st.randoms(use_true_random=False))
+def test_every_accepted_option_is_honoured(command, cli_slots, rng):
+    """Exit 0, 2 or 3; an accepted command is repeatable, and each option it names matters.
+
+    A command draws each optional option with probability 1/3 and a
+    malformed value with probability 1/6.  One that exits 2 is repaired a
+    few times toward one that is accepted: each option its error names is
+    dropped if optional and drawn again if not, and an error naming none
+    does the same to one drawn option.  For each option of an accepted
+    command, other than those in `_EXEMPT`, some other valid value must
+    change the output bytes or exit 2; an option that no value moves is
+    ignored.  Not every value need move it: with `--paths`, the
+    parallel-af curve reads the dimension only to check that the paths fit.
+    """
+    slots, run_dir = cli_slots[0][command], cli_slots[1]
+    by_flag = {flag: key for key, (flags, *_) in slots.items() for flag in flags}
+    # --trials is always given: a run of the default 10^5 trials takes seconds.
+    kept = {key for key, (_, required, *_) in slots.items() if required or key == "trials"}
+
+    def value(key, malformed_ok=True):
+        _, _, valid, bad = slots[key]
+        return rng.choice(bad if malformed_ok and bad and rng.random() < 1 / 6 else valid)
+
+    chosen = {key: value(key) for key in slots if key in kept or rng.random() < 1 / 3}
+    with mock.patch.dict(os.environ):
+        os.environ.pop(SEED_ENV_VAR, None)
+        for _ in range(6):
+            code, output, err = _run_in(run_dir, _argv(command, chosen))
+            if code != 2:
+                break
+            named = {by_flag[f] for f in re.findall(r"--[a-z][a-z-]*", err) if f in by_flag}
+            for key in named or [rng.choice(sorted(chosen))]:
+                if key in chosen and key not in kept:
+                    del chosen[key]
+                else:
+                    chosen[key] = value(key, malformed_ok=False)
+        if code != 0:
+            return
+        assert _run_in(run_dir, _argv(command, chosen))[:2] == (0, output)
+        for key in chosen:
+            if key in _EXEMPT:
+                continue
+            others = [v for v in slots[key][2] if v != chosen[key]]
+            assert any(
+                changed_code == 2 or changed != output
+                for changed_code, changed, _ in (
+                    _run_in(run_dir, _argv(command, {**chosen, key: v})) for v in others
+                )
+            ), f"no other value of {key} changes the output of {' '.join(_argv(command, chosen))}"
