@@ -63,9 +63,7 @@ from .channel_sim import (
     ff_effective,
     mutual_info,
     outage_curve,
-    parallel_af_effective,
     pf_effective,
-    svd_align_effective,
 )
 from .stbc import Codebook, QamAlphabet, alamouti, golden, simulate_ser, verify_nvd
 

@@ -7,10 +7,11 @@ noise covariance ``K_z`` (the destination's own noise contributes an
 identity, so ``K_z`` always has eigenvalues >= 1).  Outage compares the
 Gaussian mutual information of that channel against the target rate.
 
-Every builder states only its hops and diagonal relay operators (AF
-gains from :func:`_normalizer_diag`, flips; PF and svd-align first
-project or rotate the hops); one chain, :func:`_chain_effective`, turns
-them into the gain and noise covariance.
+Only :func:`af_effective` forms a gain and a noise covariance.  Every
+other builder states only its hops: it transforms them without the SNR
+(PF projects them, FF negates the columns after each flipping relay,
+svd-align rotates them, parallel AF selects each path's sub-hops) and
+runs the AF chain over the result.
 
 Every scheme subclasses :class:`Scheme`: ``kind`` names it,
 ``describe()`` gives its manifest entry, ``effectives(real, snr)`` its
@@ -62,9 +63,6 @@ __all__ = [
     "af_effective",
     "pf_effective",
     "ff_effective",
-    "parallel_af_effective",
-    "svd_align_effective",
-    "alignment_rotations",
     "df_outage",
     "mutual_info",
     "estimate_outage",
@@ -184,7 +182,14 @@ class ParallelAfScheme(Scheme):
         return {"kind": self.kind, "path_dims": [list(w) for w in self.partition.path_dims()]}
 
     def effectives(self, real, snr):
-        return parallel_af_effective(real, self.partition, snr)
+        # Each path runs AF on its own antennas: a supernode of m antennas
+        # transmits snr/m per antenna while its path is active.
+        out = []
+        for path in self.partition.paths:
+            idx = [node.sorted_antennas() for node in path.supernodes]
+            hops = tuple(h[..., idx[i + 1], :][..., :, idx[i]] for i, h in enumerate(real.hops))
+            out.append(af_effective(ChannelRealization(Dimension(path.widths), hops), snr))
+        return out
 
 
 @dataclass(frozen=True)
@@ -208,7 +213,10 @@ class SvdAlignScheme(Scheme):
     kind = "svd-align"
 
     def effectives(self, real, snr):
-        return [svd_align_effective(real, snr)]
+        # CSI-aided alignment for symmetric channels: each relay rotates,
+        # then amplifies as in AF; a unitary rotation keeps its noise white.
+        rotated = [_matmul(r, h) for r, h in zip(_alignment_rotations(real), real.hops)]
+        return [af_effective(ChannelRealization(real.dim, (*rotated, real.hops[-1])), snr)]
 
 
 def default_ff_scheme(dim: DimensionLike) -> FfScheme:
@@ -330,53 +338,37 @@ def _logdet(a: np.ndarray) -> np.ndarray:
 # --------------------------------------------------------------------------
 
 
-def _normalizer_diag(hop: np.ndarray, snr: float, n_in: int, n_out: int) -> np.ndarray:
-    """Per-antenna amplify-and-forward gains for one relay layer.
-
-    The relay scales each received component to unit average power
-    (signal power ``snr/n_in`` per transmit antenna plus unit noise) and
-    retransmits at ``snr/n_out`` per antenna.
-    """
-    row_power = (snr / n_in) * np.sum(np.abs(hop) ** 2, axis=-1) + 1.0
-    return np.sqrt((snr / n_out) / row_power)
-
-
 def _hermitian_square(m: np.ndarray) -> np.ndarray:
     """``m @ m^H`` for a batch of matrices."""
     return _matmul(m, m.conj().swapaxes(-1, -2))
 
 
-def _chain_effective(hops: Sequence[np.ndarray], relay_ops: Sequence[np.ndarray]) -> EffectiveChannel:
-    """Gain and noise covariance of ``H_N R_{N-1} ... R_1 H_1``.
+def af_effective(real: ChannelRealization, snr: float) -> EffectiveChannel:
+    """Amplify-and-forward: gain and noise covariance of ``H_N R_{N-1} ... R_1 H_1``.
 
-    ``relay_ops[i]`` is the diagonal of relay layer ``i+1``'s linear
-    operation, given as a vector.  Noise terms are
-    ``M_j = H_N R_{N-1} ... H_{j+1} R_j`` plus the identity for the
-    destination's own noise.
+    Relay ``i`` is ``R_i = diag(s_i)``: it scales each received component
+    to unit average power (signal power ``snr/n_{i-1}`` per transmit
+    antenna plus unit noise) and retransmits at ``snr/n_i`` per antenna.
+    Noise terms are ``M_j = H_N R_{N-1} ... H_{j+1} R_j`` plus the
+    identity for the destination's own noise.
     """
-    n_hops = len(hops)
+    d, hops = real.dim, real.hops
+    scales = []
+    for i in range(1, d.hops):
+        power = (snr / d[i - 1]) * np.sum(np.abs(hops[i - 1]) ** 2, axis=-1) + 1.0
+        scales.append(np.sqrt((snr / d[i]) / power))
     gain = hops[0]
-    for i in range(1, n_hops):
-        gain = _matmul(hops[i], relay_ops[i - 1][..., :, None] * gain)
+    for hop, scale in zip(hops[1:], scales):
+        gain = _matmul(hop, scale[..., :, None] * gain)
     n_out = hops[-1].shape[-2]
     noise_cov = np.zeros_like(gain, dtype=complex, shape=gain.shape[:-2] + (n_out, n_out))
     noise_cov += np.eye(n_out)
     m = None
-    for j in range(n_hops - 1, 0, -1):
+    for j in range(d.hops - 1, 0, -1):
         applied = hops[j] if m is None else _matmul(m, hops[j])
-        m = applied * relay_ops[j - 1][..., None, :]
+        m = applied * scales[j - 1][..., None, :]
         noise_cov += _hermitian_square(m)
     return EffectiveChannel(gain=gain, noise_cov=noise_cov)
-
-
-def _af_diags(real: ChannelRealization, snr: float) -> list[np.ndarray]:
-    d = real.dim
-    return [_normalizer_diag(real.hops[i - 1], snr, d[i - 1], d[i]) for i in range(1, d.hops)]
-
-
-def af_effective(real: ChannelRealization, snr: float) -> EffectiveChannel:
-    """Amplify-and-forward: per-antenna normalization at every relay."""
-    return _chain_effective(real.hops, _af_diags(real, snr))
 
 
 def ff_effective(
@@ -384,18 +376,18 @@ def ff_effective(
 ) -> list[EffectiveChannel]:
     """Per-mode effective channels of the flip-and-forward scheme.
 
-    Flips are unit-modulus, so the amplify normalization is the AF one;
-    mode k combines it with the +-1 pattern of each relay layer.  The
-    scheme's mutual information is the average over modes.
+    Mode k is AF over the hops with the columns of the hop after each
+    relay negated where that relay flips; a +-1 flip has unit modulus,
+    so every AF gain is unchanged.  The scheme's mutual information is
+    the average over modes.
     """
     if sched.dim != real.dim:
         raise ValueError("schedule was built for a different dimension")
-    diags = _af_diags(real, snr)
     out = []
     for mode in range(1, sched.mode_count + 1):
         flips = sched.mode_flips(mode)
-        ops = [d * np.asarray(f, dtype=float) for d, f in zip(diags, flips)]
-        out.append(_chain_effective(real.hops, ops))
+        hops = [h * np.asarray(f, dtype=float) for h, f in zip(real.hops[1:], flips)]
+        out.append(af_effective(ChannelRealization(real.dim, (real.hops[0], *hops)), snr))
     return out
 
 
@@ -405,43 +397,21 @@ def pf_effective(real: ChannelRealization, snr: float) -> EffectiveChannel:
     A relay with more antennas than the incoming rank projects onto the
     incoming column space; its projected hop is the ``R`` of a QR
     factorization, whose orthonormal ``Q`` keeps the noise white.
-    Square or thin relays keep the hop.  Each relay then normalizes its
-    projected hop as in AF and forwards on its first ``new_rank`` antennas.
+    Square or thin relays keep the hop.  The projected chain has
+    dimension ``(n_0, rank_1, ..., rank_{N-1}, n_N)``: each relay
+    forwards on its first ``rank_i`` antennas.
     """
     dim = real.dim
-    rank = dim[0]
-    hops, scales = [], []
+    ranks, hops = [dim[0]], []
     for i in range(1, dim.hops):
-        hop = real.hops[i - 1][..., :, :rank]
-        if dim[i] <= rank:
-            new_rank = dim[i]
-        else:
-            hop = np.linalg.qr(hop)[1]
-            new_rank = rank
-        hops.append(hop)
-        scales.append(_normalizer_diag(hop, snr, rank, new_rank))
-        rank = new_rank
-    hops.append(real.hops[-1][..., :, :rank])
-    return _chain_effective(hops, scales)
+        hop = real.hops[i - 1][..., :, : ranks[-1]]
+        hops.append(np.linalg.qr(hop)[1] if dim[i] > ranks[-1] else hop)
+        ranks.append(hops[-1].shape[-2])
+    hops.append(real.hops[-1][..., :, : ranks[-1]])
+    return af_effective(ChannelRealization(as_dimension(ranks + [dim[-1]]), tuple(hops)), snr)
 
 
-def parallel_af_effective(
-    real: ChannelRealization, p: Partition, snr: float
-) -> list[EffectiveChannel]:
-    """Per-path effective channels; each path runs AF on its own antennas.
-
-    Power is path-local: a supernode of ``m`` antennas transmits
-    ``snr/m`` per antenna while its path is active.
-    """
-    out = []
-    for path in p.paths:
-        idx = [node.sorted_antennas() for node in path.supernodes]
-        sub_hops = tuple(h[..., idx[i + 1], :][..., :, idx[i]] for i, h in enumerate(real.hops))
-        out.append(af_effective(ChannelRealization(Dimension(path.widths), sub_hops), snr))
-    return out
-
-
-def alignment_rotations(real: ChannelRealization) -> list[np.ndarray]:
+def _alignment_rotations(real: ChannelRealization) -> list[np.ndarray]:
     """Per-relay unitary rotations matching adjacent hops' singular directions.
 
     Relay ``i`` maps the incoming hop's left singular basis onto the
@@ -465,22 +435,6 @@ def alignment_rotations(real: ChannelRealization) -> list[np.ndarray]:
     return rotations
 
 
-def svd_align_effective(real: ChannelRealization, snr: float) -> EffectiveChannel:
-    """CSI-aided alignment for symmetric channels.
-
-    Each relay applies its alignment rotation, then the amplify
-    normalization computed from the rotated hop's row powers.  The chain
-    runs AF over the rotated hops: a rotation is unitary, so the relay
-    noise it rotates stays white.
-    """
-    n = real.dim[0]
-    hops, scales = [], []
-    for hop, rotation in zip(real.hops, alignment_rotations(real)):
-        hops.append(_matmul(rotation, hop))
-        scales.append(_normalizer_diag(hops[-1], snr, n, n))
-    return _chain_effective(hops + [real.hops[-1]], scales)
-
-
 def mutual_info(eff: EffectiveChannel, snr: float, n0: int):
     """Gaussian mutual information, bits per channel use.
 
@@ -496,15 +450,15 @@ def mutual_info(eff: EffectiveChannel, snr: float, n0: int):
 
 
 def df_outage(real: ChannelRealization, decode: DecodeSet, snr: float, rate: float):
-    """Outage of a serial partition: any AF segment below the rate fails."""
-    dim = real.dim
-    bounds = (0,) + decode.indices
-    out = None
-    for a, b in zip(bounds, bounds[1:]):
-        seg_dim = Dimension(dim.counts[a : b + 1])
-        seg = ChannelRealization(dim=seg_dim, hops=real.hops[a:b])
-        mi = mutual_info(af_effective(seg, snr), snr, seg_dim[0])
-        bad = mi < rate
+    """Outage of a serial partition: any AF segment below the rate fails.
+
+    Raises ``ValueError`` if ``decode`` does not end at the destination layer.
+    """
+    out, start = None, 0
+    for counts in decode.segments(real.dim):
+        seg = ChannelRealization(Dimension(counts), real.hops[start : start + len(counts) - 1])
+        start += len(counts) - 1
+        bad = mutual_info(af_effective(seg, snr), snr, counts[0]) < rate
         out = bad if out is None else (out | bad)
     return out
 

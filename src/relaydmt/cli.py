@@ -24,6 +24,7 @@ from . import channel_sim, dmt_core, partition, reduction, stbc
 from .dmt_core import DecodeSet, as_dimension
 
 SEED_ENV_VAR = "RELAYDMT_SEED"
+MAX_GRID_POINTS = 10_000
 
 # Each --scheme: the options it reads beyond those every run reads, and its
 # constructor from the parsed arguments and the dimension.  An option in the
@@ -104,11 +105,15 @@ def _parse_grid(text: str) -> list[float]:
         raise UsageError(f"SNR grid must be start:step:stop, got {text!r}") from None
     if not (math.isfinite(start) and math.isfinite(stop) and 0 < step < math.inf and start <= stop):
         raise UsageError(f"SNR grid must be finite and increasing, got {text!r}")
-    grid = []
-    value = start
-    while value <= stop + 1e-9:
-        grid.append(round(value, 9))
-        value += step
+    # Points are counted before any is built (a running sum stalls where the
+    # step is below the float spacing); 1e-9 of a step keeps a stop that
+    # division leaves just short, as in 0:0.1:0.3, on the grid.
+    span = (stop - start) / step + 1e-9
+    if span >= MAX_GRID_POINTS:
+        raise UsageError(f"SNR grid {text!r} has more than {MAX_GRID_POINTS} points")
+    grid = [round(start + k * step, 9) for k in range(int(span) + 1)]
+    if len(set(grid)) < len(grid):
+        raise UsageError(f"SNR grid {text!r} repeats points at 9 decimals")
     return grid
 
 
@@ -345,7 +350,7 @@ def main(argv: list[str] | None = None) -> int:
         return 2 if exc.code not in (0, None) else 0
     try:
         return args.func(args)
-    except (UsageError, ValueError, OSError) as exc:
+    except (UsageError, ValueError, OverflowError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except np.linalg.LinAlgError as exc:

@@ -253,9 +253,7 @@ def golden(q: QamAlphabet, m: int = 0) -> Codebook:
 
 
 def verify_nvd(
-    cb: Codebook,
-    difference_points: Sequence[complex],
-    cap: int = NVD_EVALUATION_CAP,
+    cb: Codebook, difference_points: Sequence[complex]
 ) -> tuple[float, tuple[complex, ...]]:
     """Exhaustive minimum of the product determinant over difference tuples.
 
@@ -263,15 +261,16 @@ def verify_nvd(
     difference symbols (codewords are symbol-linear, so these are
     exactly the codeword differences), in closed form for 2x2 ``D_k``.
     Returns the minimum and an attaining tuple.  Raises if the
-    enumeration would exceed ``cap`` tuples rather than silently
-    sampling, or the codewords are not 2x2.  Raw lattice symbols are
-    used; no energy normalization is applied.
+    enumeration would exceed ``NVD_EVALUATION_CAP`` tuples (checked
+    before any work) rather than silently sampling, or if the codewords
+    are not 2x2.  Raw lattice symbols are used; no energy normalization
+    is applied.
     """
     n_tuples = len(difference_points) ** cb.num_symbols
-    if n_tuples > cap:
+    if n_tuples > NVD_EVALUATION_CAP:
         raise ValueError(
-            f"{n_tuples} difference tuples exceed the exhaustive cap of {cap}; "
-            "restrict the difference alphabet"
+            f"{n_tuples} difference tuples exceed the exhaustive cap of "
+            f"{NVD_EVALUATION_CAP}; restrict the difference alphabet"
         )
     pts = np.asarray(difference_points, dtype=complex)
     grids = np.meshgrid(*([pts] * cb.num_symbols), indexing="ij")

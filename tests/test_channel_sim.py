@@ -26,7 +26,6 @@ from relaydmt.channel_sim import (
     PfScheme,
     SvdAlignScheme,
     af_effective,
-    alignment_rotations,
     default_ff_scheme,
     df_outage,
     estimate_outage,
@@ -34,11 +33,9 @@ from relaydmt.channel_sim import (
     ff_effective,
     mutual_info,
     outage_curve,
-    parallel_af_effective,
     pf_effective,
     run_manifest,
     sample_block,
-    svd_align_effective,
     write_outage_csv,
 )
 from relaydmt.dmt_core import DecodeSet, as_dimension
@@ -50,6 +47,10 @@ from relaydmt.partition import (
     max_partition,
     min_full_div_partition_2hop,
 )
+
+
+# Dimensions of the explicit-matrix-chain oracles of AF and FF.
+ORACLE_DIMS = [(2, 2, 2), (2, 4, 3), (3, 1, 4, 2), (3, 3, 3, 3)]
 
 
 def scalar_real(counts, *hops):
@@ -137,6 +138,15 @@ class TestAfEffective:
             eig = np.linalg.eigvalsh(cov)
             assert np.all(eig >= 1.0 - 1e-9)
 
+    @pytest.mark.parametrize("dim", ORACLE_DIMS)
+    @pytest.mark.parametrize("snr", [3.0, 100.0, 1e4])
+    def test_matches_explicit_matrix_chain(self, dim, snr):
+        real = sample_block(dim, seed=24, block_index=0, count=256)
+        gain, noise_cov = explicit_matrix_chain(real.hops, explicit_af_relays(real, snr))
+        eff = af_effective(real, snr)
+        np.testing.assert_allclose(eff.gain, gain, rtol=1e-12)
+        np.testing.assert_allclose(eff.noise_cov, noise_cov, rtol=1e-12)
+
 
 class TestNoiseFloorEverywhere:
     def test_all_schemes_keep_unit_floor(self):
@@ -148,8 +158,8 @@ class TestNoiseFloorEverywhere:
         part = min_full_div_partition_2hop(*dim)[1]
         covs = [af_effective(real, 30.0).noise_cov, pf_effective(real, 30.0).noise_cov]
         covs += [e.noise_cov for e in ff_effective(real, sched, 30.0)]
-        covs += [e.noise_cov for e in parallel_af_effective(real, part, 30.0)]
-        covs.append(svd_align_effective(real, 30.0).noise_cov)
+        covs += [e.noise_cov for e in ParallelAfScheme(part).effectives(real, 30.0)]
+        covs.append(SvdAlignScheme().effectives(real, 30.0)[0].noise_cov)
         for cov in covs:
             assert np.allclose(cov, cov.conj().swapaxes(-1, -2))
             assert np.all(np.linalg.eigvalsh(cov) >= 1.0 - 1e-9)
@@ -201,6 +211,23 @@ def explicit_matrix_chain(hops, relays):
         m = hops[-1] @ m
         noise_cov += m @ m.conj().swapaxes(-1, -2)
     return gain, noise_cov
+
+
+def explicit_af_relays(real, snr, flips=None):
+    """AF relays as full matrices ``diag(s_i) diag(f_i)`` on the unflipped hops.
+
+    ``s_i`` scales each antenna of layer ``i`` from its received power,
+    ``(snr/n_{i-1}) sum_k |H_i[r, k]|^2 + 1``, to ``snr/n_i``; ``f_i`` is
+    the relay's +-1 flip pattern (all ones for AF).
+    """
+    dim = real.dim
+    relays = []
+    for i in range(1, dim.hops):
+        power = (snr / dim[i - 1]) * np.sum(np.abs(real.hops[i - 1]) ** 2, axis=-1) + 1.0
+        s = np.sqrt((snr / dim[i]) / power)
+        f = np.ones(dim[i]) if flips is None else np.asarray(flips[i - 1], dtype=float)
+        relays.append(s[..., :, None] * np.diag(f))
+    return relays
 
 
 class TestPf:
@@ -302,6 +329,23 @@ class TestFf:
         with pytest.raises(ValueError):
             ff_effective(real, sched, 10.0)
 
+    @pytest.mark.parametrize("dim", ORACLE_DIMS)
+    @pytest.mark.parametrize("snr", [3.0, 100.0, 1e4])
+    def test_matches_explicit_matrix_chain(self, dim, snr):
+        # Mode k is AF whose relay i also applies its +-1 pattern f_i(k).
+        d = as_dimension(dim)
+        part = min_full_div_partition_2hop(*dim)[1] if d.hops == 2 else max_partition(dim)
+        sched = ff_schedule(d, part)
+        assert sched.mode_count > 1
+        real = sample_block(dim, seed=25, block_index=0, count=256)
+        effs = ff_effective(real, sched, snr)
+        assert len(effs) == sched.mode_count
+        for mode, eff in enumerate(effs, start=1):
+            relays = explicit_af_relays(real, snr, sched.mode_flips(mode))
+            gain, noise_cov = explicit_matrix_chain(real.hops, relays)
+            np.testing.assert_allclose(eff.gain, gain, rtol=1e-12)
+            np.testing.assert_allclose(eff.noise_cov, noise_cov, rtol=1e-12)
+
 
 class TestParallelAf:
     def test_trivial_partition_is_af(self):
@@ -310,7 +354,7 @@ class TestParallelAf:
             (AfPath(tuple(Supernode(i, frozenset(range(n))) for i, n in enumerate(counts))),)
         )
         real = sample_block(counts, seed=16, block_index=0, count=32)
-        eff = parallel_af_effective(real, p, 12.0)[0]
+        eff = ParallelAfScheme(p).effectives(real, 12.0)[0]
         base = af_effective(real, 12.0)
         assert np.allclose(eff.gain, base.gain)
         assert np.allclose(eff.noise_cov, base.noise_cov)
@@ -319,7 +363,7 @@ class TestParallelAf:
         real = scalar_real((2, 2, 2), [[1.0, 0.0], [0.0, 1.0]], [[1.0, 0.0], [0.0, 1.0]])
         p = max_partition((2, 2, 2))
         snr = 1.0
-        for path, eff in zip(p.paths, parallel_af_effective(real, p, snr)):
+        for path, eff in zip(p.paths, ParallelAfScheme(p).effectives(real, snr)):
             chain = [next(iter(node.antennas)) for node in path.supernodes]
             h1 = complex(real.hops[0][chain[1], chain[0]])
             h2 = complex(real.hops[1][chain[2], chain[1]])
@@ -340,6 +384,16 @@ class TestDf:
         real = scalar_real((1, 1, 1), [[10.0]], [[10.0]])
         assert not df_outage(real, DecodeSet((1, 2)), snr=100.0, rate=1.0)
 
+    @pytest.mark.parametrize("indices", [(1,), (2, 5)])
+    def test_decode_set_must_end_at_destination(self, indices):
+        # (1,) would count the first hop's outages alone; (2, 5) would
+        # silently stop at the channel's last hop.
+        real = sample_block((3, 1, 4, 2), seed=0, block_index=0, count=64)
+        with pytest.raises(ValueError, match="destination layer 3"):
+            df_outage(real, DecodeSet(indices), 10.0, 2.0)
+        with pytest.raises(ValueError, match="destination layer 3"):
+            estimate_outage((3, 1, 4, 2), DfScheme(DecodeSet(indices)), 2.0, 10.0, 4096, seed=0)
+
     def test_decode_helps_weak_middle(self):
         real = sample_block((3, 1, 4, 2), seed=18, block_index=0, count=2048)
         snr, rate = 10 ** 1.8, 2.0
@@ -351,13 +405,13 @@ class TestDf:
 class TestSvdAlign:
     def test_rotations_are_unitary(self):
         real = sample_block((2, 2, 2), seed=19, block_index=0, count=64)
-        for t in alignment_rotations(real):
+        for t in channel_sim._alignment_rotations(real):
             prod = t @ t.conj().swapaxes(-1, -2)
             assert np.allclose(prod, np.eye(2), atol=1e-10)
 
     def test_aligned_chain_has_product_singular_values(self):
         real = sample_block((3, 3, 3, 3), seed=20, block_index=0, count=32)
-        rots = alignment_rotations(real)
+        rots = channel_sim._alignment_rotations(real)
         chain = real.hops[0]
         for rot, hop in zip(rots, real.hops[1:]):
             chain = hop @ rot @ chain
@@ -369,7 +423,7 @@ class TestSvdAlign:
 
     def test_single_hop_same_singular_values(self):
         real = sample_channel((2, 2), seed=21)
-        eff = svd_align_effective(real, 10.0)
+        eff = SvdAlignScheme().effectives(real, 10.0)[0]
         # Normalization is diagonal scaling only; with one hop there is
         # no relay, so the gain is the hop itself.
         assert np.allclose(eff.gain, real.hops[0])
@@ -377,7 +431,7 @@ class TestSvdAlign:
     def test_non_square_rejected(self):
         real = sample_channel((2, 3, 2), seed=22)
         with pytest.raises(ValueError):
-            svd_align_effective(real, 10.0)
+            SvdAlignScheme().effectives(real, 10.0)[0]
 
     @pytest.mark.parametrize("dim", [(2, 2, 2), (3, 3, 3, 3), (4, 4, 4, 4), (2, 2, 2, 2, 2)])
     @pytest.mark.parametrize("snr", [3.0, 100.0, 1e4])
@@ -387,11 +441,11 @@ class TestSvdAlign:
         real = sample_block(dim, seed=23, block_index=0, count=256)
         n = dim[0]
         relays = []
-        for hop, rot in zip(real.hops, alignment_rotations(real)):
+        for hop, rot in zip(real.hops, channel_sim._alignment_rotations(real)):
             power = (snr / n) * np.sum(np.abs(rot @ hop) ** 2, axis=-1) + 1.0
             relays.append(np.sqrt((snr / n) / power)[..., :, None] * rot)
         gain, noise_cov = explicit_matrix_chain(real.hops, relays)
-        eff = svd_align_effective(real, snr)
+        eff = SvdAlignScheme().effectives(real, snr)[0]
         np.testing.assert_allclose(eff.gain, gain, rtol=1e-12)
         np.testing.assert_allclose(eff.noise_cov, noise_cov, rtol=1e-12)
 

@@ -12,8 +12,8 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from relaydmt import partition
-from relaydmt.cli import SEED_ENV_VAR, build_parser, main
+from relaydmt import cli, partition
+from relaydmt.cli import MAX_GRID_POINTS, SEED_ENV_VAR, build_parser, main
 
 
 def run(capsys, *argv):
@@ -387,6 +387,47 @@ class TestSimulateCommand:
         )
         assert code == 2 and out == ""
         assert "SNR grid must be finite and increasing" in err
+
+    @pytest.mark.parametrize("grid", ["1e20:1:2e20", "0:1:10000", "0:1e-300:1"])
+    def test_grid_over_point_limit_rejected(self, grid, capsys):
+        # 1e20 + 1 == 1e20, so a running sum of steps never reached 2e20.
+        code, out, err = run(
+            capsys, "simulate", "--dim", "2,2", "--scheme", "af", "--rate", "1",
+            f"--snr={grid}", "--trials", "1",
+        )
+        assert code == 2 and out == ""
+        assert f"more than {MAX_GRID_POINTS} points" in err
+
+    def test_grid_repeating_points_rejected(self, capsys):
+        # At 9 decimals the points 0, 1e-10, ..., 4e-10 are all 0.
+        code, out, err = run(
+            capsys, "simulate", "--dim", "2,2", "--scheme", "af", "--rate", "1",
+            "--snr=0:1e-10:1e-9", "--trials", "1",
+        )
+        assert code == 2 and out == ""
+        assert "repeats points" in err
+
+    def test_one_point_grid_at_huge_snr_ends(self, capsys):
+        # The grid is the one point 1e20 dB, whose linear SNR overflows a float.
+        code, out, err = run(
+            capsys, "simulate", "--dim", "2,2", "--scheme", "af", "--rate", "1",
+            "--snr=1e20:1:1e20", "--trials", "1",
+        )
+        assert code == 2 and out == ""
+        assert "out of range" in err
+
+    @pytest.mark.parametrize(
+        "grid,points",
+        [
+            ("8:2:30", [float(v) for v in range(8, 31, 2)]),
+            ("0:0.1:0.3", [0.0, 0.1, 0.2, 0.3]),
+            ("10:1:10", [10.0]),
+            ("1e20:1:1e20", [1e20]),
+            ("0:1:9999", [float(v) for v in range(MAX_GRID_POINTS)]),
+        ],
+    )
+    def test_grid_points(self, grid, points):
+        assert cli._parse_grid(grid) == points
 
     @pytest.mark.parametrize("workers", ["0", "-2"])
     def test_workers_below_one_rejected(self, workers, capsys):
