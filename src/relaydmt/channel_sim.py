@@ -86,21 +86,24 @@ class ChannelRealization:
     """One draw (or a stacked batch of draws) of the hop matrices.
 
     ``hops[i]`` has shape ``(..., n_{i+1}, n_i)``; entries are i.i.d.
-    circularly-symmetric complex Gaussian with unit variance.  Sampled hops
-    keep the trial axis innermost in memory; C-ordered ones work, more slowly.
+    circularly-symmetric complex Gaussian with unit variance; ``dim`` is
+    read off these shapes.  Sampled hops keep the trial axis innermost in
+    memory; C-ordered ones work, more slowly.
     """
 
-    dim: Dimension
     hops: tuple[np.ndarray, ...]
 
     def __post_init__(self) -> None:
-        if len(self.hops) != self.dim.hops:
-            raise ValueError("one matrix per hop expected")
-        for i, h in enumerate(self.hops):
-            if h.shape[-2:] != (self.dim[i + 1], self.dim[i]):
+        if not self.hops:
+            raise ValueError("a channel needs at least one hop")
+        for i, (prev, hop) in enumerate(zip(self.hops, self.hops[1:]), start=1):
+            if hop.shape[-1] != prev.shape[-2]:
                 raise ValueError(
-                    f"hop {i + 1} must have shape (..., {self.dim[i + 1]}, {self.dim[i]})"
-                )
+                    f"hop {i + 1} takes {hop.shape[-1]} inputs; hop {i} gives {prev.shape[-2]}")
+
+    @property
+    def dim(self) -> Dimension:
+        return Dimension((self.hops[0].shape[-1], *(h.shape[-2] for h in self.hops)))
 
 
 @dataclass(frozen=True)
@@ -188,7 +191,7 @@ class ParallelAfScheme(Scheme):
         for path in self.partition.paths:
             idx = [node.sorted_antennas() for node in path.supernodes]
             hops = tuple(h[..., idx[i + 1], :][..., :, idx[i]] for i, h in enumerate(real.hops))
-            out.append(af_effective(ChannelRealization(Dimension(path.widths), hops), snr))
+            out.append(af_effective(ChannelRealization(hops), snr))
         return out
 
 
@@ -216,7 +219,7 @@ class SvdAlignScheme(Scheme):
         # CSI-aided alignment for symmetric channels: each relay rotates,
         # then amplifies as in AF; a unitary rotation keeps its noise white.
         rotated = [_matmul(r, h) for r, h in zip(_alignment_rotations(real), real.hops)]
-        return [af_effective(ChannelRealization(real.dim, (*rotated, real.hops[-1])), snr)]
+        return [af_effective(ChannelRealization((*rotated, real.hops[-1])), snr)]
 
 
 def default_ff_scheme(dim: DimensionLike) -> FfScheme:
@@ -244,7 +247,7 @@ def _block_rng(seed: int, block_index: int) -> np.random.Generator:
 def _draw_hops(dim: Dimension, rng: np.random.Generator, count: int) -> ChannelRealization:
     """The hop matrices of ``count`` stacked trials, drawn first from ``rng``."""
     hops = tuple(_complex_normal(rng, (count, dim[i + 1], dim[i])) for i in range(dim.hops))
-    return ChannelRealization(dim=dim, hops=hops)
+    return ChannelRealization(hops)
 
 
 def _complex_normal(rng: np.random.Generator, shape: tuple[int, ...]) -> np.ndarray:
@@ -387,7 +390,7 @@ def ff_effective(
     for mode in range(1, sched.mode_count + 1):
         flips = sched.mode_flips(mode)
         hops = [h * np.asarray(f, dtype=float) for h, f in zip(real.hops[1:], flips)]
-        out.append(af_effective(ChannelRealization(real.dim, (real.hops[0], *hops)), snr))
+        out.append(af_effective(ChannelRealization((real.hops[0], *hops)), snr))
     return out
 
 
@@ -401,14 +404,13 @@ def pf_effective(real: ChannelRealization, snr: float) -> EffectiveChannel:
     dimension ``(n_0, rank_1, ..., rank_{N-1}, n_N)``: each relay
     forwards on its first ``rank_i`` antennas.
     """
-    dim = real.dim
-    ranks, hops = [dim[0]], []
-    for i in range(1, dim.hops):
-        hop = real.hops[i - 1][..., :, : ranks[-1]]
-        hops.append(np.linalg.qr(hop)[1] if dim[i] > ranks[-1] else hop)
-        ranks.append(hops[-1].shape[-2])
-    hops.append(real.hops[-1][..., :, : ranks[-1]])
-    return af_effective(ChannelRealization(as_dimension(ranks + [dim[-1]]), tuple(hops)), snr)
+    rank, hops = real.hops[0].shape[-1], []
+    for hop in real.hops[:-1]:
+        hop = hop[..., :, :rank]
+        hops.append(np.linalg.qr(hop)[1] if hop.shape[-2] > rank else hop)
+        rank = hops[-1].shape[-2]
+    hops.append(real.hops[-1][..., :, :rank])
+    return af_effective(ChannelRealization(tuple(hops)), snr)
 
 
 def _alignment_rotations(real: ChannelRealization) -> list[np.ndarray]:
@@ -456,7 +458,7 @@ def df_outage(real: ChannelRealization, decode: DecodeSet, snr: float, rate: flo
     """
     out, start = None, 0
     for counts in decode.segments(real.dim):
-        seg = ChannelRealization(Dimension(counts), real.hops[start : start + len(counts) - 1])
+        seg = ChannelRealization(real.hops[start : start + len(counts) - 1])
         start += len(counts) - 1
         bad = mutual_info(af_effective(seg, snr), snr, counts[0]) < rate
         out = bad if out is None else (out | bad)
@@ -469,7 +471,7 @@ def df_outage(real: ChannelRealization, decode: DecodeSet, snr: float, rate: flo
 
 
 def _first_trials(real: ChannelRealization, live: int) -> ChannelRealization:
-    return ChannelRealization(dim=real.dim, hops=tuple(h[:live] for h in real.hops))
+    return ChannelRealization(tuple(h[:live] for h in real.hops))
 
 
 def _outage_block(dim, scheme, rate, snr, seed, block, live) -> int:

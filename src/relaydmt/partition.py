@@ -19,6 +19,7 @@ hops across modes and restores the cut-set diversity.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import json
 import math
@@ -207,19 +208,34 @@ def min_full_div_partition_2hop(n0: int, n1: int, n2: int) -> tuple[int, Partiti
 class FlipSchedule:
     """Relaying modes of the flip-and-forward scheme.
 
-    ``layer_counts`` holds ``(K_1, ..., K_{N-1})``; there are
-    ``mode_count = prod K_i`` modes.  ``mode_map[k-1]`` is the tuple
-    ``(f_1(k), ..., f_{N-1}(k))`` of 1-based supernode choices, and the
-    k-th flip pattern of layer i negates the antennas of supernode
-    ``f_i(k)`` unless ``f_i(k) == 1`` (mode 1 of every layer is the
-    identity).  The mode tuples enumerate the full product set exactly
-    once.
+    ``supernodes[i-1]`` holds relay layer i's ``K_i`` ordered supernodes;
+    there are ``mode_count = prod K_i`` modes.  ``mode_map[k-1]`` is the
+    tuple ``(f_1(k), ..., f_{N-1}(k))`` of 1-based supernode choices, with
+    ``f_1(k) = ((k-1) mod K_1) + 1`` and, for deeper layers,
+    ``f_i(k) = ceil((k-1) / (K_1 ... K_{i-1})) mod K_i + 1``.  The k-th
+    flip pattern of layer i negates the antennas of supernode ``f_i(k)``
+    unless ``f_i(k) == 1`` (mode 1 of every layer is the identity).  The
+    mode tuples enumerate the full product set exactly once.
     """
 
     dim: Dimension
-    layer_counts: tuple[int, ...]
-    mode_map: tuple[tuple[int, ...], ...]
     supernodes: tuple[tuple[Supernode, ...], ...]  # per relay layer, ordered
+
+    @property
+    def layer_counts(self) -> tuple[int, ...]:
+        return tuple(len(nodes) for nodes in self.supernodes)
+
+    @functools.cached_property
+    def mode_map(self) -> tuple[tuple[int, ...], ...]:
+        counts, mode_map = self.layer_counts, []
+        for k in range(1, math.prod(counts) + 1):
+            choices = [(k - 1) % counts[0] + 1] if counts else []
+            prefix = counts[0] if counts else 1
+            for i in range(1, len(counts)):
+                choices.append((-((1 - k) // prefix)) % counts[i] + 1)
+                prefix *= counts[i]
+            mode_map.append(tuple(choices))
+        return tuple(mode_map)
 
     @property
     def mode_count(self) -> int:
@@ -240,11 +256,7 @@ class FlipSchedule:
 
 
 def ff_schedule(dim: DimensionLike, p: Partition) -> FlipSchedule:
-    """Flip-mode schedule derived from a partition's relay supernodes.
-
-    Mode indices follow ``f_1(k) = ((k-1) mod K_1) + 1`` and, for
-    deeper layers, ``f_i(k) = ceil((k-1) / (K_1 ... K_{i-1})) mod K_i + 1``.
-    """
+    """The :class:`FlipSchedule` of a partition's relay supernodes; warns unless full-diversity."""
     dim = as_dimension(dim)
     if not (is_independent(dim, p) and is_full_diversity(dim, p)):
         warnings.warn(
@@ -253,20 +265,7 @@ def ff_schedule(dim: DimensionLike, p: Partition) -> FlipSchedule:
             "is not guaranteed",
             stacklevel=2,
         )
-    relay_nodes = tuple(p.layer_supernodes(layer) for layer in range(1, dim.hops))
-    counts = tuple(len(nodes) for nodes in relay_nodes)
-    total = math.prod(counts)
-    mode_map = []
-    for k in range(1, total + 1):
-        choices = [(k - 1) % counts[0] + 1] if counts else []
-        prefix = counts[0] if counts else 1
-        for i in range(1, len(counts)):
-            choices.append((-((1 - k) // prefix)) % counts[i] + 1)
-            prefix *= counts[i]
-        mode_map.append(tuple(choices))
-    return FlipSchedule(
-        dim=dim, layer_counts=counts, mode_map=tuple(mode_map), supernodes=relay_nodes
-    )
+    return FlipSchedule(dim, tuple(p.layer_supernodes(layer) for layer in range(1, dim.hops)))
 
 
 def nonind_partition_diversity(dim: DimensionLike, layer: int) -> int:

@@ -24,11 +24,11 @@ trial with one real matrix product against a precomputed codeword table.
 
 from __future__ import annotations
 
-import dataclasses
+import functools
 import json
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import ClassVar, Sequence
 
 import numpy as np
 
@@ -80,25 +80,19 @@ class QamAlphabet:
     """Square QAM constellation on unnormalized Gaussian integers.
 
     ``points`` are the raw lattice points ({+-1 +-1j} for order 4,
-    {+-1, +-3}^2 for order 16); ``energy_norm`` rescales them to unit
-    average energy when a transmit signal is formed.
+    {+-1, +-3}^2 for order 16); a codebook rescales its own codewords to
+    the transmit power (:attr:`Codebook.energy_norm`).
     """
 
     order: int
     points: tuple[complex, ...]
-    energy_norm: float
 
     @classmethod
     def qam(cls, order: int) -> "QamAlphabet":
-        if order == 4:
-            reals = (-1, 1)
-        elif order == 16:
-            reals = (-3, -1, 1, 3)
-        else:
+        reals = {4: (-1, 1), 16: (-3, -1, 1, 3)}.get(order)
+        if reals is None:
             raise ValueError("only 4-QAM and 16-QAM are supported")
-        pts = tuple(complex(a, b) for a in reals for b in reals)
-        mean_energy = sum(abs(p) ** 2 for p in pts) / len(pts)
-        return cls(order=order, points=pts, energy_norm=1.0 / math.sqrt(mean_energy))
+        return cls(order=order, points=tuple(complex(a, b) for a in reals for b in reals))
 
     def difference_points(self, max_coord: int | None = None) -> tuple[complex, ...]:
         """Pairwise differences of the constellation, optionally boxed.
@@ -116,8 +110,9 @@ class QamAlphabet:
 
 @dataclass(frozen=True)
 class Codebook:
-    """A finite symbol-linear space-time code for ``k_sub`` parallel sub-channels.
+    """A finite symbol-linear 2x2 space-time code over a QAM alphabet.
 
+    ``name`` (a key of ``_CODES``) fixes the encoder, ``k_sub`` and ``num_symbols``.
     ``encode`` maps symbol tuples to codeword matrix tuples of shape
     ``(..., k_sub, n_t, time_span)``.  ``energy_norm`` scales codewords
     so the average transmitted power per antenna per channel use is
@@ -126,17 +121,32 @@ class Codebook:
     """
 
     name: str
-    k_sub: int
-    n_t: int
-    time_span: int
-    num_symbols: int
     alphabet: QamAlphabet
-    energy_norm: float
-    rate_syms_per_use: float  # information symbols per end-to-end channel use (all k_sub * T uses)
+    n_t: ClassVar[int] = 2
+    time_span: ClassVar[int] = 2
+
+    @property
+    def k_sub(self) -> int:
+        return _CODES[self.name][1]
+
+    @property
+    def num_symbols(self) -> int:
+        return _CODES[self.name][2]
+
+    # Information symbols per end-to-end channel use (all k_sub * time_span uses).
+    @property
+    def rate_syms_per_use(self) -> float:
+        return self.num_symbols / (self.k_sub * self.time_span)
+
+    @functools.cached_property
+    def energy_norm(self) -> float:
+        words, _ = self.codewords()
+        mean_power = float(np.mean(np.sum(np.abs(words) ** 2, axis=(-2, -1))))
+        return math.sqrt(self.n_t * self.time_span / mean_power)
 
     def encode(self, symbols: np.ndarray) -> np.ndarray:
         """Unnormalized codewords from raw symbols ``(..., num_symbols)``."""
-        return _ENCODERS[self.name](symbols)
+        return _CODES[self.name][0](symbols)
 
     def codewords(self) -> tuple[np.ndarray, np.ndarray]:
         """All codewords and their symbol tuples, enumerated in a fixed order."""
@@ -175,42 +185,17 @@ def _encode_golden_modes(s: np.ndarray, gammas: Sequence[complex]) -> np.ndarray
     return x
 
 
-def _encode_golden1(s: np.ndarray) -> np.ndarray:
-    return _encode_golden_modes(s, (1j,))
-
-
-def _encode_golden2(s: np.ndarray) -> np.ndarray:
-    return _encode_golden_modes(s, (_ZETA8, -_ZETA8))
-
-
-_ENCODERS = {
-    "alamouti": _encode_alamouti,
-    "golden": _encode_golden1,
-    "parallel-golden": _encode_golden2,
+# Each construction: its encoder, sub-channel count and symbols per codeword.
+_CODES = {
+    "alamouti": (_encode_alamouti, 1, 2),
+    "golden": (functools.partial(_encode_golden_modes, gammas=(1j,)), 1, 4),
+    "parallel-golden": (functools.partial(_encode_golden_modes, gammas=(_ZETA8, -_ZETA8)), 2, 4),
 }
-
-
-def _with_energy_norm(cb: Codebook) -> Codebook:
-    words, _ = cb.codewords()
-    mean_power = float(np.mean(np.sum(np.abs(words) ** 2, axis=(-2, -1))))
-    norm = math.sqrt(cb.n_t * cb.time_span / mean_power)
-    return dataclasses.replace(cb, energy_norm=norm)
 
 
 def alamouti(q: QamAlphabet) -> Codebook:
     """2x2 orthogonal design: one symbol per channel use, K = 1."""
-    return _with_energy_norm(
-        Codebook(
-            name="alamouti",
-            k_sub=1,
-            n_t=2,
-            time_span=2,
-            num_symbols=2,
-            alphabet=q,
-            energy_norm=1.0,
-            rate_syms_per_use=1.0,
-        )
-    )
+    return Codebook("alamouti", q)
 
 
 def golden(q: QamAlphabet, m: int = 0) -> Codebook:
@@ -227,24 +212,9 @@ def golden(q: QamAlphabet, m: int = 0) -> Codebook:
     unity and its negation, which keeps the product of the two
     determinants a Gaussian integer and hence bounded away from zero.
     """
-    if m == 0:
-        name, k_sub = "golden", 1
-    elif m == 1:
-        name, k_sub = "parallel-golden", 2
-    else:
+    if m not in (0, 1):
         raise ValueError("only m = 0 and m = 1 are supported")
-    return _with_energy_norm(
-        Codebook(
-            name=name,
-            k_sub=k_sub,
-            n_t=2,
-            time_span=2,
-            num_symbols=4,
-            alphabet=q,
-            energy_norm=1.0,
-            rate_syms_per_use=4.0 / (k_sub * 2),
-        )
-    )
+    return Codebook("golden" if m == 0 else "parallel-golden", q)
 
 
 # --------------------------------------------------------------------------
@@ -334,6 +304,7 @@ def _ml_decisions(
     ``k`` through ``effs[k]``, and ``chols[k]`` the Cholesky factor of
     its noise covariance; ``table`` comes from :func:`_word_table` at
     the run's signal amplitude.  Ties resolve to the lowest index.
+    Raises ``np.linalg.LinAlgError`` if any score is not finite, even a loser's.
     """
     features = []
     for y, eff, chol in zip(received, effs, chols):
@@ -345,7 +316,11 @@ def _ml_decisions(
         # GEMM operand below is C-contiguous and BLAS scores stay bit-identical.
         features.append(prods.reshape(prods.shape[0], -1))
     f = np.concatenate(features, axis=-1)
-    return np.argmin(np.concatenate([f.real, f.imag], axis=-1) @ table, axis=1)
+    scores = np.concatenate([f.real, f.imag], axis=-1) @ table
+    # min and max propagate NaN and need no temporary as large as the scores.
+    if not (np.isfinite(scores.min()) and np.isfinite(scores.max())):
+        raise np.linalg.LinAlgError("codeword scores are not finite")
+    return np.argmin(scores, axis=1)
 
 
 def _ser_block(dim, scheme, cb, snr, amp, seed, words, table, block, live) -> int:

@@ -253,10 +253,9 @@ def interval_boundaries(dim: DimensionLike) -> tuple[int, ...]:
 
 def sample_channel(dim: DimensionLike, seed: int, index: int = 0) -> ChannelRealization:
     """The single realization that trial ``index`` of a run with this seed sees."""
-    dim = as_dimension(dim)
     block, offset = divmod(index, BLOCK_SIZE)
     stacked = sample_block(dim, seed, block)
-    return ChannelRealization(dim=dim, hops=tuple(h[offset] for h in stacked.hops))
+    return ChannelRealization(tuple(h[offset] for h in stacked.hops))
 
 
 def ml_decode(

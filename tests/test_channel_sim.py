@@ -53,9 +53,8 @@ from relaydmt.partition import (
 ORACLE_DIMS = [(2, 2, 2), (2, 4, 3), (3, 1, 4, 2), (3, 3, 3, 3)]
 
 
-def scalar_real(counts, *hops):
-    dim = as_dimension(counts)
-    return ChannelRealization(dim, tuple(np.asarray(h, dtype=complex) for h in hops))
+def scalar_real(*hops):
+    return ChannelRealization(tuple(np.asarray(h, dtype=complex) for h in hops))
 
 
 class TestSampling:
@@ -112,9 +111,23 @@ class TestSampling:
             sample_block((1, 1), 1.5, 0, count=4)
 
 
+class TestChannelRealization:
+    def test_dim_read_off_hop_shapes(self):
+        real = sample_block((3, 1, 4, 2), seed=1, block_index=0, count=4)
+        assert real.dim == as_dimension((3, 1, 4, 2))
+
+    def test_no_hops_rejected(self):
+        with pytest.raises(ValueError, match="at least one hop"):
+            ChannelRealization(())
+
+    def test_hops_that_do_not_chain_rejected(self):
+        with pytest.raises(ValueError, match="hop 2 takes 3 inputs; hop 1 gives 2"):
+            ChannelRealization((np.ones((2, 2)), np.ones((1, 3))))
+
+
 class TestAfEffective:
     def test_scalar_chain_hand_values(self):
-        real = scalar_real((1, 1, 1), [[1.0]], [[1.0]])
+        real = scalar_real([[1.0]], [[1.0]])
         eff = af_effective(real, snr=1.0)
         assert np.allclose(eff.gain, math.sqrt(0.5))
         assert np.allclose(eff.noise_cov, 1.5)
@@ -127,7 +140,7 @@ class TestAfEffective:
         assert np.allclose(eff.noise_cov, np.eye(3))
 
     def test_zero_relay_row_stays_finite(self):
-        real = scalar_real((1, 2, 1), [[1.0], [0.0]], [[1.0, 1.0]])
+        real = scalar_real([[1.0], [0.0]], [[1.0, 1.0]])
         eff = af_effective(real, snr=10.0)
         assert np.all(np.isfinite(eff.gain)) and np.all(np.isfinite(eff.noise_cov))
 
@@ -360,7 +373,7 @@ class TestParallelAf:
         assert np.allclose(eff.noise_cov, base.noise_cov)
 
     def test_scalar_paths_match_hand_formula(self):
-        real = scalar_real((2, 2, 2), [[1.0, 0.0], [0.0, 1.0]], [[1.0, 0.0], [0.0, 1.0]])
+        real = scalar_real([[1.0, 0.0], [0.0, 1.0]], [[1.0, 0.0], [0.0, 1.0]])
         p = max_partition((2, 2, 2))
         snr = 1.0
         for path, eff in zip(p.paths, ParallelAfScheme(p).effectives(real, snr)):
@@ -381,7 +394,7 @@ class TestDf:
         assert np.array_equal(af_mask, df_mask)
 
     def test_not_outage_when_all_segments_clear(self):
-        real = scalar_real((1, 1, 1), [[10.0]], [[10.0]])
+        real = scalar_real([[10.0]], [[10.0]])
         assert not df_outage(real, DecodeSet((1, 2)), snr=100.0, rate=1.0)
 
     @pytest.mark.parametrize("indices", [(1,), (2, 5)])

@@ -416,6 +416,24 @@ class TestSimulateCommand:
         assert code == 2 and out == ""
         assert "out of range" in err
 
+    # At 3081 dB the linear SNR is finite but the relay chain overflows.
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize(
+        "scheme,trials,message",
+        [
+            (["af", "--rate", "1"], "1", "matrix has non-finite entries"),
+            (["coded-af"], "100", "codeword scores are not finite"),
+        ],
+        ids=["af", "coded-af"],
+    )
+    def test_overflowing_snr_exits_3(self, scheme, trials, message, capsys):
+        code, out, err = run(
+            capsys, "simulate", "--dim", "2,2", "--scheme", *scheme,
+            "--snr", "3081:1:3081", "--trials", trials,
+        )
+        assert code == 3 and out == ""
+        assert f"numerical failure: {message}" in err
+
     @pytest.mark.parametrize(
         "grid,points",
         [
@@ -536,6 +554,14 @@ _PINNED_CSV = {
     "coded-ff": (
         ["--dim", "2,2,2", "--scheme", "coded-ff", "--code", "parallel-golden", "--snr", "6:4:14"],
         "c3f5d2024e3268abac2bd6612ef082f60e2be32de2b34b444b10db3ad1000818",
+    ),
+    "coded-af": (
+        ["--dim", "2,1,2,2", "--scheme", "coded-af", "--snr", "6:4:14"],
+        "5eb59065c827f5720e94103d6eb206767061f0d9c14d7cd73369a5cc6f11c36a",
+    ),
+    "coded-af-golden": (
+        ["--dim", "2,2", "--scheme", "coded-af", "--code", "golden", "--snr", "6:4:14"],
+        "d66becf8d2592d57864449f555d2a3b5bc9006ab0c370f44b4adf82bc6fc3f1a",
     ),
 }
 

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 
@@ -44,8 +45,8 @@ class TestAlphabet:
         assert len(set(q4.points)) == 4
 
     def test_energy_norms(self, q4, q16):
-        assert math.isclose(q4.energy_norm, 1 / math.sqrt(2))
-        assert math.isclose(q16.energy_norm, 1 / math.sqrt(10))
+        assert math.isclose(alamouti(q4).energy_norm, 1 / math.sqrt(2))
+        assert math.isclose(alamouti(q16).energy_norm, 1 / math.sqrt(10))
 
     def test_difference_sets(self, q4, q16):
         assert len(q4.difference_points()) == 9
@@ -335,6 +336,24 @@ class TestSimulateSer:
 
 
 class TestJsonExport:
+    # Recorded when every codebook field was stored; the derived fields
+    # must still export the same bytes.
+    _DIGESTS = {
+        ("alamouti", 4): "7c8fd74557d3ad409a9ff49606dda304338574eb1be7d35edc99c3a7d10dfcba",
+        ("golden", 4): "2376c3d795859c7491c5b25cecad97b51d92f1c58532ba7999f2673c24e51218",
+        ("parallel-golden", 4): "12946f488d862941ee5dffcdd53888d2c7aee21c2fd2fca033b8bfb8e8b8af94",
+        ("alamouti", 16): "4c72580c03fba4b779c9fb16421f1089851dcf55caceb88c4b7241a5aa921b62",
+        ("golden", 16): "857f469484f74c676ff7dfb6688a40dca9082dccbe3cc1b1c2e88b001f23d6f5",
+        ("parallel-golden", 16): "4ec2a0a978449e0701253e8619e9bc961d91979c0facccf5372fa531e4dcb547",
+    }
+
+    @pytest.mark.parametrize("name,order", list(_DIGESTS))
+    def test_pinned_digest(self, name, order):
+        q = QamAlphabet.qam(order)
+        cb = {"alamouti": alamouti(q), "golden": golden(q), "parallel-golden": golden(q, m=1)}[name]
+        digest = hashlib.sha256(codebook_to_json(cb).encode()).hexdigest()
+        assert digest == self._DIGESTS[(name, order)]
+
     def test_round_trip_fields(self, q4):
         doc = json.loads(codebook_to_json(golden(q4, m=1)))
         assert doc["code"] == "parallel-golden"
