@@ -18,8 +18,9 @@ Maximum-likelihood decoding whitens each sub-channel by a Cholesky
 factor of its noise covariance and minimizes the summed Frobenius
 distance exhaustively over the codebook.  The coded simulation decides
 a whole block at once: it expands the distance, drops the part that
-does not depend on the codeword, and scores every codeword of every
-trial with one real matrix product against a precomputed codeword table.
+does not depend on the codeword, and scores every codeword with real
+matrix products against a precomputed codeword table, in row batches of
+at most 4 MB of scores.  The NVD search streams its tuples in chunks.
 """
 
 from __future__ import annotations
@@ -67,6 +68,7 @@ __all__ = [
 
 NVD_EVALUATION_CAP = 10**6
 CODED_BLOCK_SIZE = 2048
+_SCORE_ENTRIES = 2**19  # float64 scores per ML row batch: 4 MB
 
 _GOLDEN_RATIO = (1.0 + math.sqrt(5.0)) / 2.0
 _GOLDEN_CONJ = (1.0 - math.sqrt(5.0)) / 2.0
@@ -125,6 +127,10 @@ class Codebook:
     n_t: ClassVar[int] = 2
     time_span: ClassVar[int] = 2
 
+    def __post_init__(self) -> None:
+        if self.name not in _CODES:
+            raise ValueError(f"unknown code {self.name!r}; known codes: {', '.join(_CODES)}")
+
     @property
     def k_sub(self) -> int:
         return _CODES[self.name][1]
@@ -150,8 +156,8 @@ class Codebook:
 
     def codewords(self) -> tuple[np.ndarray, np.ndarray]:
         """All codewords and their symbol tuples, enumerated in a fixed order."""
-        grids = np.meshgrid(*([np.array(self.alphabet.points)] * self.num_symbols), indexing="ij")
-        symbols = np.stack([g.ravel() for g in grids], axis=-1)
+        k = self.num_symbols
+        symbols = _symbol_tuples(self.alphabet.points, k, 0, self.alphabet.order**k)
         return self.encode(symbols), symbols
 
     def describe(self) -> dict:
@@ -162,6 +168,12 @@ class Codebook:
             "time_span": self.time_span,
             "qam": self.alphabet.order,
         }
+
+
+def _symbol_tuples(points: Sequence[complex], k: int, start: int, stop: int) -> np.ndarray:
+    """Tuples ``start..stop-1`` of ``points^k``, mixed-radix, the first symbol most significant."""
+    digits = np.arange(start, stop)[:, None] // len(points) ** np.arange(k - 1, -1, -1)
+    return np.asarray(points, dtype=complex)[digits % len(points)]
 
 
 def _encode_alamouti(s: np.ndarray) -> np.ndarray:
@@ -227,30 +239,26 @@ def verify_nvd(
 ) -> tuple[float, tuple[complex, ...]]:
     """Exhaustive minimum of the product determinant over difference tuples.
 
-    Evaluates ``prod_k |det(D_k D_k^H)|`` for every nonzero tuple of
-    difference symbols (codewords are symbol-linear, so these are
-    exactly the codeword differences), in closed form for 2x2 ``D_k``.
-    Returns the minimum and an attaining tuple.  Raises if the
-    enumeration would exceed ``NVD_EVALUATION_CAP`` tuples (checked
-    before any work) rather than silently sampling, or if the codewords
-    are not 2x2.  Raw lattice symbols are used; no energy normalization
-    is applied.
+    Evaluates ``prod_k |det(D_k D_k^H)|`` in closed form for 2x2 ``D_k`` over every nonzero
+    tuple of difference symbols (codewords are symbol-linear, so these are exactly the codeword
+    differences), streamed 65,536 tuples at a time.  Returns the minimum and the first tuple
+    that attains it.  Raises if the enumeration would exceed ``NVD_EVALUATION_CAP`` tuples
+    (checked before any work) rather than silently sampling, or if the codewords are not 2x2.
+    Raw lattice symbols are used; no energy normalization is applied.
     """
-    n_tuples = len(difference_points) ** cb.num_symbols
+    k = cb.num_symbols
+    n_tuples = len(difference_points) ** k
     if n_tuples > NVD_EVALUATION_CAP:
         raise ValueError(
             f"{n_tuples} difference tuples exceed the exhaustive cap of "
             f"{NVD_EVALUATION_CAP}; restrict the difference alphabet"
         )
-    pts = np.asarray(difference_points, dtype=complex)
-    grids = np.meshgrid(*([pts] * cb.num_symbols), indexing="ij")
-    tuples = np.stack([g.ravel() for g in grids], axis=-1)
-    tuples = tuples[np.any(tuples != 0, axis=-1)]
     best = math.inf
     best_tuple: tuple[complex, ...] = ()
-    for start in range(0, tuples.shape[0], 65536):
-        chunk = tuples[start : start + 65536]
-        prod = _det_products(cb.encode(chunk))
+    for start in range(0, n_tuples, 65536):
+        chunk = _symbol_tuples(difference_points, k, start, min(start + 65536, n_tuples))
+        # The zero tuple scores inf, so it never attains the minimum.
+        prod = np.where(np.any(chunk != 0, axis=-1), _det_products(cb.encode(chunk)), np.inf)
         i = int(np.argmin(prod))
         if prod[i] < best:
             best = float(prod[i])
@@ -298,12 +306,12 @@ def _ml_decisions(
     chols: Sequence[np.ndarray],
     table: np.ndarray,
 ) -> np.ndarray:
-    """Maximum-likelihood codeword index of every trial in a batch.
+    """Maximum-likelihood codeword index of every trial in a block.
 
-    ``received[k]`` is the ``(B, n_r, T)`` reception of sub-channel
-    ``k`` through ``effs[k]``, and ``chols[k]`` the Cholesky factor of
-    its noise covariance; ``table`` comes from :func:`_word_table` at
-    the run's signal amplitude.  Ties resolve to the lowest index.
+    ``received[k]`` is the ``(B, n_r, T)`` reception of sub-channel ``k`` through ``effs[k]``,
+    ``chols[k]`` the Cholesky factor of its noise covariance and ``table`` (``M`` codewords)
+    the :func:`_word_table` at the run's signal amplitude.  Rows are scored
+    ``max(1, _SCORE_ENTRIES // M)`` at a time; ties resolve to the lowest index.
     Raises ``np.linalg.LinAlgError`` if any score is not finite, even a loser's.
     """
     features = []
@@ -316,11 +324,16 @@ def _ml_decisions(
         # GEMM operand below is C-contiguous and BLAS scores stay bit-identical.
         features.append(prods.reshape(prods.shape[0], -1))
     f = np.concatenate(features, axis=-1)
-    scores = np.concatenate([f.real, f.imag], axis=-1) @ table
-    # min and max propagate NaN and need no temporary as large as the scores.
-    if not (np.isfinite(scores.min()) and np.isfinite(scores.max())):
-        raise np.linalg.LinAlgError("codeword scores are not finite")
-    return np.argmin(scores, axis=1)
+    f = np.concatenate([f.real, f.imag], axis=-1)
+    rows = max(1, _SCORE_ENTRIES // table.shape[1])
+    decided = np.empty(len(f), dtype=np.intp)
+    for start in range(0, len(f), rows):
+        scores = f[start : start + rows] @ table
+        # min and max propagate NaN and need no temporary as large as the scores.
+        if not (np.isfinite(scores.min()) and np.isfinite(scores.max())):
+            raise np.linalg.LinAlgError("codeword scores are not finite")
+        decided[start : start + rows] = np.argmin(scores, axis=1)
+    return decided
 
 
 def _ser_block(dim, scheme, cb, snr, amp, seed, words, table, block, live) -> int:

@@ -16,6 +16,10 @@ part of the package:
   derivation of ``dmt_core.coeffs``);
 * ``ml_decode`` -- exhaustive ML decoding of one reception with
   ``np.linalg`` (checks ``stbc._ml_decisions``);
+* ``symbol_tuples_dense``, ``codewords_dense`` and ``nvd_minimum_dense``
+  -- the whole enumeration built at once as a raveled ``ij`` meshgrid
+  (checks the streamed ``stbc._symbol_tuples``, ``Codebook.codewords``
+  and ``stbc.verify_nvd``);
 * ``sample_channel`` -- the single realization a trial of a run sees.
 """
 
@@ -38,7 +42,7 @@ from relaydmt.dmt_core import (
 )
 from relaydmt.partition import AfPath, Partition, Supernode, is_independent
 from relaydmt.recursion import _d, dmt_recursive
-from relaydmt.stbc import Codebook
+from relaydmt.stbc import Codebook, _det_products
 
 # ---------------------------------------------------------------------------
 # Partitions
@@ -281,3 +285,37 @@ def ml_decode(
         cand = amp * (g_w @ words[:, k])  # (M, n_r, T)
         total += np.sum(np.abs(y_w[None] - cand) ** 2, axis=(-2, -1))
     return int(np.argmin(total))
+
+
+def symbol_tuples_dense(points: Sequence[complex], k: int) -> np.ndarray:
+    """Every tuple of ``points^k`` at once, ``(len(points)**k, k)``, in raveled meshgrid order."""
+    grids = np.meshgrid(*([np.asarray(points, dtype=complex)] * k), indexing="ij")
+    return np.stack([g.ravel() for g in grids], axis=-1)
+
+
+def codewords_dense(cb: Codebook) -> tuple[np.ndarray, np.ndarray]:
+    """All codewords and symbol tuples of ``cb`` from the whole meshgrid."""
+    symbols = symbol_tuples_dense(cb.alphabet.points, cb.num_symbols)
+    return cb.encode(symbols), symbols
+
+
+def nvd_minimum_dense(
+    cb: Codebook, difference_points: Sequence[complex]
+) -> tuple[float, tuple[complex, ...]]:
+    """Minimum product determinant and its first attaining nonzero tuple.
+
+    Builds every difference tuple at once, drops the zero tuple, then
+    scores 65,536 of the remaining tuples at a time.
+    """
+    tuples = symbol_tuples_dense(difference_points, cb.num_symbols)
+    tuples = tuples[np.any(tuples != 0, axis=-1)]
+    best = math.inf
+    best_tuple: tuple[complex, ...] = ()
+    for start in range(0, tuples.shape[0], 65536):
+        chunk = tuples[start : start + 65536]
+        prod = _det_products(cb.encode(chunk))
+        i = int(np.argmin(prod))
+        if prod[i] < best:
+            best = float(prod[i])
+            best_tuple = tuple(chunk[i])
+    return best, best_tuple

@@ -1,10 +1,17 @@
 import hashlib
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
-from oracles import ml_decode, sample_channel
+from oracles import (
+    codewords_dense,
+    ml_decode,
+    nvd_minimum_dense,
+    sample_channel,
+    symbol_tuples_dense,
+)
 
 from relaydmt import stbc
 from relaydmt.channel_sim import (
@@ -19,6 +26,7 @@ from relaydmt.channel_sim import (
 from relaydmt.dmt_core import DecodeSet
 from relaydmt.stbc import (
     CODED_BLOCK_SIZE,
+    Codebook,
     QamAlphabet,
     alamouti,
     codebook_to_json,
@@ -36,6 +44,16 @@ def q4():
 @pytest.fixture(scope="module")
 def q16():
     return QamAlphabet.qam(16)
+
+
+def traced_peak_mb(fn, *args):
+    """``fn(*args)`` and the peak of its traced allocations, in MB."""
+    tracemalloc.start()
+    try:
+        out = fn(*args)
+        return out, tracemalloc.get_traced_memory()[1] / 1e6
+    finally:
+        tracemalloc.stop()
 
 
 class TestAlphabet:
@@ -124,6 +142,28 @@ class TestGolden:
             golden(q4, m=2)
 
 
+class TestCodebook:
+    def test_unknown_name_rejected_at_construction(self, q4):
+        with pytest.raises(ValueError, match="'foo'.*alamouti, golden, parallel-golden"):
+            Codebook("foo", q4)
+
+    @pytest.mark.parametrize("order", [4, 16])
+    @pytest.mark.parametrize("name", ["alamouti", "golden", "parallel-golden"])
+    def test_enumeration_order_is_the_meshgrid(self, name, order):
+        # The sent indices, and so every coded digest, depend on this order.
+        cb = Codebook(name, QamAlphabet.qam(order))
+        words, symbols = cb.codewords()
+        dense_words, dense_symbols = codewords_dense(cb)
+        assert words.dtype == dense_words.dtype and symbols.dtype == dense_symbols.dtype
+        assert np.array_equal(words, dense_words) and np.array_equal(symbols, dense_symbols)
+
+    @pytest.mark.parametrize("start,stop", [(0, 0), (0, 1), (5, 6), (7, 130), (0, 625)])
+    def test_symbol_tuples_slice_the_enumeration(self, start, stop, q4):
+        pts = q4.difference_points(max_coord=2)[:5]
+        dense = symbol_tuples_dense(pts, 4)
+        assert np.array_equal(stbc._symbol_tuples(pts, 4, start, stop), dense[start:stop])
+
+
 class TestVerifyNvd:
     def test_cap_enforced(self, q4, q16):
         with pytest.raises(ValueError, match="cap"):
@@ -133,8 +173,7 @@ class TestVerifyNvd:
     def test_closed_form_matches_gram_determinant(self, golden_m, q4):
         cb = alamouti(q4) if golden_m is None else golden(q4, m=golden_m)
         pts = np.asarray(q4.difference_points())
-        grids = np.meshgrid(*([pts] * cb.num_symbols), indexing="ij")
-        tuples = np.stack([g.ravel() for g in grids], axis=-1)
+        tuples = symbol_tuples_dense(pts, cb.num_symbols)
         words = cb.encode(tuples[np.any(tuples != 0, axis=-1)])
         gram = words @ words.conj().swapaxes(-1, -2)
         expect = np.prod(np.abs(np.linalg.det(gram)), axis=-1)
@@ -150,6 +189,45 @@ class TestVerifyNvd:
         mn, arg = verify_nvd(cb, q4.difference_points())
         assert any(a != 0 for a in arg)
         assert mn > 0
+
+    @pytest.mark.parametrize(
+        "code,qam",
+        [("alamouti", 4), ("golden", 4), ("parallel-golden", 4), ("golden", 16),
+         ("parallel-golden", 16)],
+    )
+    def test_streamed_search_matches_dense(self, code, qam, q4):
+        # The benchmark's five cases; the boxed 16-QAM ones span six chunks.
+        diffs = QamAlphabet.qam(qam).difference_points(max_coord=4)
+        cb = Codebook(code, q4)
+        assert math.ceil(len(diffs) ** cb.num_symbols / 65536) == (6 if qam == 16 else 1)
+        mn, arg = verify_nvd(cb, diffs)
+        dense_mn, dense_arg = nvd_minimum_dense(cb, diffs)
+        assert mn == dense_mn and arg == dense_arg
+
+    def test_chunks_cover_the_enumeration_once(self, q4, q16, monkeypatch):
+        # The minimum sits in the first chunk, so the case above alone would
+        # miss a skipped or repeated later chunk.
+        seen = []
+
+        def spy(words, det_products=stbc._det_products):
+            seen.append(words)
+            return det_products(words)
+
+        monkeypatch.setattr(stbc, "_det_products", spy)
+        cb, diffs = golden(q4), q16.difference_points(max_coord=4)
+        verify_nvd(cb, diffs)
+        assert [len(w) for w in seen] == [65536] * 5 + [390625 - 5 * 65536]
+        assert np.array_equal(np.concatenate(seen), cb.encode(symbol_tuples_dense(diffs, 4)))
+
+    def test_degenerate_alphabets_find_nothing(self, q4):
+        assert verify_nvd(alamouti(q4), [0j]) == (math.inf, ())
+        assert verify_nvd(alamouti(q4), []) == (math.inf, ())
+
+    def test_streamed_search_memory_is_bounded(self, q4, q16):
+        # The whole enumeration took 78.5 MB of traced memory here.
+        cb, diffs = golden(q4, m=1), q16.difference_points(max_coord=4)
+        _, peak = traced_peak_mb(verify_nvd, cb, diffs)
+        assert peak < 24.0
 
 
 class TestMlDecode:
@@ -248,6 +326,50 @@ class TestVectorisedDecisionOracle:
             total = total + np.sum(np.abs(y_w[:, None] - cand) ** 2, axis=(-2, -1))
         return total
 
+    @classmethod
+    def clear_rows(cls, ys, effs, words, amp):
+        """Rows whose two best reference distances are not a near-tie (1e-9 relative)."""
+        clear = []
+        for r in range(0, len(ys[0]), 8):  # 8 rows keep the distances near 30 MB at 16-QAM
+            rows = slice(r, r + 8)
+            effs_r = [EffectiveChannel(e.gain[rows], e.noise_cov[rows]) for e in effs]
+            dist = cls.reference_distances([y[rows] for y in ys], effs_r, words, amp)
+            two = np.partition(dist, 1, axis=1)[:, :2]
+            clear.append(two[:, 1] - two[:, 0] > 1e-9 * (1.0 + two[:, 0]))
+        return np.concatenate(clear)
+
+    @staticmethod
+    def decision_inputs(dim, cb, effs_of, snr_db, rows):
+        """Sent indices, receptions, channels, factors and table for ``rows`` trials."""
+        snr = 10.0 ** (snr_db / 10.0)
+        amp = math.sqrt(snr / dim[0]) * cb.energy_norm
+        words, _ = cb.codewords()
+        rng = np.random.default_rng(int(snr_db))
+        effs = effs_of(sample_block(dim, seed=19, block_index=0, count=rows), snr)
+        sent = rng.integers(0, words.shape[0], size=rows)
+        ys = []
+        for k, eff in enumerate(effs):
+            noise = (
+                rng.standard_normal((rows, 2, 2)) + 1j * rng.standard_normal((rows, 2, 2))
+            ) / np.sqrt(2)
+            ys.append(amp * (eff.gain @ words[sent, k]) + np.linalg.cholesky(eff.noise_cov) @ noise)
+        chols = [stbc._cholesky(eff.noise_cov) for eff in effs]
+        return sent, ys, effs, chols, stbc._word_table(words, amp)
+
+    @staticmethod
+    def reference_decisions(ys, effs, cb, snr_db):
+        return np.asarray(
+            [
+                ml_decode(
+                    [y[r] for y in ys],
+                    [EffectiveChannel(e.gain[r], e.noise_cov[r]) for e in effs],
+                    cb,
+                    10.0 ** (snr_db / 10.0),
+                )
+                for r in range(len(ys[0]))
+            ]
+        )
+
     @pytest.mark.parametrize("snr_db", [6.0, 24.0])
     @pytest.mark.parametrize("case", ["golden1-ff(2,2,2)", "orthogonal-af(2,1,2,2)"])
     def test_matches_ml_decode(self, case, snr_db, q4):
@@ -257,37 +379,58 @@ class TestVectorisedDecisionOracle:
         else:
             dim, cb = (2, 1, 2, 2), alamouti(q4)
             effs_of = lambda real, snr: [af_effective(real, snr)]
-        snr = 10.0 ** (snr_db / 10.0)
-        amp = math.sqrt(snr / dim[0]) * cb.energy_norm
-        words, _ = cb.codewords()
-        rng = np.random.default_rng(int(snr_db))
-        effs = effs_of(sample_block(dim, seed=19, block_index=0, count=self.ROWS), snr)
-        sent = rng.integers(0, words.shape[0], size=self.ROWS)
-        ys = []
-        for k, eff in enumerate(effs):
-            noise = (
-                rng.standard_normal((self.ROWS, 2, 2)) + 1j * rng.standard_normal((self.ROWS, 2, 2))
-            ) / np.sqrt(2)
-            ys.append(amp * (eff.gain @ words[sent, k]) + np.linalg.cholesky(eff.noise_cov) @ noise)
-
-        chols = [stbc._cholesky(eff.noise_cov) for eff in effs]
-        fast = stbc._ml_decisions(ys, effs, chols, stbc._word_table(words, amp))
-        ref = [
-            ml_decode(
-                [y[r] for y in ys],
-                [EffectiveChannel(e.gain[r], e.noise_cov[r]) for e in effs],
-                cb,
-                snr,
-            )
-            for r in range(self.ROWS)
-        ]
-        dist = np.sort(self.reference_distances(ys, effs, words, amp), axis=1)
-        clear = dist[:, 1] - dist[:, 0] > 1e-9 * (1.0 + dist[:, 0])
+        sent, ys, effs, chols, table = self.decision_inputs(dim, cb, effs_of, snr_db, self.ROWS)
+        fast = stbc._ml_decisions(ys, effs, chols, table)
+        ref = self.reference_decisions(ys, effs, cb, snr_db)
+        amp = math.sqrt(10.0 ** (snr_db / 10.0) / dim[0]) * cb.energy_norm
+        clear = self.clear_rows(ys, effs, cb.codewords()[0], amp)
         assert np.count_nonzero(clear) >= 0.9 * self.ROWS
-        assert np.array_equal(fast[clear], np.asarray(ref)[clear])
+        assert np.array_equal(fast[clear], ref[clear])
         # Low SNR must actually exercise wrong decisions, high SNR right ones.
         errors = np.count_nonzero(fast != sent)
         assert errors > 0 if snr_db < 10 else errors < self.ROWS // 10
+
+
+class TestRowBatches:
+    """Golden 16-QAM: 65,536 codewords, so ``_ml_decisions`` scores 8 rows per product."""
+
+    ROWS = 40  # five batches
+    SNR_DB = 14.0
+
+    @pytest.fixture(scope="class")
+    def golden16(self, q16):
+        cb = golden(q16)
+        assert stbc._SCORE_ENTRIES // len(cb.codewords()[0]) == 8
+        return cb
+
+    def inputs(self, cb, rows):
+        effs_of = lambda real, snr: [af_effective(real, snr)]
+        return TestVectorisedDecisionOracle.decision_inputs((2, 2), cb, effs_of, self.SNR_DB, rows)
+
+    def test_batches_match_ml_decode(self, golden16):
+        oracle = TestVectorisedDecisionOracle
+        sent, ys, effs, chols, table = self.inputs(golden16, self.ROWS)
+        fast = stbc._ml_decisions(ys, effs, chols, table)
+        ref = oracle.reference_decisions(ys, effs, golden16, self.SNR_DB)
+        amp = math.sqrt(10.0 ** (self.SNR_DB / 10.0) / 2) * golden16.energy_norm
+        clear = oracle.clear_rows(ys, effs, golden16.codewords()[0], amp)
+        assert np.count_nonzero(clear) >= 0.9 * self.ROWS
+        assert np.array_equal(fast[clear], ref[clear])
+        # Wrong decisions occur too, so they are checked as well as right ones.
+        assert 0 < np.count_nonzero(fast != sent) < self.ROWS // 2
+
+    def test_non_finite_last_batch_raises(self, golden16):
+        _, ys, effs, chols, table = self.inputs(golden16, self.ROWS)
+        ys[0][-8:, 1, 0] = np.nan
+        with pytest.raises(np.linalg.LinAlgError, match="not finite"):
+            stbc._ml_decisions(ys, effs, chols, table)
+
+    def test_block_memory_is_bounded(self, golden16):
+        # One (2048, 65536) score matrix took 1.07 GB.
+        _, ys, effs, chols, table = self.inputs(golden16, CODED_BLOCK_SIZE)
+        decided, peak = traced_peak_mb(stbc._ml_decisions, ys, effs, chols, table)
+        assert decided.shape == (CODED_BLOCK_SIZE,)
+        assert peak < 64.0
 
 
 class TestSimulateSer:
