@@ -13,7 +13,6 @@ and CSI-aligned schemes, plus small algebraic space-time codes.
 from .dmt_core import (
     DecodeSet,
     Dimension,
-    DmtCoeffs,
     DmtCurve,
     as_dimension,
     coeffs,

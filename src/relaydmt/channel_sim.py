@@ -116,14 +116,23 @@ class EffectiveChannel:
 
 @dataclass(frozen=True)
 class OutageEstimate:
-    """One Monte-Carlo point: outage (or error) count at an SNR."""
+    """One Monte-Carlo point: outage (or error) count at an SNR.
+
+    The estimate ``p_hat`` and its 95% interval ``ci95`` derive from the count.
+    """
 
     snr_db: float
     rate_bpcu: float
     trials: int
     outage_count: int
-    p_hat: float
-    ci95: tuple[float, float]
+
+    @property
+    def p_hat(self) -> float:
+        return self.outage_count / self.trials
+
+    @property
+    def ci95(self) -> tuple[float, float]:
+        return _binomial_ci(self.outage_count, self.trials)
 
 
 # --------------------------------------------------------------------------
@@ -545,18 +554,6 @@ def _binomial_ci(count: int, trials: int) -> tuple[float, float]:
     return (max(0.0, p - 1.96 * se), min(1.0, p + 1.96 * se))
 
 
-def _estimate(snr_db: float, rate: float, trials: int, count: int) -> OutageEstimate:
-    """The estimate of ``count`` events in ``trials`` at one SNR point."""
-    return OutageEstimate(
-        snr_db=float(snr_db),
-        rate_bpcu=float(rate),
-        trials=trials,
-        outage_count=count,
-        p_hat=count / trials,
-        ci95=_binomial_ci(count, trials),
-    )
-
-
 def estimate_outage(
     dim: DimensionLike,
     scheme: Scheme,
@@ -573,7 +570,7 @@ def estimate_outage(
     dim = as_dimension(dim)
     snr = 10.0 ** (snr_db / 10.0)
     count = _map_blocks(_outage_block, (dim, scheme, rate, snr, seed), trials, BLOCK_SIZE, workers)
-    return _estimate(snr_db, rate, trials, count)
+    return OutageEstimate(float(snr_db), float(rate), trials, count)
 
 
 def outage_curve(

@@ -25,6 +25,8 @@ from .dmt_core import DecodeSet, as_dimension
 
 SEED_ENV_VAR = "RELAYDMT_SEED"
 MAX_GRID_POINTS = 10_000
+# Every worker is a forked process; a bound keeps a typo from forking thousands.
+MAX_WORKERS = 64
 
 # Each --scheme: the options it reads beyond those every run reads, and its
 # constructor from the parsed arguments and the dimension.  An option in the
@@ -227,19 +229,12 @@ def _k_modes(args) -> int:
     return k_modes
 
 
-def _build_codebook(args):
-    q = stbc.QamAlphabet.qam(args.qam or 4)
-    if args.code in (None, "alamouti"):
-        return stbc.alamouti(q)
-    return stbc.golden(q, m=1 if args.code == "parallel-golden" else 0)
-
-
 def cmd_simulate(args) -> int:
     dim = _parse_dim(args.dim)
     grid = _parse_grid(args.snr)
     trials = _parse_trials(args.trials)
-    if args.workers < 1:
-        raise UsageError("--workers must be at least 1")
+    if not 1 <= args.workers <= MAX_WORKERS:
+        raise UsageError(f"--workers must be in 1..{MAX_WORKERS}, got {args.workers}")
     _refuse_unread(args, _SCHEMES, [args.scheme])
     seed = args.seed
     if seed is None:
@@ -248,7 +243,7 @@ def cmd_simulate(args) -> int:
     scheme = _SCHEMES[args.scheme][1](args, dim)
     coded = "code" in _SCHEMES[args.scheme][0]
     if coded:
-        cb = _build_codebook(args)
+        cb = stbc.Codebook(args.code or "alamouti", stbc.QamAlphabet.qam(args.qam or 4))
         points = stbc.simulate_ser(dim, scheme, cb, grid, trials, seed, workers=args.workers)
         rate = points[0].rate_bpcu
         extra = {"code": cb.describe()}
@@ -332,7 +327,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim.add_argument("--decode", help="decode layers for the df scheme")
     p_sim.add_argument("--partition", help="partition JSON file for parallel-af, ff and coded-ff")
     p_sim.add_argument(
-        "--code", choices=("alamouti", "golden", "parallel-golden"),
+        "--code", choices=tuple(stbc._CODES),
         help="space-time code for the coded schemes (default alamouti)",
     )
     p_sim.add_argument("--qam", type=int, choices=(4, 16), help="coded schemes (default 4)")

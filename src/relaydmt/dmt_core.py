@@ -25,7 +25,6 @@ from typing import Iterable, Sequence, Union
 
 __all__ = [
     "Dimension",
-    "DmtCoeffs",
     "DmtCurve",
     "DecodeSet",
     "as_dimension",
@@ -98,31 +97,6 @@ def as_dimension(dim: DimensionLike) -> Dimension:
 
 
 @dataclass(frozen=True)
-class DmtCoeffs:
-    """Per-stream disconnection costs ``(c_1, ..., c_{n_min})``.
-
-    ``c_i`` is the high-SNR probability cost of driving the i-th
-    strongest eigenmode of the end-to-end channel to zero; the maximum
-    diversity is the total cost of disconnecting all modes.  The values
-    are strictly decreasing in ``i``.
-    """
-
-    values: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        if any(c < 0 for c in self.values):
-            raise ValueError("costs must be non-negative")
-        if any(a < b for a, b in zip(self.values, self.values[1:])):
-            raise ValueError("costs must be non-increasing")
-
-    def __iter__(self):
-        return iter(self.values)
-
-    def __len__(self) -> int:
-        return len(self.values)
-
-
-@dataclass(frozen=True)
 class DecodeSet:
     """Relay layers that decode-and-forward, ``D_1 < ... < D_m = N``.
 
@@ -166,14 +140,15 @@ class DmtCurve:
     Construction canonicalizes: collinear interior vertices are merged,
     so two curves are equal iff they are the same function.
 
-    A curve may be *partial*: only the maximum-diversity point ``d(0)``
-    is known (heterogeneous parallel combinations).  Evaluating a
-    partial curve at ``r > 0`` raises.
+    A full tradeoff ends at ``d = 0``; a curve that stops above it is
+    *partial*: only the maximum-diversity point ``d(0)`` is known
+    (heterogeneous parallel combinations).  Evaluating a partial curve
+    at ``r > 0`` raises.
     """
 
-    __slots__ = ("_vertices", "_partial")
+    __slots__ = ("_vertices",)
 
-    def __init__(self, vertices: Iterable[tuple[Rational, Rational]], partial: bool = False):
+    def __init__(self, vertices: Iterable[tuple[Rational, Rational]]):
         verts = [(Fraction(r), Fraction(d)) for r, d in vertices]
         if not verts:
             raise ValueError("a curve needs at least one vertex")
@@ -183,12 +158,9 @@ class DmtCurve:
             raise ValueError("curves start at r = 0")
         if any(a[1] < b[1] for a, b in zip(verts, verts[1:])):
             raise ValueError("diversity must be non-increasing in r")
-        if not partial:
-            if verts[-1][1] != 0:
-                raise ValueError("curves end at d = 0")
-            verts = _merge_collinear(verts)
-        self._vertices = tuple(verts)
-        self._partial = bool(partial)
+        if verts[-1][1] < 0:
+            raise ValueError("diversity must be non-negative")
+        self._vertices = tuple(_merge_collinear(verts))
 
     @property
     def vertices(self) -> tuple[tuple[Fraction, Fraction], ...]:
@@ -196,7 +168,7 @@ class DmtCurve:
 
     @property
     def partial(self) -> bool:
-        return self._partial
+        return self._vertices[-1][1] > 0
 
     @property
     def d_max(self) -> Fraction:
@@ -206,7 +178,7 @@ class DmtCurve:
     @property
     def r_max(self) -> Fraction:
         """Maximum multiplexing gain, the smallest r with ``d(r) = 0``."""
-        if self._partial:
+        if self.partial:
             raise ValueError("partial curve: only d(0) is known")
         return self._vertices[-1][0]
 
@@ -214,7 +186,7 @@ class DmtCurve:
         r = r if isinstance(r, Fraction) else Fraction(r)
         if r <= 0:
             return self._vertices[0][1]
-        if self._partial:
+        if self.partial:
             raise ValueError("partial curve: only d(0) is known")
         if r >= self._vertices[-1][0]:
             return Fraction(0)
@@ -270,20 +242,19 @@ class DmtCurve:
         factor = Fraction(factor)
         if factor <= 0:
             raise ValueError("scale factor must be positive")
-        return DmtCurve([(x, factor * y) for x, y in self._vertices], partial=self._partial)
+        return DmtCurve([(x, factor * y) for x, y in self._vertices])
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, DmtCurve):
             return NotImplemented
-        return self._vertices == other._vertices and self._partial == other._partial
+        return self._vertices == other._vertices
 
     def __hash__(self) -> int:
-        return hash((self._vertices, self._partial))
+        return hash(self._vertices)
 
     def __repr__(self) -> str:
         pts = ", ".join(f"({x},{y})" for x, y in self._vertices)
-        tag = ", partial" if self._partial else ""
-        return f"DmtCurve([{pts}]{tag})"
+        return f"DmtCurve([{pts}])"
 
 
 def _merge_collinear(verts: list[tuple[Fraction, Fraction]]) -> list[tuple[Fraction, Fraction]]:
@@ -305,16 +276,18 @@ def _merge_collinear(verts: list[tuple[Fraction, Fraction]]) -> list[tuple[Fract
 # ---------------------------------------------------------------------------
 
 
-def coeffs(dim: DimensionLike) -> DmtCoeffs:
-    """Disconnection costs of the matrix-product (AF-equivalent) channel.
+def coeffs(dim: DimensionLike) -> tuple[int, ...]:
+    """Disconnection costs ``(c_1, ..., c_{n_min})`` of the matrix-product channel.
 
-    On the sorted counts ``m_0 <= ... <= m_N``::
+    ``c_i`` is the high-SNR cost of zeroing the i-th strongest eigenmode;
+    the costs decrease strictly and sum to the AF ``d_max``.  On the
+    sorted counts ``m_0 <= ... <= m_N``::
 
         c_i = 1 - i + min over k in 1..N of floor((m_0 + ... + m_k - i) / k)
 
     for ``i = 1 .. n_min``, evaluated in exact integer arithmetic.
     """
-    return DmtCoeffs(tuple(_coeff_values(as_dimension(dim).counts)))
+    return tuple(_coeff_values(as_dimension(dim).counts))
 
 
 def _coeff_values(counts: Sequence[int]) -> list[int]:
@@ -337,7 +310,7 @@ def dmt_rp(dim: DimensionLike) -> DmtCurve:
     for ``k = 0 .. n_min``; it depends only on the sorted antenna counts.
     """
     dim = as_dimension(dim)
-    c = coeffs(dim).values
+    c = coeffs(dim)
     points = [(k, sum(c[k:])) for k in range(dim.n_min + 1)]
     return DmtCurve(points)
 
@@ -471,4 +444,4 @@ def dmt_parallel_af(dim: DimensionLike, path_dims: Sequence[DimensionLike]) -> D
         raise ValueError(f"paths sum to diversity {d0}, above the cut-set d_max {d_cut}")
     if all(c == curves[0] for c in curves[1:]):
         return curves[0].scale(len(curves))
-    return DmtCurve([(0, d0)], partial=True)
+    return DmtCurve([(0, d0)])

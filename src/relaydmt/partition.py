@@ -47,9 +47,11 @@ __all__ = [
 
 @dataclass(frozen=True)
 class Supernode:
-    """A non-empty set of antenna indices within one layer."""
+    """A non-empty set of antenna indices within one layer.
 
-    layer: int
+    Its layer is its position in :attr:`AfPath.supernodes`.
+    """
+
     antennas: frozenset[int]
 
     def __post_init__(self) -> None:
@@ -75,9 +77,6 @@ class AfPath:
     def __post_init__(self) -> None:
         if len(self.supernodes) < 2:
             raise ValueError("a path spans at least two layers")
-        for pos, node in enumerate(self.supernodes):
-            if node.layer != pos:
-                raise ValueError(f"supernode at position {pos} claims layer {node.layer}")
 
     @property
     def widths(self) -> tuple[int, ...]:
@@ -110,16 +109,16 @@ class Partition:
 
 def singleton_path(antennas: Sequence[int]) -> AfPath:
     """Path through one named antenna per layer."""
-    return AfPath(tuple(Supernode(i, frozenset({a})) for i, a in enumerate(antennas)))
+    return AfPath(tuple(Supernode(frozenset({a})) for a in antennas))
 
 
 def _validate(dim: Dimension, p: Partition) -> None:
     for path in p.paths:
         if len(path.supernodes) != len(dim):
             raise ValueError(f"path spans {len(path.supernodes)} layers, channel has {len(dim)}")
-        for node in path.supernodes:
-            if max(node.antennas) >= dim[node.layer]:
-                raise ValueError(f"antenna index out of range in layer {node.layer}")
+        for layer, node in enumerate(path.supernodes):
+            if max(node.antennas) >= dim[layer]:
+                raise ValueError(f"antenna index out of range in layer {layer}")
     for layer in range(len(dim)):
         nodes = {path.supernodes[layer] for path in p.paths}
         for a, b in itertools.combinations(nodes, 2):
@@ -191,8 +190,8 @@ def min_full_div_partition_2hop(n0: int, n1: int, n2: int) -> tuple[int, Partiti
     if min(n0, n1, n2) < 1:
         raise ValueError("antenna counts must be positive")
     k = math.ceil(n1 / (abs(n0 - n2) + 1))
-    source = Supernode(0, frozenset(range(n0)))
-    dest = Supernode(2, frozenset(range(n2)))
+    source = Supernode(frozenset(range(n0)))
+    dest = Supernode(frozenset(range(n2)))
     base, extra = divmod(n1, k)
     chunks = []
     start = 0
@@ -200,7 +199,7 @@ def min_full_div_partition_2hop(n0: int, n1: int, n2: int) -> tuple[int, Partiti
         size = base + (1 if idx < extra else 0)
         chunks.append(frozenset(range(start, start + size)))
         start += size
-    paths = tuple(AfPath((source, Supernode(1, c), dest)) for c in chunks)
+    paths = tuple(AfPath((source, Supernode(c), dest)) for c in chunks)
     return k, Partition(paths)
 
 
@@ -321,10 +320,7 @@ def partition_from_json(text: str) -> tuple[Dimension, Partition]:
 
     try:
         dim = as_dimension(doc["dim"])
-        layer_nodes = [
-            [Supernode(layer, frozenset(ants)) for ants in nodes]
-            for layer, nodes in enumerate(doc["layers"])
-        ]
+        layer_nodes = [[Supernode(frozenset(ants)) for ants in nodes] for nodes in doc["layers"]]
         paths = tuple(
             AfPath(tuple(node(layer, ref) for layer, ref in enumerate(refs)))
             for refs in doc["paths"]

@@ -42,7 +42,6 @@ from .channel_sim import (
     _cholesky,
     _complex_normal,
     _draw_hops,
-    _estimate,
     _first_trials,
     _forward_sub,
     _hermitian_square,
@@ -394,7 +393,7 @@ def simulate_ser(
             amp = math.sqrt(snr / dim[0]) * cb.energy_norm
             params = (dim, scheme, cb, snr, amp, seed, words, _word_table(words, amp))
             errors = _map_blocks(_ser_block, params, trials, CODED_BLOCK_SIZE, workers)
-            points.append(_estimate(snr_db, bits_per_use, trials, errors))
+            points.append(OutageEstimate(float(snr_db), bits_per_use, trials, errors))
     return points
 
 

@@ -122,10 +122,7 @@ def search_min_full_diversity_partition(
 
     best: tuple[int, Partition] | None = None
     for combo in itertools.product(*structures):
-        layer_nodes = [
-            [Supernode(layer, s) for s in sorted(nodes, key=lambda s: min(s))]
-            for layer, nodes in enumerate(combo)
-        ]
+        layer_nodes = [[Supernode(s) for s in sorted(nodes, key=lambda s: min(s))] for nodes in combo]
         all_paths = [AfPath(chain) for chain in itertools.product(*layer_nodes)]
         path_div = [_af_d_max(path.widths) for path in all_paths]
         order = sorted(range(len(all_paths)), key=lambda j: -path_div[j])

@@ -319,6 +319,10 @@ class TestFf:
         assert np.allclose(effs[0].gain, base.gain)
         assert np.allclose(effs[0].noise_cov, base.noise_cov)
 
+    def test_no_default_schedule_beyond_two_hops(self):
+        with pytest.raises(ValueError, match="beyond two hops"):
+            default_ff_scheme((2, 2, 2, 2))
+
     def test_energy_identity_of_flip_transform(self):
         # Flip pair carries exactly twice the energy of the selection pair.
         real = sample_block((2, 2, 2), seed=14, block_index=0, count=256)
@@ -364,7 +368,7 @@ class TestParallelAf:
     def test_trivial_partition_is_af(self):
         counts = (2, 2, 2)
         p = Partition(
-            (AfPath(tuple(Supernode(i, frozenset(range(n))) for i, n in enumerate(counts))),)
+            (AfPath(tuple(Supernode(frozenset(range(n))) for n in counts)),)
         )
         real = sample_block(counts, seed=16, block_index=0, count=32)
         eff = ParallelAfScheme(p).effectives(real, 12.0)[0]
@@ -474,6 +478,10 @@ class TestEstimateOutage:
     def test_zero_rate_never_in_outage(self):
         est = estimate_outage((2, 2, 2), AfScheme(), 0.0, 10.0, 5000, seed=1)
         assert est.outage_count == 0 and est.p_hat == 0.0
+
+    def test_zero_trials_rejected(self):
+        with pytest.raises(ValueError, match="at least one trial"):
+            estimate_outage((2, 2, 2), AfScheme(), 2.0, 10.0, trials=0, seed=1)
 
     def test_deterministic_and_worker_invariant(self):
         kwargs = dict(rate=2.0, snr_db=8.0, trials=30000, seed=77)
@@ -686,29 +694,25 @@ class TestSchemeOrderings:
 
 class TestEstimateSlope:
     def test_exact_power_law(self):
+        # Counts 10^12, 10^9, 10^6, 10^3 of 10^15: three decades per 10 dB.
         pts = [
-            OutageEstimate(snr_db=db, rate_bpcu=2.0, trials=10**6,
-                           outage_count=max(25, int(10**6 * 10 ** (-3 * db / 10))),
-                           p_hat=10 ** (-3 * db / 10), ci95=(0, 1))
-            for db in (10, 12, 14, 16)
+            OutageEstimate(snr_db=db, rate_bpcu=2.0, trials=10**15,
+                           outage_count=10 ** (15 - 3 * db // 10))
+            for db in (10, 20, 30, 40)
         ]
         assert abs(estimate_slope(pts) - 3.0) < 1e-9
 
     def test_requires_three_usable_points(self):
         pts = [
-            OutageEstimate(10.0, 2.0, 1000, 100, 0.1, (0, 1)),
-            OutageEstimate(12.0, 2.0, 1000, 50, 0.05, (0, 1)),
+            OutageEstimate(10.0, 2.0, 1000, 100),
+            OutageEstimate(12.0, 2.0, 1000, 50),
         ]
         with pytest.raises(ValueError):
             estimate_slope(pts)
 
     def test_sparse_counts_filtered(self):
-        good = [
-            OutageEstimate(db, 2.0, 10**5, int(10**5 * 10 ** (-db / 10)),
-                           10 ** (-db / 10), (0, 1))
-            for db in (10, 14, 18)
-        ]
-        noisy = [OutageEstimate(40.0, 2.0, 10**5, 3, 3e-5, (0, 1))]
+        good = [OutageEstimate(db, 2.0, 10**5, 10 ** (5 - db // 10)) for db in (10, 20, 30)]
+        noisy = [OutageEstimate(40.0, 2.0, 10**5, 3)]
         assert abs(estimate_slope(good + noisy) - 1.0) < 1e-9
 
 
@@ -733,23 +737,20 @@ class TestFrobeniusSurrogate:
                 omask = mutual_info(eff, snr, 1) < 0.1
                 frob += int(np.count_nonzero(fmask[:live]))
                 outage += int(np.count_nonzero(omask[:live]))
-            frob_pts.append(
-                OutageEstimate(snr_db, 0.0, trials, frob, frob / trials, (0, 1))
-            )
-            rate_pts.append(
-                OutageEstimate(snr_db, 0.1, trials, outage, outage / trials, (0, 1))
-            )
+            frob_pts.append(OutageEstimate(snr_db, 0.0, trials, frob))
+            rate_pts.append(OutageEstimate(snr_db, 0.1, trials, outage))
         assert abs(estimate_slope(frob_pts) - estimate_slope(rate_pts)) < 0.5
 
 
 class TestOutputFormats:
     def test_csv_layout(self):
-        pts = [OutageEstimate(10.0, 2.0, 1000, 123, 0.123, (0.10, 0.15))]
+        pts = [OutageEstimate(10.0, 2.0, 1000, 123)]
         buf = io.StringIO()
         write_outage_csv(pts, buf)
         lines = buf.getvalue().splitlines()
         assert lines[0] == "snr_db,rate,trials,outages,p_hat,ci_lo,ci_hi"
-        assert lines[1] == "10,2,1000,123,0.123,0.1,0.15"
+        # p_hat +- 1.96 sqrt(p_hat (1 - p_hat) / trials)
+        assert lines[1] == "10,2,1000,123,0.123,0.1026432509,0.1433567491"
 
     def test_manifest_hash_stable_and_sensitive(self):
         base = dict(

@@ -109,6 +109,20 @@ class TestDmtCommand:
         assert code == 2 and out == ""
         assert "--curve takes distinct names" in err
 
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_heterogeneous_parallel_af_is_partial(self, fmt, capsys):
+        code, out, _ = run(
+            capsys, "dmt", "--dim", "2,4,3", "--curve", "parallel-af",
+            "--paths", "2,2,3;2,1,3", "--format", fmt,
+        )
+        assert code == 0
+        rows = [["0", "6"], ["partial", "only d(0) is known for heterogeneous paths"]]
+        if fmt == "csv":
+            assert out == "curve,r,d\n" + "".join(f"parallel-af,{r},{d}\n" for r, d in rows)
+        else:
+            doc = {"dim": [2, 4, 3], "curves": {"parallel-af": rows}}
+            assert out == json.dumps(doc, indent=2) + "\n"
+
     def test_options_accepted_with_their_curves(self, capsys):
         code, out, _ = run(
             capsys, "dmt", "--dim", "2,2,2", "--curve", "serial,ff-bound,parallel-af",
@@ -456,6 +470,15 @@ class TestSimulateCommand:
         assert code == 2 and out == ""
         assert "--workers" in err
 
+    def test_workers_above_bound_rejected(self, capsys, pool_sizes):
+        code, out, err = run(
+            capsys, "simulate", "--dim", "2,2", "--scheme", "af", "--rate", "1",
+            "--snr", "10:2:12", "--trials", "1e6", "--workers", str(cli.MAX_WORKERS + 1),
+        )
+        assert code == 2 and out == ""
+        assert "--workers must be in 1..64" in err
+        assert pool_sizes == []
+
     def test_fractional_trials_rejected(self, capsys):
         code, out, err = run(
             capsys, "simulate", "--dim", "2,2", "--scheme", "af", "--rate", "1",
@@ -522,60 +545,73 @@ class TestSimulateCommand:
         assert json.loads(err)["seed"] == 2**64 - 1
 
 
-# sha256 of the `simulate --seed 7 --trials 8192` CSV, one run per scheme.
-# The digests depend on the installed numpy's `Generator` streams (numpy
-# does not promise them stable across releases); a different numpy may
-# need them recorded again, but a code change must leave them alone.
+# sha256 of the `simulate --seed 7 --trials 8192` CSV, one run per scheme,
+# then the manifest's `config_hash`.  The digests depend on the installed
+# numpy's `Generator` streams (numpy does not promise them stable across
+# releases); a different numpy may need them recorded again, but a code
+# change must leave them alone.  The `config_hash` leaves out the versions,
+# so it holds on any host; it pins each scheme's and code's description.
 _PINNED_CSV = {
     "af": (
         ["--dim", "2,2,2", "--scheme", "af", "--rate", "2", "--snr", "6:4:14"],
         "6531e4a1d878912b20bab65d4c3bc55acfb66258cb23bbaa41cc50b991650df7",
+        "da70e70a66b1a08218a3fb576e2f203d68107825",
     ),
     "pf": (
         ["--dim", "1,4,2,1", "--scheme", "pf", "--rate", "1", "--snr", "4:4:12"],
         "73624ab78a6993fa677a28b9e063970d7a448a7d081f484cb00263d5ba794012",
+        "3ad3875ea767ae0fc307797d812fee61af253213",
     ),
     "ff": (
         ["--dim", "2,2,2", "--scheme", "ff", "--rate", "2", "--snr", "6:4:14"],
         "9a92191a11b90b54107abd84dcf9a3c50463844abe1718c0512662f7af0bfb28",
+        "61677e4ead73b93775440d4180705af86abb01ba",
     ),
     "df": (
         ["--dim", "3,1,4,2", "--scheme", "df", "--decode", "2,3", "--rate", "1", "--snr", "4:4:12"],
         "9aadf7cadd66b460c49823cf43ae73bbb787aea2eba092064a1e0220a7bc99ea",
+        "1e5c53959596a1b95999db354106abe9614623e6",
     ),
     "parallel-af": (
         ["--dim", "2,2,2", "--scheme", "parallel-af", "--rate", "2", "--snr", "6:4:14"],
         "121eec6a9e33a38ace2090ebf9d8d1b7af2cecf9ba06c28bd1eee2db73a98687",
+        "236559c3205b031afe21c3b249fa01b2cd19fedb",
     ),
     "svd-align": (
         ["--dim", "2,2,2", "--scheme", "svd-align", "--rate", "2", "--snr", "2:4:10"],
         "834cff137116d978bb631b61527e7f87a3851e398d22cacc50d47c3c4c87c206",
+        "ea72e0f19ef6a9fd9d2de0dd23f4f465f468fde7",
     ),
     "coded-ff": (
         ["--dim", "2,2,2", "--scheme", "coded-ff", "--code", "parallel-golden", "--snr", "6:4:14"],
         "c3f5d2024e3268abac2bd6612ef082f60e2be32de2b34b444b10db3ad1000818",
+        "1f145bb12ecfc573ea8794f45db89b6a363a30e0",
     ),
     "coded-af": (
         ["--dim", "2,1,2,2", "--scheme", "coded-af", "--snr", "6:4:14"],
         "5eb59065c827f5720e94103d6eb206767061f0d9c14d7cd73369a5cc6f11c36a",
+        "42d1cab2d21ec6b1a94f15d56628e9aba6fd9b66",
     ),
     "coded-af-golden": (
         ["--dim", "2,2", "--scheme", "coded-af", "--code", "golden", "--snr", "6:4:14"],
         "d66becf8d2592d57864449f555d2a3b5bc9006ab0c370f44b4adf82bc6fc3f1a",
+        "bbf91ba26067462ec2c57f61c6a778846d31fcf3",
     ),
 }
 
 
 @pytest.mark.parametrize("scheme", list(_PINNED_CSV))
 def test_fixed_seed_csv_digest(scheme, tmp_path, capsys):
-    """A fixed-seed CSV is byte-for-byte what it was when the digest was pinned."""
-    argv, digest = _PINNED_CSV[scheme]
+    """A fixed-seed CSV and its manifest's digest are what they were when pinned."""
+    argv, digest, config_hash = _PINNED_CSV[scheme]
     out_csv = tmp_path / "run.csv"
     code, _, _ = run(
         capsys, "simulate", *argv, "--trials", "8192", "--seed", "7", "--output", str(out_csv)
     )
     assert code == 0
     assert hashlib.sha256(out_csv.read_bytes()).hexdigest() == digest
+    manifest = json.loads((tmp_path / "run.csv.manifest.json").read_text())
+    assert manifest["config_hash"] == config_hash
 
 
 # --------------------------------------------------------------------------

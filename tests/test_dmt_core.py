@@ -119,30 +119,39 @@ class TestCurveArithmetic:
         assert env == all_pairs_envelope(curves)
 
     def test_partial_curve(self):
-        c = DmtCurve([(0, 8)], partial=True)
-        assert c.d_max == 8
+        # A curve that stops above d = 0 knows only d(0).
+        c = DmtCurve([(0, 8)])
+        assert c.partial and c.d_max == 8
         with pytest.raises(ValueError):
             c.evaluate(1)
+        with pytest.raises(ValueError):
+            c.r_max
+        assert c == DmtCurve([(0, Fraction(8))]) and hash(c) == hash(DmtCurve([(0, 8)]))
+        assert c != DmtCurve([(0, 8), (1, 0)])
+        assert repr(c) == "DmtCurve([(0,8)])"
+        assert not DmtCurve([(0, 8), (1, 0)]).partial
 
     def test_monotone_validation(self):
         with pytest.raises(ValueError):
             DmtCurve([(0, 1), (1, 2), (2, 0)])
+        with pytest.raises(ValueError, match="non-negative"):
+            DmtCurve([(0, 1), (1, -1)])
 
 
 class TestCoeffs:
     def test_222(self):
-        assert coeffs((2, 2, 2)).values == (2, 1)
+        assert coeffs((2, 2, 2)) == (2, 1)
 
     def test_243(self):
-        assert coeffs((2, 4, 3)).values == (4, 2)
+        assert coeffs((2, 4, 3)) == (4, 2)
 
     @pytest.mark.parametrize("m", [1, 2, 3, 7])
     def test_single_relay_stream(self, m):
-        assert coeffs((1, m)).values == (m,)
+        assert coeffs((1, m)) == (m,)
 
     def test_strictly_decreasing(self, dims_to_5_4):
         for counts in dims_to_5_4:
-            c = coeffs(counts).values
+            c = coeffs(counts)
             assert all(a > b for a, b in zip(c, c[1:])), counts
 
 
@@ -298,7 +307,7 @@ class TestClosedForms:
             for b in range(a + 1, len(counts))
         }
         for seg in segments:
-            assert sum(coeffs(seg).values) == dmt_rp(seg).d_max, seg
+            assert sum(coeffs(seg)) == dmt_rp(seg).d_max, seg
             assert _af_d_max(seg) == dmt_rp(seg).d_max, seg
 
     def test_beyond_cutset_raises(self, dims_to_5_4):

@@ -26,12 +26,12 @@ from relaydmt.partition import (
 )
 
 
-def full_node(layer, n):
-    return Supernode(layer, frozenset(range(n)))
+def full_node(n):
+    return Supernode(frozenset(range(n)))
 
 
 def trivial_partition(counts):
-    return Partition((AfPath(tuple(full_node(i, n) for i, n in enumerate(counts))),))
+    return Partition((AfPath(tuple(full_node(n) for n in counts)),))
 
 
 @st.composite
@@ -41,12 +41,12 @@ def independent_partitions(draw):
     hops = draw(st.integers(1, 3))
     counts = tuple(draw(st.integers(1, 4 if hops < 3 else 3)) for _ in range(hops + 1))
     layers = []
-    for layer, n in enumerate(counts):
+    for n in counts:
         # Antenna a joins one of the groups 0..a: every set partition is reachable.
         groups = {}
         for a in range(n):
             groups.setdefault(draw(st.integers(0, a)), set()).add(a)
-        layers.append([Supernode(layer, frozenset(g)) for g in groups.values()])
+        layers.append([Supernode(frozenset(g)) for g in groups.values()])
     chains = list(itertools.product(*layers))
     order = draw(st.permutations(range(len(chains))))
     wanted = draw(st.integers(1, len(chains)))
@@ -61,11 +61,11 @@ def independent_partitions(draw):
 
 class TestIndependence:
     def test_relay_split_222(self):
-        src, dst = full_node(0, 2), full_node(2, 2)
+        src, dst = full_node(2), full_node(2)
         p = Partition(
             (
-                AfPath((src, Supernode(1, frozenset({0})), dst)),
-                AfPath((src, Supernode(1, frozenset({1})), dst)),
+                AfPath((src, Supernode(frozenset({0})), dst)),
+                AfPath((src, Supernode(frozenset({1})), dst)),
             )
         )
         assert is_independent((2, 2, 2), p)
@@ -88,15 +88,15 @@ class TestIndependence:
     def test_overlapping_supernodes_malformed(self):
         p = Partition(
             (
-                AfPath((full_node(0, 2), Supernode(1, frozenset({0, 1})), full_node(2, 2))),
-                AfPath((full_node(0, 2), Supernode(1, frozenset({1})), full_node(2, 2))),
+                AfPath((full_node(2), Supernode(frozenset({0, 1})), full_node(2))),
+                AfPath((full_node(2), Supernode(frozenset({1})), full_node(2))),
             )
         )
         with pytest.raises(ValueError, match="overlapping"):
             is_independent((2, 2, 2), p)
 
     def test_out_of_range_antenna(self):
-        p = Partition((AfPath((full_node(0, 3), full_node(1, 2), full_node(2, 2))),))
+        p = Partition((AfPath((full_node(3), full_node(2), full_node(2))),))
         with pytest.raises(ValueError):
             is_independent((2, 2, 2), p)
 
@@ -111,9 +111,9 @@ class TestFullDiversity:
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
     def test_symmetric_singleton_relays(self, n):
-        src, dst = full_node(0, n), full_node(2, n)
+        src, dst = full_node(n), full_node(n)
         p = Partition(
-            tuple(AfPath((src, Supernode(1, frozenset({j})), dst)) for j in range(n))
+            tuple(AfPath((src, Supernode(frozenset({j})), dst)) for j in range(n))
         )
         assert is_full_diversity((n, n, n), p)
 
@@ -302,13 +302,10 @@ class TestFlipSchedule:
         for layer_counts in shapes:
             counts = (4,) + tuple(max(2, k) for k in layer_counts) + (4,)
             paths = []
-            src = full_node(0, counts[0])
-            dst = full_node(len(counts) - 1, counts[-1])
+            src = full_node(counts[0])
+            dst = full_node(counts[-1])
             for combo in itertools.product(*[range(k) for k in layer_counts]):
-                nodes = [
-                    Supernode(layer, frozenset({j}))
-                    for layer, j in enumerate(combo, start=1)
-                ]
+                nodes = [Supernode(frozenset({j})) for j in combo]
                 paths.append(AfPath((src, *nodes, dst)))
             p = Partition(tuple(paths))
             with warnings.catch_warnings(record=True) as caught:

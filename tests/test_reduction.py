@@ -120,7 +120,7 @@ class TestIntervalBoundaries:
             for i in range(1, dim.n_min + 1):
                 k = next(kk for kk in range(1, dim.hops + 1) if p[kk] <= i <= p[kk - 1])
                 expect.append(1 - i + (sum(o[: k + 1]) - i) // k)
-            assert tuple(expect) == coeffs(dim).values, counts
+            assert tuple(expect) == coeffs(dim), counts
 
     def test_first_boundary_is_n_min(self, dims_to_4_3):
         for counts in dims_to_4_3:
