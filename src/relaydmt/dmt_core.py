@@ -21,7 +21,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence, Union
+from typing import Sequence, Union
 
 __all__ = [
     "Dimension",
@@ -72,10 +72,6 @@ class Dimension:
     def n_min(self) -> int:
         return min(self.counts)
 
-    @property
-    def n_max(self) -> int:
-        return max(self.counts)
-
     def __iter__(self):
         return iter(self.counts)
 
@@ -124,19 +120,18 @@ class DecodeSet:
         bounds = (0,) + self.indices
         return [tuple(dim.counts[a : b + 1]) for a, b in zip(bounds, bounds[1:])]
 
-    def __iter__(self):
-        return iter(self.indices)
-
     def __len__(self) -> int:
         return len(self.indices)
 
 
+@dataclass(frozen=True, repr=False, slots=True)
 class DmtCurve:
     """Piecewise-linear diversity(d) vs multiplexing(r) tradeoff, stored exactly.
 
     Vertices are ``(r, d)`` pairs with rational coordinates, ``r``
-    strictly increasing from 0.  Evaluation is linear interpolation,
-    clamped to ``d(0)`` left of zero and to 0 beyond the last vertex.
+    strictly increasing from 0; any iterable of pairs constructs a curve.
+    Evaluation is linear interpolation, clamped to ``d(0)`` left of zero
+    and to 0 beyond the last vertex.
     Construction canonicalizes: collinear interior vertices are merged,
     so two curves are equal iff they are the same function.
 
@@ -146,10 +141,10 @@ class DmtCurve:
     at ``r > 0`` raises.
     """
 
-    __slots__ = ("_vertices",)
+    vertices: tuple[tuple[Fraction, Fraction], ...]
 
-    def __init__(self, vertices: Iterable[tuple[Rational, Rational]]):
-        verts = [(Fraction(r), Fraction(d)) for r, d in vertices]
+    def __post_init__(self) -> None:
+        verts = [(Fraction(r), Fraction(d)) for r, d in self.vertices]
         if not verts:
             raise ValueError("a curve needs at least one vertex")
         if any(a[0] >= b[0] for a, b in zip(verts, verts[1:])):
@@ -160,43 +155,38 @@ class DmtCurve:
             raise ValueError("diversity must be non-increasing in r")
         if verts[-1][1] < 0:
             raise ValueError("diversity must be non-negative")
-        self._vertices = tuple(_merge_collinear(verts))
-
-    @property
-    def vertices(self) -> tuple[tuple[Fraction, Fraction], ...]:
-        return self._vertices
+        object.__setattr__(self, "vertices", tuple(_merge_collinear(verts)))
 
     @property
     def partial(self) -> bool:
-        return self._vertices[-1][1] > 0
+        return self.vertices[-1][1] > 0
 
     @property
     def d_max(self) -> Fraction:
         """Maximum diversity gain, ``d(0)``."""
-        return self._vertices[0][1]
+        return self.vertices[0][1]
 
     @property
     def r_max(self) -> Fraction:
         """Maximum multiplexing gain, the smallest r with ``d(r) = 0``."""
         if self.partial:
             raise ValueError("partial curve: only d(0) is known")
-        return self._vertices[-1][0]
+        return self.vertices[-1][0]
 
     def evaluate(self, r: Rational) -> Fraction:
         r = r if isinstance(r, Fraction) else Fraction(r)
         if r <= 0:
-            return self._vertices[0][1]
+            return self.vertices[0][1]
         if self.partial:
             raise ValueError("partial curve: only d(0) is known")
-        if r >= self._vertices[-1][0]:
+        verts = self.vertices
+        if r >= verts[-1][0]:
             return Fraction(0)
-        verts = self._vertices
+        # r is below the last abscissa, so the last segment qualifies if no earlier one does.
         for (x0, y0), (x1, y1) in zip(verts, verts[1:]):
             if r <= x1:
-                return y0 + (y1 - y0) * (r - x0) / (x1 - x0)
-        raise AssertionError("unreachable")
-
-    __call__ = evaluate
+                break
+        return y0 + (y1 - y0) * (r - x0) / (x1 - x0)
 
     @staticmethod
     def pointwise_min(curves: Sequence["DmtCurve"]) -> "DmtCurve":
@@ -242,18 +232,10 @@ class DmtCurve:
         factor = Fraction(factor)
         if factor <= 0:
             raise ValueError("scale factor must be positive")
-        return DmtCurve([(x, factor * y) for x, y in self._vertices])
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, DmtCurve):
-            return NotImplemented
-        return self._vertices == other._vertices
-
-    def __hash__(self) -> int:
-        return hash(self._vertices)
+        return DmtCurve([(x, factor * y) for x, y in self.vertices])
 
     def __repr__(self) -> str:
-        pts = ", ".join(f"({x},{y})" for x, y in self._vertices)
+        pts = ", ".join(f"({x},{y})" for x, y in self.vertices)
         return f"DmtCurve([{pts}])"
 
 
@@ -391,12 +373,10 @@ def where_to_decode(dim: DimensionLike, d: int) -> DecodeSet:
     indices = []
     start = 0
     while start < dim.hops:
-        ends = range(start + 1, dim.hops + 1)
-        feasible = [end for end in ends if _af_d_max(dim.counts[start : end + 1]) >= d]
-        if not feasible:
-            # Cannot happen for d <= d_max: a single hop always reaches it.
-            raise AssertionError(f"no feasible segment from layer {start}")
-        start = feasible[-1]
+        # The farthest end whose AF segment reaches d; for d <= d_max a single hop does.
+        start = next(
+            end for end in range(dim.hops, start, -1) if _af_d_max(dim.counts[start : end + 1]) >= d
+        )
         indices.append(start)
     return DecodeSet(tuple(indices))
 

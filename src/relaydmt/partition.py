@@ -57,8 +57,8 @@ class Supernode:
     def __post_init__(self) -> None:
         if not self.antennas:
             raise ValueError("supernode cannot be empty")
-        if any(a < 0 for a in self.antennas):
-            raise ValueError("antenna indices are non-negative")
+        if any(a < 0 or not isinstance(a, int) for a in self.antennas):
+            raise ValueError("antenna indices are non-negative integers")
 
     @property
     def size(self) -> int:

@@ -85,15 +85,18 @@ class QamAlphabet:
     the transmit power (:attr:`Codebook.energy_norm`).
     """
 
-    order: int
     points: tuple[complex, ...]
+
+    @property
+    def order(self) -> int:
+        return len(self.points)
 
     @classmethod
     def qam(cls, order: int) -> "QamAlphabet":
         reals = {4: (-1, 1), 16: (-3, -1, 1, 3)}.get(order)
         if reals is None:
             raise ValueError("only 4-QAM and 16-QAM are supported")
-        return cls(order=order, points=tuple(complex(a, b) for a in reals for b in reals))
+        return cls(tuple(complex(a, b) for a in reals for b in reals))
 
     def difference_points(self, max_coord: int | None = None) -> tuple[complex, ...]:
         """Pairwise differences of the constellation, optionally boxed.

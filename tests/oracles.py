@@ -114,7 +114,7 @@ def search_min_full_diversity_partition(
     budget.  Returns the first (smallest) full-diversity partition.
     """
     dim = as_dimension(dim)
-    if dim.n_max > 4 or dim.hops > 3:
+    if max(dim.counts) > 4 or dim.hops > 3:
         raise ValueError("exhaustive search is limited to <= 4 antennas per layer, <= 3 hops")
     d_max = _cutset_d_max(dim)
     structures = [list(_set_partitions(tuple(range(n)))) for n in dim.counts]

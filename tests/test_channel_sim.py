@@ -343,7 +343,7 @@ class TestFf:
     def test_dimension_mismatch(self):
         sched = ff_schedule(as_dimension((2, 2, 2)), min_full_div_partition_2hop(2, 2, 2)[1])
         real = sample_channel((2, 3, 2), seed=1)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="different dimension"):
             ff_effective(real, sched, 10.0)
 
     @pytest.mark.parametrize("dim", ORACLE_DIMS)
@@ -714,6 +714,27 @@ class TestEstimateSlope:
         good = [OutageEstimate(db, 2.0, 10**5, 10 ** (5 - db // 10)) for db in (10, 20, 30)]
         noisy = [OutageEstimate(40.0, 2.0, 10**5, 3)]
         assert abs(estimate_slope(good + noisy) - 1.0) < 1e-9
+
+    def test_all_and_no_outage_points_ignored(self):
+        good = [OutageEstimate(db, 2.0, 10**5, 10 ** (5 - db // 10)) for db in (10, 20, 30)]
+        edges = [OutageEstimate(0.0, 2.0, 10**5, 10**5), OutageEstimate(40.0, 2.0, 10**5, 0)]
+        assert abs(estimate_slope(edges[:1] + good + edges[1:]) - 1.0) < 1e-9
+
+    def test_point_at_event_threshold_used(self):
+        # Without its third point, at exactly MIN_EVENTS_FOR_SLOPE events, no slope exists.
+        n = channel_sim.MIN_EVENTS_FOR_SLOPE
+        pts = [OutageEstimate(db, 2.0, 1000 * n, 10 ** (2 - db // 10) * n) for db in (0, 10, 20)]
+        assert pts[-1].outage_count == n
+        assert abs(estimate_slope(pts) - 1.0) < 1e-9
+
+
+class TestOutageEstimate:
+    def test_interval_at_the_edges(self):
+        # The interval stays inside [0, 1] and keeps some width at 0 and all events.
+        lo, hi = OutageEstimate(10.0, 2.0, 1000, 0).ci95
+        assert lo == 0 < hi < 1
+        lo, hi = OutageEstimate(10.0, 2.0, 1000, 1000).ci95
+        assert 0 < lo < 1 == hi
 
 
 class TestFrobeniusSurrogate:

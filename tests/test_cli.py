@@ -60,6 +60,21 @@ class TestDmtCommand:
         assert code == 2
 
     @pytest.mark.parametrize(
+        "decode,message",
+        [
+            ("3,2", "decode indices must be strictly increasing"),
+            ("0,3", "decode indices start at layer 1"),
+            ("1,2", "last decode index must be the destination layer 3"),
+        ],
+    )
+    def test_malformed_decode_set(self, decode, message, capsys):
+        code, out, err = run(
+            capsys, "dmt", "--dim", "3,1,4,2", "--curve", "serial", "--decode", decode
+        )
+        assert code == 2 and out == ""
+        assert f"bad decode set {decode!r}: {message}" in err
+
+    @pytest.mark.parametrize(
         "option,value,curves",
         [
             ("--decode", "1,2", "rp"),
@@ -92,7 +107,11 @@ class TestDmtCommand:
 
     @pytest.mark.parametrize(
         "paths,message",
-        [("5,5,5;5,5,5", "wider than the channel"), ("2,2,2;2,2,2", "above the cut-set d_max 4")],
+        [
+            ("5,5,5;5,5,5", "wider than the channel"),
+            ("2,2,2;2,2,2", "above the cut-set d_max 4"),
+            ("2,2", "does not span the 2-hop channel"),
+        ],
     )
     def test_parallel_af_paths_must_fit_the_channel(self, paths, message, capsys):
         code, out, err = run(
@@ -243,6 +262,19 @@ class TestSimulateCommand:
             ({}, "'dim', 'layers' and 'paths'"),
             ({"dim": [2, 2, 2], "layers": [[[0, 1]], [[0], [1]], [[0, 1]]], "paths": [[0, 5, 0]]},
              "supernode 5 of layer 1, which has 2"),
+            ({"dim": [2, 2, 2], "layers": [[[0, 1]], [[]], [[0, 1]]], "paths": [[0, 0, 0]]},
+             "supernode cannot be empty"),
+            ({"dim": [2, 2, 2], "layers": [[[0, 1]], [[-1, 0]], [[0, 1]]], "paths": [[0, 0, 0]]},
+             "antenna indices are non-negative integers"),
+            ({"dim": [2, 2, 2], "layers": [[[0, 1]], [[0], [1.5]], [[0, 1]]],
+              "paths": [[0, 0, 0], [0, 1, 0]]},
+             "antenna indices are non-negative integers"),
+            ({"dim": [2, 2, 2], "layers": [[[0, 1]], [[0, 1]], [[0, 1]]], "paths": [[0]]},
+             "a path spans at least two layers"),
+            ({"dim": [2, 2, 2], "layers": [[[0, 1]], [[0, 1]], [[0, 1]]], "paths": []},
+             "partition needs at least one path"),
+            ({"dim": [2, 2, 2], "layers": [[[0, 1]], [[0, 1]], [[0, 1]]], "paths": [[0, 0]]},
+             "path spans 2 layers, channel has 3"),
         ],
     )
     def test_malformed_partition_file(self, doc, message, tmp_path, capsys):
@@ -390,6 +422,15 @@ class TestSimulateCommand:
         )
         assert code == 2
 
+    @pytest.mark.parametrize("grid", ["1:2", "1:2:3:4", "a:1:2"])
+    def test_malformed_grid_rejected(self, grid, capsys):
+        code, out, err = run(
+            capsys, "simulate", "--dim", "2,2", "--scheme", "af", "--rate", "1",
+            "--snr", grid, "--trials", "100",
+        )
+        assert code == 2 and out == ""
+        assert f"SNR grid must be start:step:stop, got {grid!r}" in err
+
     @pytest.mark.parametrize("grid", ["nan:1:3", "0:nan:3", "0:1:nan", "-inf:1:0", "0:1:inf", "0:inf:3"])
     @pytest.mark.parametrize("scheme", ["af", "coded-af"])
     def test_non_finite_grid_rejected(self, grid, scheme, capsys):
@@ -486,6 +527,14 @@ class TestSimulateCommand:
         )
         assert code == 2 and out == ""
         assert "--trials" in err
+
+    def test_non_numeric_trials_rejected(self, capsys):
+        code, out, err = run(
+            capsys, "simulate", "--dim", "2,2", "--scheme", "af", "--rate", "1",
+            "--snr", "10:2:12", "--trials", "1e",
+        )
+        assert code == 2 and out == ""
+        assert "--trials must be a number, got '1e'" in err
 
     def test_exponent_trials_accepted(self, capsys):
         code, out, _ = run(

@@ -70,7 +70,7 @@ class TestDimension:
         d = as_dimension((3, 1, 4, 2))
         assert d.hops == 3
         assert d.ordered == (1, 2, 3, 4)
-        assert d.n_min == 1 and d.n_max == 4
+        assert d.n_min == 1 and max(d.counts) == 4
 
     @pytest.mark.parametrize("bad", [(), (3,), (2, 0, 2), (2, -1), (1.5, 2)])
     def test_rejects_invalid(self, bad):
@@ -136,6 +136,45 @@ class TestCurveArithmetic:
             DmtCurve([(0, 1), (1, 2), (2, 0)])
         with pytest.raises(ValueError, match="non-negative"):
             DmtCurve([(0, 1), (1, -1)])
+
+    @pytest.mark.parametrize(
+        "verts,message",
+        [
+            ([], "at least one vertex"),
+            ([(0, 1), (0, 0)], "abscissas must be strictly increasing"),
+            ([(0, 2), (1, 1), (1, 0)], "abscissas must be strictly increasing"),
+            ([(1, 1), (2, 0)], "curves start at r = 0"),
+        ],
+    )
+    def test_malformed_vertices_rejected(self, verts, message):
+        with pytest.raises(ValueError, match=message):
+            DmtCurve(verts)
+
+
+class TestDomainGuards:
+    """Each public constructor and curve refuses arguments outside its domain."""
+
+    @pytest.mark.parametrize(
+        "func,args,message",
+        [
+            (DecodeSet, ((),), "decode set cannot be empty"),
+            (DecodeSet, ((3, 2),), "decode indices must be strictly increasing"),
+            (DecodeSet, ((0, 3),), "decode indices start at layer 1"),
+            (DmtCurve.pointwise_min, ([],), "need at least one curve"),
+            (DmtCurve.pointwise_min, ([dmt_rp((2, 2)), DmtCurve([(0, 8)])],), "partial curves"),
+            (DmtCurve.scale, (dmt_rp((2, 2)), 0), "scale factor must be positive"),
+            (DmtCurve.scale, (dmt_rp((2, 2)), -1), "scale factor must be positive"),
+            (dmt_rayleigh, (0, 2), "antenna counts must be positive"),
+            (dmt_rayleigh, (2, 0), "antenna counts must be positive"),
+            (dmt_symmetric, (0, 2), "n and hop count must be positive"),
+            (dmt_symmetric, (2, 0), "n and hop count must be positive"),
+            (dmt_ff_lower_bound, ((2, 2, 2), 0), "mode count must be positive"),
+            (dmt_parallel_af, ((2, 2, 2), []), "need at least one path"),
+        ],
+    )
+    def test_rejected(self, func, args, message):
+        with pytest.raises(ValueError, match=message):
+            func(*args)
 
 
 class TestCoeffs:

@@ -232,6 +232,11 @@ class TestMinFullDiversity2Hop:
         assert k == expect
         assert is_full_diversity(counts, p)
 
+    @pytest.mark.parametrize("counts", [(0, 2, 2), (2, 0, 2), (2, 2, -1)])
+    def test_non_positive_counts_rejected(self, counts):
+        with pytest.raises(ValueError, match="antenna counts must be positive"):
+            min_full_div_partition_2hop(*counts)
+
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
     def test_symmetric(self, n):
         k, p = min_full_div_partition_2hop(n, n, n)

@@ -59,6 +59,7 @@ def traced_peak_mb(fn, *args):
 class TestAlphabet:
     def test_points(self, q4, q16):
         assert len(q4.points) == 4 and len(q16.points) == 16
+        assert (q4.order, q16.order) == (4, 16)
         assert sum(q4.points) == 0 and sum(q16.points) == 0
         assert len(set(q4.points)) == 4
 
