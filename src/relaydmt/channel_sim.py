@@ -479,14 +479,24 @@ def df_outage(real: ChannelRealization, decode: DecodeSet, snr: float, rate: flo
 # --------------------------------------------------------------------------
 
 
-def _first_trials(real: ChannelRealization, live: int) -> ChannelRealization:
-    return ChannelRealization(tuple(h[:live] for h in real.hops))
+# Trials per kernel tile of an outage block: a rule of the shape, not a
+# knob.  Every kernel step is elementwise along the trial axis, so no count
+# depends on it.  2048-trial tiles keep each temporary in cache for channels
+# with two or more outputs; single-output channels spend their time in
+# per-step Python overhead, and stay whole.
+def _tile_trials(dim: Dimension) -> int:
+    return 2048 if dim[-1] >= 2 else BLOCK_SIZE
+
+
+def _trial_slice(real: ChannelRealization, start: int, stop: int) -> ChannelRealization:
+    return ChannelRealization(tuple(h[start:stop] for h in real.hops))
 
 
 def _outage_block(dim, scheme, rate, snr, seed, block, live) -> int:
-    """Outages among the first ``live`` trials of one block (drawn in full)."""
-    real = _first_trials(sample_block(dim, seed, block), live)
-    return int(np.count_nonzero(scheme.outage(real, snr, rate)))
+    """Outages among the first ``live`` trials of one block (drawn in full), a tile at a time."""
+    real, tile = sample_block(dim, seed, block), _tile_trials(dim)
+    tiles = (_trial_slice(real, a, min(a + tile, live)) for a in range(0, live, tile))
+    return sum(int(np.count_nonzero(scheme.outage(t, snr, rate))) for t in tiles)
 
 
 def _count_blocks(args) -> int:

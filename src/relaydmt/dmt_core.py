@@ -19,6 +19,7 @@ antenna counts.
 from __future__ import annotations
 
 import itertools
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence, Union
@@ -56,7 +57,8 @@ class Dimension:
     def __post_init__(self) -> None:
         if len(self.counts) < 2:
             raise ValueError("a multihop channel needs at least two layers")
-        if any((not isinstance(n, int)) or n < 1 for n in self.counts):
+        # A bool is an int to isinstance, but not a count.
+        if any(type(n) is not int or n < 1 for n in self.counts):
             raise ValueError(f"antenna counts must be positive integers: {self.counts}")
 
     @property
@@ -86,10 +88,13 @@ class Dimension:
 
 
 def as_dimension(dim: DimensionLike) -> Dimension:
-    """Coerce a sequence of antenna counts into a :class:`Dimension`."""
+    """Coerce a sequence of integer antenna counts (not bools) into a :class:`Dimension`."""
     if isinstance(dim, Dimension):
         return dim
-    return Dimension(tuple(int(n) for n in dim))
+    try:
+        return Dimension(tuple(n if type(n) is bool else operator.index(n) for n in dim))
+    except TypeError:  # not an integer type, such as 2.5
+        raise ValueError(f"antenna counts must be positive integers: {tuple(dim)}") from None
 
 
 @dataclass(frozen=True)

@@ -57,7 +57,8 @@ class Supernode:
     def __post_init__(self) -> None:
         if not self.antennas:
             raise ValueError("supernode cannot be empty")
-        if any(a < 0 or not isinstance(a, int) for a in self.antennas):
+        # type(a) is int: a JSON true is a bool, and names no antenna.
+        if any(a < 0 or type(a) is not int for a in self.antennas):
             raise ValueError("antenna indices are non-negative integers")
 
     @property
@@ -314,7 +315,7 @@ def partition_from_json(text: str) -> tuple[Dimension, Partition]:
 
     def node(layer: int, ref) -> Supernode:
         count = len(layer_nodes[layer]) if layer < len(layer_nodes) else 0
-        if not (isinstance(ref, int) and 0 <= ref < count):
+        if not (type(ref) is int and 0 <= ref < count):
             raise ValueError(f"a path refers to supernode {ref!r} of layer {layer}, which has {count}")
         return layer_nodes[layer][ref]
 

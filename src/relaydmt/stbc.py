@@ -42,11 +42,11 @@ from .channel_sim import (
     _cholesky,
     _complex_normal,
     _draw_hops,
-    _first_trials,
     _forward_sub,
     _hermitian_square,
     _map_blocks,
     _matmul,
+    _trial_slice,
 )
 
 # Unused here: the benchmark's traced run wraps these names in this module.
@@ -292,14 +292,21 @@ def _word_table(words: np.ndarray, amp: float) -> np.ndarray:
     ``D`` makes the metric ``Re(f . c)`` for a complex column ``c`` per
     codeword, which is the real product ``[Re f, Im f] @ [Re c; -Im c]``.
     """
-    cols = []
-    for k in range(words.shape[1]):
+    m, k_sub, n_t, span = words.shape
+    # Row (part, k, i, j), filled one complex piece at a time.
+    table = np.empty((2, k_sub, n_t, n_t + span, m))
+    for k in range(k_sub):
         x = words[:, k]  # (M, n_t, T)
         # tr(Q P) = sum_ij Q_ij P_ji, so Q_ij pairs with P^T.
-        gram_t = _hermitian_square(x).swapaxes(-1, -2)
-        cols.append(np.concatenate([amp * amp * gram_t, -2.0 * amp * x.conj()], axis=-1))
-    c = np.concatenate([col.reshape(col.shape[0], -1) for col in cols], axis=-1)
-    return np.concatenate([c.real, -c.imag], axis=-1).T.copy()
+        _put_parts(table[:, k, :, :n_t], amp * amp * _hermitian_square(x).swapaxes(-1, -2))
+        _put_parts(table[:, k, :, n_t:], -2.0 * amp * x.conj())
+    return table.reshape(-1, m)
+
+
+def _put_parts(out: np.ndarray, piece: np.ndarray) -> None:
+    """Real and negated imaginary parts of ``piece`` into ``out[0]``, ``out[1]``, codewords last."""
+    out[0] = np.moveaxis(piece.real, 0, -1)
+    out[1] = np.moveaxis(-piece.imag, 0, -1)
 
 
 def _ml_decisions(
@@ -348,7 +355,7 @@ def _ser_block(dim, scheme, cb, snr, amp, seed, words, table, block, live) -> in
     decoded, by :func:`_ml_decisions` with the factors that colour the noise.
     """
     rng = _block_rng(seed, block)
-    real = _first_trials(_draw_hops(dim, rng, CODED_BLOCK_SIZE), live)
+    real = _trial_slice(_draw_hops(dim, rng, CODED_BLOCK_SIZE), 0, live)
     sent = rng.integers(0, words.shape[0], size=CODED_BLOCK_SIZE)[:live]
     effs = scheme.effectives(real, snr)
     if len(effs) != cb.k_sub:

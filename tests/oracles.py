@@ -16,6 +16,8 @@ part of the package:
   derivation of ``dmt_core.coeffs``);
 * ``ml_decode`` -- exhaustive ML decoding of one reception with
   ``np.linalg`` (checks ``stbc._ml_decisions``);
+* ``word_table_concat`` -- the ML metric's codeword table assembled from
+  concatenated complex pieces (checks the in-place ``stbc._word_table``);
 * ``symbol_tuples_dense``, ``codewords_dense`` and ``nvd_minimum_dense``
   -- the whole enumeration built at once as a raveled ``ij`` meshgrid
   (checks the streamed ``stbc._symbol_tuples``, ``Codebook.codewords``
@@ -31,7 +33,13 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from relaydmt.channel_sim import BLOCK_SIZE, ChannelRealization, EffectiveChannel, sample_block
+from relaydmt.channel_sim import (
+    BLOCK_SIZE,
+    ChannelRealization,
+    EffectiveChannel,
+    _hermitian_square,
+    sample_block,
+)
 from relaydmt.dmt_core import (
     Dimension,
     DimensionLike,
@@ -282,6 +290,22 @@ def ml_decode(
         cand = amp * (g_w @ words[:, k])  # (M, n_r, T)
         total += np.sum(np.abs(y_w[None] - cand) ** 2, axis=(-2, -1))
     return int(np.argmin(total))
+
+
+def word_table_concat(words: np.ndarray, amp: float) -> np.ndarray:
+    """``stbc._word_table`` built as complex ``[amp^2 P^T | -2 amp X^*]`` rows, then split.
+
+    Per sub-channel the codewords' features are concatenated, the
+    sub-channels side by side, then real and negated imaginary parts,
+    and the result transposed to ``(2 D, M)``.
+    """
+    cols = []
+    for k in range(words.shape[1]):
+        x = words[:, k]  # (M, n_t, T)
+        gram_t = _hermitian_square(x).swapaxes(-1, -2)
+        cols.append(np.concatenate([amp * amp * gram_t, -2.0 * amp * x.conj()], axis=-1))
+    c = np.concatenate([col.reshape(col.shape[0], -1) for col in cols], axis=-1)
+    return np.concatenate([c.real, -c.imag], axis=-1).T.copy()
 
 
 def symbol_tuples_dense(points: Sequence[complex], k: int) -> np.ndarray:

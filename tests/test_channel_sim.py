@@ -5,6 +5,7 @@ import json
 import math
 import multiprocessing
 import platform
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -605,6 +606,81 @@ class TestBlockRunnerProperty:
         assert got.outage_count == int(np.count_nonzero(replay[:trials]))
 
 
+# Tiled and untiled shapes of every scheme kind that has an outage.
+TILE_CASES = {
+    "af(2,2,2)": ((2, 2, 2), AfScheme()),
+    "ff(2,2,2)": ((2, 2, 2), default_ff_scheme((2, 2, 2))),
+    "df23(3,1,4,2)": ((3, 1, 4, 2), DfScheme(DecodeSet((2, 3)))),
+    "pf(1,4,2,1)": ((1, 4, 2, 1), PfScheme()),
+    "parallel-af(2,2,2)": ((2, 2, 2), ParallelAfScheme(min_full_div_partition_2hop(2, 2, 2)[1])),
+    "svd-align(2,2,2)": ((2, 2, 2), SvdAlignScheme()),
+}
+
+
+@functools.cache
+def _whole_block_replay(case, rate, snr_db, seed, blocks):
+    """Outage masks of whole blocks, each through one ``scheme.outage`` call."""
+    dim, scheme = TILE_CASES[case]
+    snr = 10.0 ** (snr_db / 10.0)
+    return np.concatenate(
+        [scheme.outage(sample_block(dim, seed, b), snr, rate) for b in range(blocks)]
+    )
+
+
+class TestTiles:
+    """Outage blocks run in tiles of ``_tile_trials(dim)`` trials; no count depends on it."""
+
+    def test_rule_tiles_multi_output_channels_only(self):
+        tiles = {dim: channel_sim._tile_trials(as_dimension(dim)) for dim in
+                 [(2, 2, 2), (3, 1, 4, 2), (1, 4, 2), (1, 4, 1), (4, 1), (1, 4, 2, 1)]}
+        assert tiles == {(2, 2, 2): 2048, (3, 1, 4, 2): 2048, (1, 4, 2): 2048,
+                         (1, 4, 1): BLOCK_SIZE, (4, 1): BLOCK_SIZE, (1, 4, 2, 1): BLOCK_SIZE}
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("case", list(TILE_CASES))
+    def test_counts_equal_whole_block_replay(self, case, workers, pool_sizes):
+        dim, scheme = TILE_CASES[case]
+        rate, snr_db, seed = 2.0, 10.0, 17
+        tile = channel_sim._tile_trials(as_dimension(dim))
+        counts = (1, tile - 1, tile + 1, BLOCK_SIZE - 1, BLOCK_SIZE + tile + 3)
+        replay = _whole_block_replay(case, rate, snr_db, seed, math.ceil(max(counts) / BLOCK_SIZE))
+        assert 0 < np.count_nonzero(replay[:BLOCK_SIZE]) < BLOCK_SIZE
+        with channel_sim._block_pool(workers, 2):
+            for trials in counts:
+                got = estimate_outage(dim, scheme, rate, snr_db, trials, seed, workers=workers)
+                assert got.outage_count == np.count_nonzero(replay[:trials]), trials
+                # At an unreachable rate every trial is an outage: each counts once.
+                every = estimate_outage(dim, scheme, 1e9, snr_db, trials, seed, workers=workers)
+                assert every.outage_count == trials
+        assert pool_sizes == ([2] if workers == 2 else [])
+
+    @pytest.mark.parametrize(
+        "dim,scheme", [((2, 2, 2), default_ff_scheme((2, 2, 2))), ((1, 4, 1), PfScheme())]
+    )
+    def test_tile_mutual_info_equals_whole_block_slice(self, dim, scheme):
+        # Bit for bit, for the rule's tile and for tiles the rule does not pick.
+        snr = 10.0 ** 1.5
+        real = sample_block(dim, seed=8, block_index=0)
+        whole = [mutual_info(e, snr, dim[0]) for e in scheme.effectives(real, snr)]
+        for tile in {channel_sim._tile_trials(as_dimension(dim)), 2048, 1000}:
+            for a in range(0, BLOCK_SIZE, tile):
+                part = channel_sim._trial_slice(real, a, a + tile)
+                for w, eff in zip(whole, scheme.effectives(part, snr), strict=True):
+                    assert np.array_equal(mutual_info(eff, snr, dim[0]), w[a : a + tile])
+
+    def test_df_block_memory_is_bounded(self):
+        # The whole-block DF{2,3} (3,1,4,2) kernels peaked at 12.7 MB of
+        # traced memory; 2048-trial tiles at 4.8 MB.
+        dim, scheme = TILE_CASES["df23(3,1,4,2)"]
+        tracemalloc.start()
+        try:
+            estimate_outage(dim, scheme, 2.0, 10.0, BLOCK_SIZE, seed=1)
+            peak = tracemalloc.get_traced_memory()[1] / 1e6
+        finally:
+            tracemalloc.stop()
+        assert peak < 7.0
+
+
 def trials_innermost(a):
     """Whether the leading (trial) axis has the smallest stride of the axes longer than one."""
     longer = [s for s, n in zip(a.strides, a.shape) if n > 1]
@@ -635,13 +711,36 @@ class TestMemoryLayout:
             return mutual_info(eff, snr, n0)
 
         monkeypatch.setattr(channel_sim, "mutual_info", recording_mutual_info)
-        real = channel_sim._first_trials(sample_block(dim, seed=4, block_index=0), 1000)
+        real = channel_sim._trial_slice(sample_block(dim, seed=4, block_index=0), 0, 1000)
         assert all(trials_innermost(h) for h in real.hops)
         scheme.outage(real, 100.0, 2.0)
         assert seen
         for eff in seen:
             assert eff.gain.shape[0] == eff.noise_cov.shape[0] == 1000
             assert trials_innermost(eff.gain) and trials_innermost(eff.noise_cov)
+
+    @pytest.mark.parametrize("case", ["ff(2,2,2)", "df23(3,1,4,2)", "pf(1,4,2,1)"])
+    def test_tiles_keep_trials_innermost(self, case, monkeypatch):
+        dim, scheme = TILE_CASES[case]
+        tiles, effs = [], []
+
+        def recording_slice(real, start, stop):
+            tiles.append(trial_slice(real, start, stop))
+            return tiles[-1]
+
+        def recording_mutual_info(eff, snr, n0):
+            effs.append(eff)
+            return mutual_info(eff, snr, n0)
+
+        trial_slice = channel_sim._trial_slice
+        monkeypatch.setattr(channel_sim, "_trial_slice", recording_slice)
+        monkeypatch.setattr(channel_sim, "mutual_info", recording_mutual_info)
+        estimate_outage(dim, scheme, 2.0, 20.0, BLOCK_SIZE + 5, seed=3)
+        tile = channel_sim._tile_trials(as_dimension(dim))
+        assert [t.hops[0].shape[0] for t in tiles] == [tile] * (BLOCK_SIZE // tile) + [5]
+        assert all(trials_innermost(h) for t in tiles for h in t.hops)
+        assert effs and all(e.gain.shape[0] <= tile for e in effs)
+        assert all(trials_innermost(e.gain) and trials_innermost(e.noise_cov) for e in effs)
 
     @pytest.mark.parametrize(
         "dim,scheme,cb",

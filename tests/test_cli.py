@@ -275,6 +275,17 @@ class TestSimulateCommand:
              "partition needs at least one path"),
             ({"dim": [2, 2, 2], "layers": [[[0, 1]], [[0, 1]], [[0, 1]]], "paths": [[0, 0]]},
              "path spans 2 layers, channel has 3"),
+            # JSON true is not antenna, supernode or count 1, and 2.5 is not 2.
+            ({"dim": [2, 2, 2], "layers": [[[0, 1]], [[0], [True]], [[0, 1]]],
+              "paths": [[0, 0, 0], [0, 1, 0]]},
+             "antenna indices are non-negative integers"),
+            ({"dim": [2, 2, 2], "layers": [[[0, 1]], [[0], [1]], [[0, 1]]],
+              "paths": [[0, 0, 0], [0, True, 0]]},
+             "supernode True of layer 1, which has 2"),
+            ({"dim": [True, 2, 2], "layers": [[[0]], [[0, 1]], [[0, 1]]], "paths": [[0, 0, 0]]},
+             "antenna counts must be positive integers"),
+            ({"dim": [2.5, 2, 2], "layers": [[[0, 1]], [[0, 1]], [[0, 1]]], "paths": [[0, 0, 0]]},
+             "antenna counts must be positive integers"),
         ],
     )
     def test_malformed_partition_file(self, doc, message, tmp_path, capsys):

@@ -1,6 +1,7 @@
 import itertools
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -72,10 +73,18 @@ class TestDimension:
         assert d.ordered == (1, 2, 3, 4)
         assert d.n_min == 1 and max(d.counts) == 4
 
-    @pytest.mark.parametrize("bad", [(), (3,), (2, 0, 2), (2, -1), (1.5, 2)])
+    @pytest.mark.parametrize("bad", [(), (3,), (2, 0, 2), (2, -1), (1.5, 2), (True, 2)])
     def test_rejects_invalid(self, bad):
         with pytest.raises(ValueError):
             Dimension(tuple(bad))
+
+    @pytest.mark.parametrize("bad", [(True, 2, 2), (2, False), (2.5, 2), (2.0, 2), (np.bool_(1), 2)])
+    def test_coercion_refuses_bools_and_floats(self, bad):
+        with pytest.raises(ValueError, match="positive integers"):
+            as_dimension(bad)
+
+    def test_coercion_takes_integer_types(self):
+        assert as_dimension([np.int64(2), 1, np.uint8(3)]) == Dimension((2, 1, 3))
 
 
 class TestCurveArithmetic:

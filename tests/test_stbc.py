@@ -11,6 +11,7 @@ from oracles import (
     nvd_minimum_dense,
     sample_channel,
     symbol_tuples_dense,
+    word_table_concat,
 )
 
 from relaydmt import stbc
@@ -432,6 +433,25 @@ class TestRowBatches:
         decided, peak = traced_peak_mb(stbc._ml_decisions, ys, effs, chols, table)
         assert decided.shape == (CODED_BLOCK_SIZE,)
         assert peak < 64.0
+
+
+class TestWordTable:
+    AMP = 0.3
+
+    @pytest.mark.parametrize("name", ["alamouti", "golden", "parallel-golden"])
+    def test_matches_concatenated_pieces(self, name, q4):
+        cb = {"alamouti": alamouti(q4), "golden": golden(q4), "parallel-golden": golden(q4, m=1)}[name]
+        words = cb.codewords()[0]
+        table = stbc._word_table(words, self.AMP)
+        assert table.flags.c_contiguous
+        assert np.array_equal(table, word_table_concat(words, self.AMP))
+
+    def test_build_memory_is_bounded(self, q16):
+        # The 16.8 MB parallel-golden 16-QAM table was built through 71 MB of pieces.
+        words = golden(q16, m=1).codewords()[0]
+        table, peak = traced_peak_mb(stbc._word_table, words, self.AMP)
+        assert table.shape == (32, 65536)
+        assert peak <= 2 * table.nbytes / 1e6
 
 
 class TestSimulateSer:
