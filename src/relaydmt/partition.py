@@ -19,6 +19,7 @@ hops across modes and restores the cut-set diversity.
 
 from __future__ import annotations
 
+import collections
 import functools
 import itertools
 import json
@@ -319,9 +320,16 @@ def partition_from_json(text: str) -> tuple[Dimension, Partition]:
             raise ValueError(f"a path refers to supernode {ref!r} of layer {layer}, which has {count}")
         return layer_nodes[layer][ref]
 
+    def supernode(ants) -> Supernode:
+        # frozenset would merge a repeat silently, and a JSON true equals 1.
+        repeats = [a for a, n in collections.Counter(ants).items() if n > 1]
+        if repeats:
+            raise ValueError(f"supernode {json.dumps(ants)} names antenna {repeats[0]} twice")
+        return Supernode(frozenset(ants))
+
     try:
         dim = as_dimension(doc["dim"])
-        layer_nodes = [[Supernode(frozenset(ants)) for ants in nodes] for nodes in doc["layers"]]
+        layer_nodes = [[supernode(ants) for ants in nodes] for nodes in doc["layers"]]
         paths = tuple(
             AfPath(tuple(node(layer, ref) for layer, ref in enumerate(refs)))
             for refs in doc["paths"]

@@ -20,7 +20,8 @@ distance exhaustively over the codebook.  The coded simulation decides
 a whole block at once: it expands the distance, drops the part that
 does not depend on the codeword, and scores every codeword with real
 matrix products against a precomputed codeword table, in row batches of
-at most 4 MB of scores.  The NVD search streams its tuples in chunks.
+at most 4 MB of scores.  The exact NVD search (closed-form product
+determinants) streams its tuples in fixed chunks that do not change it.
 """
 
 from __future__ import annotations
@@ -37,6 +38,7 @@ from .channel_sim import (
     EffectiveChannel,
     OutageEstimate,
     Scheme,
+    _abs2,
     _block_pool,
     _block_rng,
     _cholesky,
@@ -68,6 +70,7 @@ __all__ = [
 NVD_EVALUATION_CAP = 10**6
 CODED_BLOCK_SIZE = 2048
 _SCORE_ENTRIES = 2**19  # float64 scores per ML row batch: 4 MB
+_NVD_CHUNK = 4096  # difference tuples per NVD search step
 
 _GOLDEN_RATIO = (1.0 + math.sqrt(5.0)) / 2.0
 _GOLDEN_CONJ = (1.0 - math.sqrt(5.0)) / 2.0
@@ -199,11 +202,27 @@ def _encode_golden_modes(s: np.ndarray, gammas: Sequence[complex]) -> np.ndarray
     return x
 
 
-# Each construction: its encoder, sub-channel count and symbols per codeword.
+def _golden_norm(s: np.ndarray, i: int) -> np.ndarray:
+    """``N(x, y) = (x + y th)(x + y th') = x^2 + xy - y^2`` of symbols ``x, y = s[i], s[i + 1]``."""
+    x, y = s[..., i], s[..., i + 1]
+    return x * x + x * y - y * y
+
+
+# Each construction: its encoder, sub-channel count, symbols per codeword and the
+# product determinant prod_k |det D_k|^2 of a difference tuple in closed form. The
+# golden determinant is alpha alpha' (N(a, b) - gamma N(c, d)), since th + th' = 1
+# and th th' = -1, with alpha alpha' = 2 + i; the parallel modes +-zeta8 multiply to
+# N(a, b)^2 - i N(c, d)^2, since zeta8^2 = i.
 _CODES = {
-    "alamouti": (_encode_alamouti, 1, 2),
-    "golden": (functools.partial(_encode_golden_modes, gammas=(1j,)), 1, 4),
-    "parallel-golden": (functools.partial(_encode_golden_modes, gammas=(_ZETA8, -_ZETA8)), 2, 4),
+    "alamouti": (_encode_alamouti, 1, 2, lambda s: (_abs2(s[..., 0]) + _abs2(s[..., 1])) ** 2),
+    "golden": (
+        functools.partial(_encode_golden_modes, gammas=(1j,)), 1, 4,
+        lambda s: 5.0 * _abs2(_golden_norm(s, 0) - 1j * _golden_norm(s, 2)),
+    ),
+    "parallel-golden": (
+        functools.partial(_encode_golden_modes, gammas=(_ZETA8, -_ZETA8)), 2, 4,
+        lambda s: 25.0 * _abs2(_golden_norm(s, 0) ** 2 - 1j * _golden_norm(s, 2) ** 2),
+    ),
 }
 
 
@@ -241,12 +260,14 @@ def verify_nvd(
 ) -> tuple[float, tuple[complex, ...]]:
     """Exhaustive minimum of the product determinant over difference tuples.
 
-    Evaluates ``prod_k |det(D_k D_k^H)|`` in closed form for 2x2 ``D_k`` over every nonzero
-    tuple of difference symbols (codewords are symbol-linear, so these are exactly the codeword
-    differences), streamed 65,536 tuples at a time.  Returns the minimum and the first tuple
-    that attains it.  Raises if the enumeration would exceed ``NVD_EVALUATION_CAP`` tuples
-    (checked before any work) rather than silently sampling, or if the codewords are not 2x2.
-    Raw lattice symbols are used; no energy normalization is applied.
+    Evaluates ``prod_k det(D_k D_k^H)`` by the code's closed form in the symbols over every
+    nonzero tuple of difference symbols (codewords are symbol-linear, so these are exactly the
+    codeword differences), ``_NVD_CHUNK`` tuples at a time.  On Gaussian-integer differences
+    every product is an integer below 2**53, so the search is exact and does not depend on
+    the chunk size.  Returns the minimum and the first tuple, in enumeration order, that
+    attains it.  Raises if the enumeration would exceed ``NVD_EVALUATION_CAP`` tuples
+    (checked before any work) rather than silently sampling.  Raw lattice symbols are used;
+    no energy normalization is applied.
     """
     k = cb.num_symbols
     n_tuples = len(difference_points) ** k
@@ -257,23 +278,15 @@ def verify_nvd(
         )
     best = math.inf
     best_tuple: tuple[complex, ...] = ()
-    for start in range(0, n_tuples, 65536):
-        chunk = _symbol_tuples(difference_points, k, start, min(start + 65536, n_tuples))
+    for start in range(0, n_tuples, _NVD_CHUNK):
+        chunk = _symbol_tuples(difference_points, k, start, min(start + _NVD_CHUNK, n_tuples))
         # The zero tuple scores inf, so it never attains the minimum.
-        prod = np.where(np.any(chunk != 0, axis=-1), _det_products(cb.encode(chunk)), np.inf)
+        prod = np.where(np.any(chunk != 0, axis=-1), _CODES[cb.name][3](chunk), np.inf)
         i = int(np.argmin(prod))
         if prod[i] < best:
             best = float(prod[i])
             best_tuple = tuple(chunk[i])
     return best, best_tuple
-
-
-def _det_products(words: np.ndarray) -> np.ndarray:
-    """``prod_k det(D_k D_k^H) = prod_k |ad - bc|^2`` over ``(..., K, 2, 2)`` words."""
-    if words.shape[-2:] != (2, 2):
-        raise ValueError(f"closed-form determinants need 2x2 codewords, got {words.shape[-2:]}")
-    det = words[..., 0, 0] * words[..., 1, 1] - words[..., 0, 1] * words[..., 1, 0]
-    return np.prod(det.real**2 + det.imag**2, axis=-1)
 
 
 # --------------------------------------------------------------------------

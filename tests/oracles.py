@@ -22,6 +22,9 @@ part of the package:
   -- the whole enumeration built at once as a raveled ``ij`` meshgrid
   (checks the streamed ``stbc._symbol_tuples``, ``Codebook.codewords``
   and ``stbc.verify_nvd``);
+* ``det_products`` and ``nvd_products_dense`` -- product determinants
+  taken in float from the encoded codewords (checks the closed forms in
+  ``stbc._CODES``);
 * ``sample_channel`` -- the single realization a trial of a run sees.
 """
 
@@ -50,7 +53,7 @@ from relaydmt.dmt_core import (
 )
 from relaydmt.partition import AfPath, Partition, Supernode, is_independent
 from relaydmt.recursion import _d, dmt_recursive
-from relaydmt.stbc import Codebook, _det_products
+from relaydmt.stbc import Codebook
 
 # ---------------------------------------------------------------------------
 # Partitions
@@ -320,23 +323,39 @@ def codewords_dense(cb: Codebook) -> tuple[np.ndarray, np.ndarray]:
     return cb.encode(symbols), symbols
 
 
+def det_products(words: np.ndarray) -> np.ndarray:
+    """``prod_k det(D_k D_k^H) = prod_k |ad - bc|^2`` over ``(..., K, 2, 2)`` words."""
+    if words.shape[-2:] != (2, 2):
+        raise ValueError(f"closed-form determinants need 2x2 codewords, got {words.shape[-2:]}")
+    det = words[..., 0, 0] * words[..., 1, 1] - words[..., 0, 1] * words[..., 1, 0]
+    return np.prod(det.real**2 + det.imag**2, axis=-1)
+
+
+def nvd_products_dense(
+    cb: Codebook, difference_points: Sequence[complex]
+) -> tuple[np.ndarray, np.ndarray]:
+    """Every difference tuple, zero included, and its float product determinant.
+
+    Encodes the tuples 65,536 at a time, which bounds the codeword memory,
+    and takes :func:`det_products` of the codewords, so the products carry
+    the encoder's rounding.
+    """
+    tuples = symbol_tuples_dense(difference_points, cb.num_symbols)
+    prods = [det_products(cb.encode(tuples[a : a + 65536])) for a in range(0, len(tuples), 65536)]
+    return tuples, np.concatenate(prods)
+
+
 def nvd_minimum_dense(
     cb: Codebook, difference_points: Sequence[complex]
 ) -> tuple[float, tuple[complex, ...]]:
     """Minimum product determinant and its first attaining nonzero tuple.
 
-    Builds every difference tuple at once, drops the zero tuple, then
-    scores 65,536 of the remaining tuples at a time.
+    Scores every tuple by :func:`nvd_products_dense` rounded to the
+    nearest integer, which is exact for Gaussian-integer differences,
+    and returns the first nonzero tuple in enumeration order that
+    attains the minimum.
     """
-    tuples = symbol_tuples_dense(difference_points, cb.num_symbols)
-    tuples = tuples[np.any(tuples != 0, axis=-1)]
-    best = math.inf
-    best_tuple: tuple[complex, ...] = ()
-    for start in range(0, tuples.shape[0], 65536):
-        chunk = tuples[start : start + 65536]
-        prod = _det_products(cb.encode(chunk))
-        i = int(np.argmin(prod))
-        if prod[i] < best:
-            best = float(prod[i])
-            best_tuple = tuple(chunk[i])
-    return best, best_tuple
+    tuples, prods = nvd_products_dense(cb, difference_points)
+    exact = np.where(np.any(tuples != 0, axis=-1), np.rint(prods), np.inf)
+    i = int(np.argmin(exact))
+    return float(exact[i]), tuple(tuples[i])

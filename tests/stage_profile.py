@@ -1,4 +1,5 @@
-"""Per-block cost of the benchmark's outage curves, whole block against tiles.
+"""Per-block cost of the benchmark's outage curves, whole block against tiles,
+and per-search cost of its NVD cases at two chunk sizes.
 
 Run by hand; the suite does not collect it::
 
@@ -13,6 +14,11 @@ rule), the median milliseconds per block over ``REPEATS`` alternating
 runs (the draw excluded) and the tracemalloc peak of one block, draw
 included, so the rule can be re-checked against both.  Both ways give
 the same outage count; the script checks that too.
+
+For each of the benchmark's five ``verify_nvd`` cases it then prints the
+median milliseconds per search over ``REPEATS`` alternating runs and the
+tracemalloc peak of one search, at ``stbc._NVD_CHUNK`` tuples per chunk
+and at 65,536, and checks that both return the same minimum and tuple.
 """
 
 from __future__ import annotations
@@ -23,7 +29,7 @@ import tracemalloc
 
 import numpy as np
 
-from relaydmt import channel_sim
+from relaydmt import channel_sim, stbc
 from relaydmt.channel_sim import BLOCK_SIZE, AfScheme, DfScheme, PfScheme, default_ff_scheme
 from relaydmt.dmt_core import DecodeSet, as_dimension
 
@@ -40,6 +46,16 @@ CURVES = (
 )
 
 
+NVD_CHUNKS = (stbc._NVD_CHUNK, 65536)
+NVD_CASES = (
+    ("alamouti/qam4", "alamouti", 4),
+    ("golden0/qam4", "golden", 4),
+    ("golden0/qam16box4", "golden", 16),
+    ("golden1/qam4", "parallel-golden", 4),
+    ("golden1/qam16box4", "parallel-golden", 16),
+)
+
+
 def count_in_tiles(real, scheme, snr, tile) -> int:
     return sum(
         int(np.count_nonzero(scheme.outage(channel_sim._trial_slice(real, a, a + tile), snr, RATE)))
@@ -47,13 +63,46 @@ def count_in_tiles(real, scheme, snr, tile) -> int:
     )
 
 
-def peak_mb(dim, scheme, snr, tile) -> float:
+def peak_mb(fn, *args) -> float:
+    """Traced peak of ``fn(*args)`` in MB."""
     tracemalloc.start()
     try:
-        count_in_tiles(channel_sim.sample_block(dim, 1, 0), scheme, snr, tile)
+        fn(*args)
         return tracemalloc.get_traced_memory()[1] / 1e6
     finally:
         tracemalloc.stop()
+
+
+def block_peak_mb(dim, scheme, snr, tile) -> float:
+    return peak_mb(lambda: count_in_tiles(channel_sim.sample_block(dim, 1, 0), scheme, snr, tile))
+
+
+def nvd_search(cb, diffs, chunk):
+    """``verify_nvd(cb, diffs)`` with ``chunk`` tuples per step."""
+    saved, stbc._NVD_CHUNK = stbc._NVD_CHUNK, chunk
+    try:
+        return stbc.verify_nvd(cb, diffs)
+    finally:
+        stbc._NVD_CHUNK = saved
+
+
+def nvd_main() -> None:
+    a, b = NVD_CHUNKS
+    print(f"{'nvd case':18s} {'minimum':>8s} {f'{a} ms':>9s} {f'{b} ms':>9s} {f'{a} MB':>9s} {f'{b} MB':>9s}")
+    for label, code, qam in NVD_CASES:
+        cb = stbc.Codebook(code, stbc.QamAlphabet.qam(4))
+        diffs = stbc.QamAlphabet.qam(qam).difference_points(max_coord=4)
+        results = {chunk: nvd_search(cb, diffs, chunk) for chunk in NVD_CHUNKS}
+        assert results[a] == results[b], results
+        times = {chunk: [] for chunk in NVD_CHUNKS}
+        for _ in range(REPEATS):
+            for chunk in NVD_CHUNKS:
+                start = time.perf_counter()
+                nvd_search(cb, diffs, chunk)
+                times[chunk].append(1e3 * (time.perf_counter() - start))
+        ms = [statistics.median(times[chunk]) for chunk in NVD_CHUNKS]
+        mb = [peak_mb(nvd_search, cb, diffs, chunk) for chunk in NVD_CHUNKS]
+        print(f"{label:18s} {results[a][0]:8g} {ms[0]:9.2f} {ms[1]:9.2f} {mb[0]:9.2f} {mb[1]:9.2f}")
 
 
 def main() -> None:
@@ -71,9 +120,10 @@ def main() -> None:
                 count_in_tiles(real, scheme, snr, tile)
                 times[tile].append(1e3 * (time.perf_counter() - start))
         ms = [statistics.median(times[tile]) for tile in tiles]
-        mb = [peak_mb(dim, scheme, snr, tile) for tile in tiles]
+        mb = [block_peak_mb(dim, scheme, snr, tile) for tile in tiles]
         print(f"{label:15s} {channel_sim._tile_trials(dim):6d} {ms[0]:9.2f} {ms[1]:9.2f} {mb[0]:9.2f} {mb[1]:9.2f}")
 
 
 if __name__ == "__main__":
     main()
+    nvd_main()

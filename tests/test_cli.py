@@ -286,6 +286,13 @@ class TestSimulateCommand:
              "antenna counts must be positive integers"),
             ({"dim": [2.5, 2, 2], "layers": [[[0, 1]], [[0, 1]], [[0, 1]]], "paths": [[0, 0, 0]]},
              "antenna counts must be positive integers"),
+            # A repeated antenna, also as JSON true (== 1), is refused, not merged.
+            ({"dim": [2, 2, 2], "layers": [[[0, 1]], [[0], [1, 1]], [[0, 1]]],
+              "paths": [[0, 0, 0], [0, 1, 0]]},
+             "supernode [1, 1] names antenna 1 twice"),
+            ({"dim": [2, 2, 2], "layers": [[[0, 1]], [[0], [1, True]], [[0, 1]]],
+              "paths": [[0, 0, 0], [0, 1, 0]]},
+             "supernode [1, true] names antenna 1 twice"),
         ],
     )
     def test_malformed_partition_file(self, doc, message, tmp_path, capsys):

@@ -7,8 +7,10 @@ import numpy as np
 import pytest
 from oracles import (
     codewords_dense,
+    det_products,
     ml_decode,
     nvd_minimum_dense,
+    nvd_products_dense,
     sample_channel,
     symbol_tuples_dense,
     word_table_concat,
@@ -166,6 +168,19 @@ class TestCodebook:
         assert np.array_equal(stbc._symbol_tuples(pts, 4, start, stop), dense[start:stop])
 
 
+# The benchmark's five NVD cases, each a code over 4-QAM searched on the
+# differences of a 4-QAM or a 16-QAM alphabet boxed to |coordinate| <= 4.
+_NVD_CASES = [
+    ("alamouti", 4), ("golden", 4), ("parallel-golden", 4), ("golden", 16), ("parallel-golden", 16)
+]
+NVD_CASES = pytest.mark.parametrize("code,qam", _NVD_CASES)
+NVD_MINIMA = {"alamouti": 16.0, "golden": 80.0, "parallel-golden": 6400.0}
+
+
+def nvd_case(code: str, qam: int) -> tuple[Codebook, tuple[complex, ...]]:
+    return Codebook(code, QamAlphabet.qam(4)), QamAlphabet.qam(qam).difference_points(max_coord=4)
+
+
 class TestVerifyNvd:
     def test_cap_enforced(self, q4, q16):
         with pytest.raises(ValueError, match="cap"):
@@ -180,11 +195,11 @@ class TestVerifyNvd:
         gram = words @ words.conj().swapaxes(-1, -2)
         expect = np.prod(np.abs(np.linalg.det(gram)), axis=-1)
         assert len(expect) == len(pts) ** cb.num_symbols - 1
-        np.testing.assert_allclose(stbc._det_products(words), expect, rtol=1e-9, atol=0)
+        np.testing.assert_allclose(det_products(words), expect, rtol=1e-9, atol=0)
 
     def test_closed_form_rejects_other_shapes(self):
         with pytest.raises(ValueError, match="2x2"):
-            stbc._det_products(np.ones((4, 1, 3, 3), dtype=complex))
+            det_products(np.ones((4, 1, 3, 3), dtype=complex))
 
     def test_enumeration_excludes_zero(self, q4):
         cb = alamouti(q4)
@@ -192,44 +207,67 @@ class TestVerifyNvd:
         assert any(a != 0 for a in arg)
         assert mn > 0
 
-    @pytest.mark.parametrize(
-        "code,qam",
-        [("alamouti", 4), ("golden", 4), ("parallel-golden", 4), ("golden", 16),
-         ("parallel-golden", 16)],
-    )
-    def test_streamed_search_matches_dense(self, code, qam, q4):
-        # The benchmark's five cases; the boxed 16-QAM ones span six chunks.
-        diffs = QamAlphabet.qam(qam).difference_points(max_coord=4)
-        cb = Codebook(code, q4)
-        assert math.ceil(len(diffs) ** cb.num_symbols / 65536) == (6 if qam == 16 else 1)
+    @NVD_CASES
+    def test_closed_form_is_the_rounded_oracle(self, code, qam):
+        # Every tuple, zero included: the code's closed form in the symbols is
+        # the exact integer that the float encode-and-determinant path rounds to.
+        cb, diffs = nvd_case(code, qam)
+        tuples, oracle = nvd_products_dense(cb, diffs)
+        rounded = np.rint(oracle)
+        assert np.max(np.abs(oracle - rounded)) < 0.01
+        assert np.array_equal(stbc._CODES[code][3](tuples), rounded)
+
+    @NVD_CASES
+    def test_streamed_search_matches_dense(self, code, qam):
+        # Every case but alamouti spans more than one chunk: 2 at 4-QAM, 96 boxed 16-QAM.
+        cb, diffs = nvd_case(code, qam)
+        chunks = math.ceil(len(diffs) ** cb.num_symbols / stbc._NVD_CHUNK)
+        assert chunks == (1 if code == "alamouti" else 2 if qam == 4 else 96)
         mn, arg = verify_nvd(cb, diffs)
+        assert mn == NVD_MINIMA[code]
         dense_mn, dense_arg = nvd_minimum_dense(cb, diffs)
         assert mn == dense_mn and arg == dense_arg
+
+    # One-tuple chunks only at 4-QAM: a boxed 16-QAM case would take 390,625 steps.
+    @pytest.mark.parametrize(
+        "code,qam,chunk",
+        [(c, q, n) for n in (1, 1000, 65536) for c, q in _NVD_CASES if n > 1 or q == 4],
+    )
+    def test_result_does_not_depend_on_the_chunk(self, code, qam, chunk, monkeypatch):
+        cb, diffs = nvd_case(code, qam)
+        expect = verify_nvd(cb, diffs)
+        monkeypatch.setattr(stbc, "_NVD_CHUNK", chunk)
+        assert verify_nvd(cb, diffs) == expect
 
     def test_chunks_cover_the_enumeration_once(self, q4, q16, monkeypatch):
         # The minimum sits in the first chunk, so the case above alone would
         # miss a skipped or repeated later chunk.
         seen = []
+        encode, k_sub, num_symbols, products = stbc._CODES["golden"]
 
-        def spy(words, det_products=stbc._det_products):
-            seen.append(words)
-            return det_products(words)
+        def spy(chunk):
+            seen.append(chunk)
+            return products(chunk)
 
-        monkeypatch.setattr(stbc, "_det_products", spy)
+        monkeypatch.setitem(stbc._CODES, "golden", (encode, k_sub, num_symbols, spy))
         cb, diffs = golden(q4), q16.difference_points(max_coord=4)
         verify_nvd(cb, diffs)
-        assert [len(w) for w in seen] == [65536] * 5 + [390625 - 5 * 65536]
-        assert np.array_equal(np.concatenate(seen), cb.encode(symbol_tuples_dense(diffs, 4)))
+        assert [len(c) for c in seen] == [4096] * 95 + [390625 - 95 * 4096]
+        assert np.array_equal(np.concatenate(seen), symbol_tuples_dense(diffs, 4))
 
     def test_degenerate_alphabets_find_nothing(self, q4):
         assert verify_nvd(alamouti(q4), [0j]) == (math.inf, ())
         assert verify_nvd(alamouti(q4), []) == (math.inf, ())
 
-    def test_streamed_search_memory_is_bounded(self, q4, q16):
-        # The whole enumeration took 78.5 MB of traced memory here.
+    def test_streamed_search_memory_is_bounded(self, q4, q16, monkeypatch):
+        # Traced peaks with numpy 2.4: 0.82 MB at 4096-tuple chunks, 13.1 MB at
+        # 65,536-tuple chunks, 78.5 MB for the whole enumeration at once.
         cb, diffs = golden(q4, m=1), q16.difference_points(max_coord=4)
         _, peak = traced_peak_mb(verify_nvd, cb, diffs)
-        assert peak < 24.0
+        assert peak < 1.2
+        monkeypatch.setattr(stbc, "_NVD_CHUNK", 65536)
+        _, peak = traced_peak_mb(verify_nvd, cb, diffs)
+        assert peak > 1.2
 
 
 class TestMlDecode:
