@@ -25,8 +25,8 @@ counter-based generator keyed by ``(seed, block_index)``, and outcomes
 are accumulated as integer counts.  Results are therefore bit-identical
 for a given seed regardless of how many workers process the blocks, and
 trial ``t`` sees the same channel realization no matter how many trials
-the run requests.  The outage runner here and the coded runner in
-``stbc`` share one block map, :func:`_map_blocks`.
+the run requests.  The outage runner here (one map per SNR point) and
+the coded runner in ``stbc`` (one map per grid) share :func:`_map_blocks`.
 """
 
 from __future__ import annotations
@@ -270,7 +270,10 @@ def _complex_normal(rng: np.random.Generator, shape: tuple[int, ...]) -> np.ndar
 def sample_block(
     dim: DimensionLike, seed: int, block_index: int, count: int = BLOCK_SIZE
 ) -> ChannelRealization:
-    """Draw ``count`` stacked realizations from stream ``(seed, block_index)``."""
+    """Draw ``count`` stacked realizations from stream ``(seed, block_index)``.
+
+    Each hop is drawn whole in turn, so below ``BLOCK_SIZE`` only hop 0 is a prefix of the block.
+    """
     dim = as_dimension(dim)
     return _draw_hops(dim, _block_rng(seed, block_index), count)
 
@@ -533,20 +536,21 @@ def _block_pool(workers: int, n_blocks: int):
 
 
 def _map_blocks(
-    count_block: Callable[..., int], params: tuple, trials: int, block_size: int, workers: int
-) -> int:
+    count_block: Callable, params: tuple, trials: int, block_size: int, workers: int
+) -> int | np.ndarray:
     """Sum of ``count_block(*params, block, live)`` over the blocks of a run.
 
-    ``live`` is the number of the block's trials that the run counts
-    (all but the last block count in full).  Worker ``w`` of ``workers``
-    takes blocks ``w, w + workers, ...``; the count is an integer sum,
-    so it does not depend on the worker count.  The blocks go to the pool
-    of the run's :func:`_block_pool` scope, opened here if there is none.
-    ``count_block`` must be a module-level function so worker processes
-    can unpickle it.
+    ``live`` is the number of the block's trials that the run counts (all but
+    the last block count in full); a block's count is an int, or a NumPy integer
+    vector of one count per point.  Worker ``w`` of ``workers`` takes blocks
+    ``w, w + workers, ...``; integer sums do not depend on the worker count.  The
+    blocks go to the pool of the run's :func:`_block_pool` scope, opened here if
+    there is none.  ``count_block`` must be a module-level function so worker
+    processes can unpickle it.  A ``trials`` that is not an integer (or is a
+    bool) raises ``ValueError`` before any block.
     """
-    if trials < 1:
-        raise ValueError("need at least one trial")
+    if isinstance(trials, bool) or not hasattr(trials, "__index__") or operator.index(trials) < 1:
+        raise ValueError(f"need at least one trial, as an integer; got {trials!r}")
     n_blocks = math.ceil(trials / block_size)
     with _block_pool(workers, n_blocks) as (width, pool):
         chunks = [
@@ -575,8 +579,10 @@ def estimate_outage(
 ) -> OutageEstimate:
     """Monte-Carlo outage probability at one SNR point.
 
-    Deterministic for a given seed, independent of ``workers``.
+    Deterministic for a given seed, independent of ``workers``; refuses a rate that is not finite.
     """
+    if not math.isfinite(rate):
+        raise ValueError(f"rate must be finite, got {rate}")
     dim = as_dimension(dim)
     snr = 10.0 ** (snr_db / 10.0)
     count = _map_blocks(_outage_block, (dim, scheme, rate, snr, seed), trials, BLOCK_SIZE, workers)

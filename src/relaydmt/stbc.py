@@ -16,12 +16,13 @@ same positive value as the constellation grows.
 
 Maximum-likelihood decoding whitens each sub-channel by a Cholesky
 factor of its noise covariance and minimizes the summed Frobenius
-distance exhaustively over the codebook.  The coded simulation decides
-a whole block at once: it expands the distance, drops the part that
-does not depend on the codeword, and scores every codeword with real
-matrix products against a precomputed codeword table, in row batches of
-at most 4 MB of scores.  The exact NVD search (closed-form product
-determinants) streams its tuples in fixed chunks that do not change it.
+distance exhaustively over the codebook.  The coded simulation draws each
+block once and decides it at every SNR point through the scaled whitened
+channel: it expands the distance, drops the part that does not depend on
+the codeword, and scores every codeword with real matrix products against
+the run's one codeword table, in row batches of at most 4 MB of scores.
+The exact NVD search (closed-form product determinants) streams its
+tuples in fixed chunks that do not change it.
 """
 
 from __future__ import annotations
@@ -35,11 +36,9 @@ from typing import ClassVar, Sequence
 import numpy as np
 
 from .channel_sim import (
-    EffectiveChannel,
     OutageEstimate,
     Scheme,
     _abs2,
-    _block_pool,
     _block_rng,
     _cholesky,
     _complex_normal,
@@ -294,16 +293,16 @@ def verify_nvd(
 # --------------------------------------------------------------------------
 
 
-def _word_table(words: np.ndarray, amp: float) -> np.ndarray:
+def _word_table(words: np.ndarray) -> np.ndarray:
     """Real codeword table of the expanded ML metric, ``(2 D, M)``.
 
     Per sub-channel ``k`` the whitened distance to codeword ``X`` is,
-    up to a term that does not depend on ``X``,
-    ``amp^2 tr(Q X X^H) - 2 amp Re<C, X>`` with ``Q = G^H G`` and
-    ``C = G^H Y`` (whitened ``G`` and ``Y``).  Laying ``[Q | C]`` of
-    every sub-channel out as one complex feature row ``f`` of length
-    ``D`` makes the metric ``Re(f . c)`` for a complex column ``c`` per
-    codeword, which is the real product ``[Re f, Im f] @ [Re c; -Im c]``.
+    up to a term that does not depend on ``X``, ``tr(Q X X^H) - 2 Re<C, X>``
+    with ``Q = G^H G`` and ``C = G^H Y`` (``G`` the scaled whitened gain,
+    which carries the signal amplitude, so the table does not).  Laying
+    ``[Q | C]`` of every sub-channel out as one complex feature row ``f``
+    of length ``D`` makes the metric ``Re(f . c)`` for a complex column
+    ``c`` per codeword, which is the real product ``[Re f, Im f] @ [Re c; -Im c]``.
     """
     m, k_sub, n_t, span = words.shape
     # Row (part, k, i, j), filled one complex piece at a time.
@@ -311,8 +310,8 @@ def _word_table(words: np.ndarray, amp: float) -> np.ndarray:
     for k in range(k_sub):
         x = words[:, k]  # (M, n_t, T)
         # tr(Q P) = sum_ij Q_ij P_ji, so Q_ij pairs with P^T.
-        _put_parts(table[:, k, :, :n_t], amp * amp * _hermitian_square(x).swapaxes(-1, -2))
-        _put_parts(table[:, k, :, n_t:], -2.0 * amp * x.conj())
+        _put_parts(table[:, k, :, :n_t], _hermitian_square(x).swapaxes(-1, -2))
+        _put_parts(table[:, k, :, n_t:], -2.0 * x.conj())
     return table.reshape(-1, m)
 
 
@@ -323,25 +322,20 @@ def _put_parts(out: np.ndarray, piece: np.ndarray) -> None:
 
 
 def _ml_decisions(
-    received: Sequence[np.ndarray],
-    effs: Sequence[EffectiveChannel],
-    chols: Sequence[np.ndarray],
-    table: np.ndarray,
+    gains: Sequence[np.ndarray], received: Sequence[np.ndarray], table: np.ndarray
 ) -> np.ndarray:
     """Maximum-likelihood codeword index of every trial in a block.
 
-    ``received[k]`` is the ``(B, n_r, T)`` reception of sub-channel ``k`` through ``effs[k]``,
-    ``chols[k]`` the Cholesky factor of its noise covariance and ``table`` (``M`` codewords)
-    the :func:`_word_table` at the run's signal amplitude.  Rows are scored
+    ``gains[k]`` is the ``(B, n_r, n_t)`` scaled whitened gain ``amp L^-1 G`` of sub-channel
+    ``k``, ``received[k]`` its ``(B, n_r, T)`` reception ``gains[k] X + W`` in white noise,
+    and ``table`` the :func:`_word_table` of the ``M`` codewords.  Rows are scored
     ``max(1, _SCORE_ENTRIES // M)`` at a time; ties resolve to the lowest index.
     Raises ``np.linalg.LinAlgError`` if any score is not finite, even a loser's.
     """
     features = []
-    for y, eff, chol in zip(received, effs, chols):
-        n_t = eff.gain.shape[-1]
-        white = _forward_sub(chol, np.concatenate([eff.gain, y], axis=-1))
-        # [Q | C] = G_w^H [G_w | Y_w]
-        prods = _matmul(white[..., :n_t].conj().swapaxes(-1, -2), white)
+    for g, y in zip(gains, received):
+        # [Q | C] = G^H [G | Y]
+        prods = _matmul(g.conj().swapaxes(-1, -2), np.concatenate([g, y], axis=-1))
         # The reshape copies trials-innermost products into C order, so the
         # GEMM operand below is C-contiguous and BLAS scores stay bit-identical.
         features.append(prods.reshape(prods.shape[0], -1))
@@ -358,31 +352,33 @@ def _ml_decisions(
     return decided
 
 
-def _ser_block(dim, scheme, cb, snr, amp, seed, words, table, block, live) -> int:
-    """Codeword errors among the first ``live`` trials of one block.
+def _ser_block(dim, scheme, cb, snrs, seed, words, table, block, live) -> np.ndarray:
+    """Codeword errors among the first ``live`` trials of one block, one count per SNR.
 
-    Draw order inside the block stream is fixed: hop variates (through
-    the shared hop sampler), then the transmitted codeword indices,
-    then per-sub-channel noise.  Every draw covers the whole block, so
-    the stream does not depend on ``live``; only the live trials are
-    decoded, by :func:`_ml_decisions` with the factors that colour the noise.
+    The block stream draws the hops (through the shared hop sampler), the
+    sent codeword indices, then per-sub-channel white noise ``W``, each for
+    the whole block, so it depends on neither ``live`` nor the SNRs.  At each
+    SNR the live trials receive ``G X + W`` through the scaled whitened gain
+    ``G = amp L^-1 G_eff`` (``L L^H`` the noise covariance).
     """
     rng = _block_rng(seed, block)
     real = _trial_slice(_draw_hops(dim, rng, CODED_BLOCK_SIZE), 0, live)
     sent = rng.integers(0, words.shape[0], size=CODED_BLOCK_SIZE)[:live]
-    effs = scheme.effectives(real, snr)
-    if len(effs) != cb.k_sub:
-        raise ValueError(f"code has {cb.k_sub} sub-channels but the scheme offers {len(effs)}")
-    received, chols = [], []
-    for k, eff in enumerate(effs):
-        n_r = eff.gain.shape[-2]
-        white = _complex_normal(rng, (CODED_BLOCK_SIZE, n_r, cb.time_span))[:live]
-        # Taken along the last axis of the transpose, so trials stay innermost.
-        signal = amp * _matmul(eff.gain, np.take(words[:, k].T, sent, axis=-1).T)
-        chols.append(_cholesky(eff.noise_cov))
-        received.append(signal + _matmul(chols[-1], white))
-    decided = _ml_decisions(received, effs, chols, table)
-    return int(np.count_nonzero(decided != sent))
+    # Taken along the last axis of the transpose, so trials stay innermost.
+    sent_words = [np.take(words[:, k].T, sent, axis=-1).T for k in range(cb.k_sub)]
+    errors, noise = np.zeros(len(snrs), dtype=np.int64), None
+    for i, snr in enumerate(snrs):
+        effs = scheme.effectives(real, snr)
+        if len(effs) != cb.k_sub:
+            raise ValueError(f"code has {cb.k_sub} sub-channels but the scheme offers {len(effs)}")
+        if noise is None:  # shaped by the first point's channels; no SNR changes their shapes
+            noise = [_complex_normal(rng, (CODED_BLOCK_SIZE, e.gain.shape[-2], cb.time_span))
+                     for e in effs]
+        amp = math.sqrt(snr / dim[0]) * cb.energy_norm
+        gains = [amp * _forward_sub(_cholesky(e.noise_cov), e.gain) for e in effs]
+        received = [_matmul(g, x) + w[:live] for g, x, w in zip(gains, sent_words, noise)]
+        errors[i] = np.count_nonzero(_ml_decisions(gains, received, table) != sent)
+    return errors
 
 
 def simulate_ser(
@@ -400,7 +396,8 @@ def simulate_ser(
     sub-channel count the scheme's effective channels (one for AF, one
     per flip mode for FF); DF has no effective channel and raises
     ``TypeError``.  Deterministic for a given seed, independent of the
-    worker count; every point shares the run's one worker pool.
+    worker count and of the grid: each block is drawn once and decided
+    at every point, in one map over the run's blocks.
     """
     dim = as_dimension(dim)
     if cb.n_t != dim[0]:
@@ -408,16 +405,11 @@ def simulate_ser(
             f"code {cb.name!r} sends from {cb.n_t} antennas but the channel input has {dim[0]}"
         )
     words, _ = cb.codewords()
-    bits_per_use = cb.rate_syms_per_use * math.log2(cb.alphabet.order)
-    points = []
-    with _block_pool(workers, math.ceil(trials / CODED_BLOCK_SIZE)):
-        for snr_db in snr_grid_db:
-            snr = 10.0 ** (snr_db / 10.0)
-            amp = math.sqrt(snr / dim[0]) * cb.energy_norm
-            params = (dim, scheme, cb, snr, amp, seed, words, _word_table(words, amp))
-            errors = _map_blocks(_ser_block, params, trials, CODED_BLOCK_SIZE, workers)
-            points.append(OutageEstimate(float(snr_db), bits_per_use, trials, errors))
-    return points
+    snrs = [10.0 ** (snr_db / 10.0) for snr_db in snr_grid_db]
+    params = (dim, scheme, cb, snrs, seed, words, _word_table(words))
+    errors = _map_blocks(_ser_block, params, trials, CODED_BLOCK_SIZE, workers)
+    bits = cb.rate_syms_per_use * math.log2(cb.alphabet.order)
+    return [OutageEstimate(float(db), bits, trials, int(e)) for db, e in zip(snr_grid_db, errors)]
 
 
 def codebook_to_json(cb: Codebook) -> str:

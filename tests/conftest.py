@@ -38,7 +38,8 @@ def pool_sizes(monkeypatch):
     """``max_workers`` of every process pool the block runner opens.
 
     The outage and SER runners share ``channel_sim``'s block runner, so
-    only that module opens pools.
+    only that module opens pools: an outage run once in its pool scope,
+    a coded run once in its one block map.
     """
     seen = []
 

@@ -295,8 +295,8 @@ def ml_decode(
     return int(np.argmin(total))
 
 
-def word_table_concat(words: np.ndarray, amp: float) -> np.ndarray:
-    """``stbc._word_table`` built as complex ``[amp^2 P^T | -2 amp X^*]`` rows, then split.
+def word_table_concat(words: np.ndarray) -> np.ndarray:
+    """``stbc._word_table`` built as complex ``[P^T | -2 X^*]`` rows, then split.
 
     Per sub-channel the codewords' features are concatenated, the
     sub-channels side by side, then real and negated imaginary parts,
@@ -306,7 +306,7 @@ def word_table_concat(words: np.ndarray, amp: float) -> np.ndarray:
     for k in range(words.shape[1]):
         x = words[:, k]  # (M, n_t, T)
         gram_t = _hermitian_square(x).swapaxes(-1, -2)
-        cols.append(np.concatenate([amp * amp * gram_t, -2.0 * amp * x.conj()], axis=-1))
+        cols.append(np.concatenate([gram_t, -2.0 * x.conj()], axis=-1))
     c = np.concatenate([col.reshape(col.shape[0], -1) for col in cols], axis=-1)
     return np.concatenate([c.real, -c.imag], axis=-1).T.copy()
 

@@ -19,6 +19,14 @@ For each of the benchmark's five ``verify_nvd`` cases it then prints the
 median milliseconds per search over ``REPEATS`` alternating runs and the
 tracemalloc peak of one search, at ``stbc._NVD_CHUNK`` tuples per chunk
 and at 65,536, and checks that both return the same minimum and tuple.
+
+Last, the coded block: for each curve of the benchmark's ``coded-ser``
+part, at its first SNR and at its whole grid, and for golden 16-QAM over
+AF (2,2) at one SNR, it prints the median milliseconds per
+``CODED_BLOCK_SIZE``-trial block of ``stbc._ser_block`` (the codeword
+table is built once per run, outside the block) and the tracemalloc
+peak of one block, and checks that the grid's counts equal those of its
+points run one at a time.
 """
 
 from __future__ import annotations
@@ -53,6 +61,15 @@ NVD_CASES = (
     ("golden0/qam16box4", "golden", 16),
     ("golden1/qam4", "parallel-golden", 4),
     ("golden1/qam16box4", "parallel-golden", 16),
+)
+
+
+CODED = (
+    ("golden1-ff(2,2,2)", (2, 2, 2), ("parallel-golden", 4), default_ff_scheme((2, 2, 2)),
+     [16.0 + 1.5 * i for i in range(5)]),
+    ("alamouti-af(2,1,2,2)", (2, 1, 2, 2), ("alamouti", 4), AfScheme(),
+     [14.0 + 2.0 * i for i in range(7)]),
+    ("golden0/qam16-af(2,2)", (2, 2), ("golden", 16), AfScheme(), [20.0]),
 )
 
 
@@ -124,6 +141,29 @@ def main() -> None:
         print(f"{label:15s} {channel_sim._tile_trials(dim):6d} {ms[0]:9.2f} {ms[1]:9.2f} {mb[0]:9.2f} {mb[1]:9.2f}")
 
 
+def coded_main() -> None:
+    print(f"{'coded curve':22s} {'points':>6s} {'ms/block':>9s} {'MB peak':>8s} {'counts':s}")
+    for label, dim, (code, qam), scheme, grid in CODED:
+        dim, cb = as_dimension(dim), stbc.Codebook(code, stbc.QamAlphabet.qam(qam))
+        words = cb.codewords()[0]
+        table = stbc._word_table(words)
+        for snrs in {len(g): g for g in (grid[:1], grid)}.values():
+            snrs = [10.0 ** (s / 10.0) for s in snrs]
+            args = (dim, scheme, cb, snrs, 1, words, table, 0, stbc.CODED_BLOCK_SIZE)
+            counts = [int(c) for c in stbc._ser_block(*args)]
+            alone = [stbc._ser_block(*args[:3], [s], *args[4:])[0] for s in snrs]
+            assert counts == alone, (counts, alone)
+            times = []
+            for _ in range(REPEATS if qam == 4 else 3):
+                start = time.perf_counter()
+                stbc._ser_block(*args)
+                times.append(1e3 * (time.perf_counter() - start))
+            mb = peak_mb(stbc._ser_block, *args)
+            ms = statistics.median(times)
+            print(f"{label:22s} {len(snrs):6d} {ms:9.2f} {mb:8.2f} {counts}")
+
+
 if __name__ == "__main__":
     main()
     nvd_main()
+    coded_main()

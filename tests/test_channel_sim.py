@@ -484,6 +484,35 @@ class TestEstimateOutage:
         with pytest.raises(ValueError, match="at least one trial"):
             estimate_outage((2, 2, 2), AfScheme(), 2.0, 10.0, trials=0, seed=1)
 
+    @pytest.mark.parametrize("rate", [math.nan, math.inf, -math.inf])
+    def test_non_finite_rate_rejected(self, rate):
+        # MI < nan is always false, so a NaN rate used to count no outage at all.
+        with pytest.raises(ValueError, match="rate must be finite"):
+            estimate_outage((2, 2), AfScheme(), rate, 0.0, 1000, seed=0)
+        with pytest.raises(ValueError, match="rate must be finite"):
+            outage_curve((2, 2), AfScheme(), rate, [0.0, 3.0], 1000, seed=0)
+
+    @pytest.mark.parametrize("trials", [1e4, 2048.0, True, "100"])
+    @pytest.mark.parametrize("run", ["outage", "ser"])
+    def test_non_integer_trials_rejected_before_any_block(self, run, trials, monkeypatch):
+        # 1e4 used to fail with a bare TypeError after a whole block; True ran one trial.
+        def no_draw(*args):
+            raise AssertionError("a block was drawn")
+
+        monkeypatch.setattr(channel_sim, "_draw_hops", no_draw)
+        monkeypatch.setattr(stbc, "_draw_hops", no_draw)
+        with pytest.raises(ValueError, match=f"at least one trial, as an integer; got {trials!r}"):
+            if run == "outage":
+                estimate_outage((2, 2), AfScheme(), 2.0, 10.0, trials, seed=1)
+            else:
+                cb = stbc.alamouti(stbc.QamAlphabet.qam(4))
+                stbc.simulate_ser((2, 2), AfScheme(), cb, [10.0], trials, seed=1)
+
+    def test_integer_like_trials_accepted(self):
+        a = estimate_outage((2, 2), AfScheme(), 2.0, 10.0, np.int64(300), seed=1)
+        b = estimate_outage((2, 2), AfScheme(), 2.0, 10.0, 300, seed=1)
+        assert a.outage_count == b.outage_count and a.trials == 300
+
     def test_deterministic_and_worker_invariant(self):
         kwargs = dict(rate=2.0, snr_db=8.0, trials=30000, seed=77)
         a = estimate_outage((2, 2, 2), AfScheme(), **kwargs)
@@ -760,13 +789,14 @@ class TestMemoryLayout:
 
             return run
 
-        # The noise draw, the Cholesky factors and the whitened [G | Y].
+        # The noise draw, the Cholesky factors and the whitened gains.
         for name in ("_complex_normal", "_cholesky", "_forward_sub"):
             monkeypatch.setattr(stbc, name, recording(getattr(stbc, name)))
-        stbc.simulate_ser(dim, scheme, cb, [10.0], 1000, seed=2)
-        # Per sub-channel: the noise (drawn for the whole block) and the one
-        # factor of K_z, then the whitened [G | Y] of the 1000 live trials.
-        want = [stbc.CODED_BLOCK_SIZE, 1000] * cb.k_sub + [1000] * cb.k_sub
+        stbc.simulate_ser(dim, scheme, cb, [10.0, 20.0], 1000, seed=2)
+        # The noise of every sub-channel, drawn once for the whole block; then at
+        # each point, per sub-channel, the one factor of K_z and the whitened G
+        # of the 1000 live trials.
+        want = [stbc.CODED_BLOCK_SIZE] * cb.k_sub + [1000, 1000] * cb.k_sub * 2
         assert [a.shape[0] for a in seen] == want
         assert all(trials_innermost(a) for a in seen)
 

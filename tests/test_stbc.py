@@ -21,12 +21,14 @@ from relaydmt.channel_sim import (
     AfScheme,
     DfScheme,
     EffectiveChannel,
+    ParallelAfScheme,
     af_effective,
     default_ff_scheme,
     ff_effective,
     sample_block,
 )
 from relaydmt.dmt_core import DecodeSet
+from relaydmt.partition import AfPath, Partition, Supernode
 from relaydmt.stbc import (
     CODED_BLOCK_SIZE,
     Codebook,
@@ -380,21 +382,27 @@ class TestVectorisedDecisionOracle:
 
     @staticmethod
     def decision_inputs(dim, cb, effs_of, snr_db, rows):
-        """Sent indices, receptions, channels, factors and table for ``rows`` trials."""
+        """Sent indices, coloured and whitened receptions, channels and table for ``rows`` trials.
+
+        ``ml_decode`` reads the coloured reception ``amp G X + L n``; ``_ml_decisions`` reads
+        the scaled whitened gain ``amp L^-1 G`` and ``amp L^-1 G X + n``, from the same ``n``.
+        """
         snr = 10.0 ** (snr_db / 10.0)
         amp = math.sqrt(snr / dim[0]) * cb.energy_norm
         words, _ = cb.codewords()
         rng = np.random.default_rng(int(snr_db))
         effs = effs_of(sample_block(dim, seed=19, block_index=0, count=rows), snr)
         sent = rng.integers(0, words.shape[0], size=rows)
-        ys = []
+        ys, gains, whitened = [], [], []
         for k, eff in enumerate(effs):
             noise = (
                 rng.standard_normal((rows, 2, 2)) + 1j * rng.standard_normal((rows, 2, 2))
             ) / np.sqrt(2)
-            ys.append(amp * (eff.gain @ words[sent, k]) + np.linalg.cholesky(eff.noise_cov) @ noise)
-        chols = [stbc._cholesky(eff.noise_cov) for eff in effs]
-        return sent, ys, effs, chols, stbc._word_table(words, amp)
+            chol = np.linalg.cholesky(eff.noise_cov)
+            ys.append(amp * (eff.gain @ words[sent, k]) + chol @ noise)
+            gains.append(amp * np.linalg.solve(chol, eff.gain))
+            whitened.append(gains[-1] @ words[sent, k] + noise)
+        return sent, ys, effs, gains, whitened, stbc._word_table(words)
 
     @staticmethod
     def reference_decisions(ys, effs, cb, snr_db):
@@ -419,8 +427,10 @@ class TestVectorisedDecisionOracle:
         else:
             dim, cb = (2, 1, 2, 2), alamouti(q4)
             effs_of = lambda real, snr: [af_effective(real, snr)]
-        sent, ys, effs, chols, table = self.decision_inputs(dim, cb, effs_of, snr_db, self.ROWS)
-        fast = stbc._ml_decisions(ys, effs, chols, table)
+        sent, ys, effs, gains, whitened, table = self.decision_inputs(
+            dim, cb, effs_of, snr_db, self.ROWS
+        )
+        fast = stbc._ml_decisions(gains, whitened, table)
         ref = self.reference_decisions(ys, effs, cb, snr_db)
         amp = math.sqrt(10.0 ** (snr_db / 10.0) / dim[0]) * cb.energy_norm
         clear = self.clear_rows(ys, effs, cb.codewords()[0], amp)
@@ -449,8 +459,8 @@ class TestRowBatches:
 
     def test_batches_match_ml_decode(self, golden16):
         oracle = TestVectorisedDecisionOracle
-        sent, ys, effs, chols, table = self.inputs(golden16, self.ROWS)
-        fast = stbc._ml_decisions(ys, effs, chols, table)
+        sent, ys, effs, gains, whitened, table = self.inputs(golden16, self.ROWS)
+        fast = stbc._ml_decisions(gains, whitened, table)
         ref = oracle.reference_decisions(ys, effs, golden16, self.SNR_DB)
         amp = math.sqrt(10.0 ** (self.SNR_DB / 10.0) / 2) * golden16.energy_norm
         clear = oracle.clear_rows(ys, effs, golden16.codewords()[0], amp)
@@ -460,34 +470,32 @@ class TestRowBatches:
         assert 0 < np.count_nonzero(fast != sent) < self.ROWS // 2
 
     def test_non_finite_last_batch_raises(self, golden16):
-        _, ys, effs, chols, table = self.inputs(golden16, self.ROWS)
-        ys[0][-8:, 1, 0] = np.nan
+        _, _, _, gains, whitened, table = self.inputs(golden16, self.ROWS)
+        whitened[0][-8:, 1, 0] = np.nan
         with pytest.raises(np.linalg.LinAlgError, match="not finite"):
-            stbc._ml_decisions(ys, effs, chols, table)
+            stbc._ml_decisions(gains, whitened, table)
 
     def test_block_memory_is_bounded(self, golden16):
         # One (2048, 65536) score matrix took 1.07 GB.
-        _, ys, effs, chols, table = self.inputs(golden16, CODED_BLOCK_SIZE)
-        decided, peak = traced_peak_mb(stbc._ml_decisions, ys, effs, chols, table)
+        _, _, _, gains, whitened, table = self.inputs(golden16, CODED_BLOCK_SIZE)
+        decided, peak = traced_peak_mb(stbc._ml_decisions, gains, whitened, table)
         assert decided.shape == (CODED_BLOCK_SIZE,)
         assert peak < 64.0
 
 
 class TestWordTable:
-    AMP = 0.3
-
     @pytest.mark.parametrize("name", ["alamouti", "golden", "parallel-golden"])
     def test_matches_concatenated_pieces(self, name, q4):
         cb = {"alamouti": alamouti(q4), "golden": golden(q4), "parallel-golden": golden(q4, m=1)}[name]
         words = cb.codewords()[0]
-        table = stbc._word_table(words, self.AMP)
+        table = stbc._word_table(words)
         assert table.flags.c_contiguous
-        assert np.array_equal(table, word_table_concat(words, self.AMP))
+        assert np.array_equal(table, word_table_concat(words))
 
     def test_build_memory_is_bounded(self, q16):
         # The 16.8 MB parallel-golden 16-QAM table was built through 71 MB of pieces.
         words = golden(q16, m=1).codewords()[0]
-        table, peak = traced_peak_mb(stbc._word_table, words, self.AMP)
+        table, peak = traced_peak_mb(stbc._word_table, words)
         assert table.shape == (32, 65536)
         assert peak <= 2 * table.nbytes / 1e6
 
@@ -529,6 +537,53 @@ class TestSimulateSer:
         monkeypatch.setattr(stbc, "_draw_hops", no_draw)
         with pytest.raises(ValueError, match="2 antennas but the channel input has 3"):
             simulate_ser((3, 3), AfScheme(), alamouti(q4), [10.0], 256, seed=1)
+
+    # Three codes, each on a channel whose sub-channel count it matches.
+    GRID_CASES = {
+        "golden1-ff(2,2,2)": ((2, 2, 2), "golden1", default_ff_scheme((2, 2, 2))),
+        "alamouti-af(2,1,2,2)": ((2, 1, 2, 2), "alamouti", AfScheme()),
+        "golden0-af(2,2)": ((2, 2), "golden0", AfScheme()),
+    }
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("case", list(GRID_CASES))
+    def test_grid_equals_points_run_one_at_a_time(self, case, workers, q4, pool_sizes):
+        dim, code, scheme = self.GRID_CASES[case]
+        cb = {"golden1": golden(q4, m=1), "alamouti": alamouti(q4), "golden0": golden(q4)}[code]
+        grid, trials = [2.0, 8.0, 14.0, 20.0], 2 * CODED_BLOCK_SIZE + 300  # a partial last block
+        run = simulate_ser(dim, scheme, cb, grid, trials, seed=23, workers=workers)
+        # One pool for the whole grid when there is one at all.
+        assert pool_sizes == ([2] if workers == 2 else [])
+        alone = [simulate_ser(dim, scheme, cb, [s], trials, 23, workers)[0] for s in grid]
+        assert [p.outage_count for p in run] == [p.outage_count for p in alone]
+        assert [p.snr_db for p in run] == grid and all(p.trials == trials for p in run)
+        counts = [p.outage_count for p in run]
+        assert counts[0] > counts[-1] and counts[0] > 0
+
+    def test_each_block_is_drawn_once_for_the_grid(self, q4, monkeypatch):
+        draws = []
+
+        def counting_draw(dim, rng, count):
+            draws.append(count)
+            return draw(dim, rng, count)
+
+        draw = stbc._draw_hops
+        monkeypatch.setattr(stbc, "_draw_hops", counting_draw)
+        trials = 2 * CODED_BLOCK_SIZE + 1
+        grid = [0.0, 5.0, 10.0, 15.0, 20.0]
+        pts = simulate_ser((2, 2), AfScheme(), alamouti(q4), grid, trials, seed=6)
+        assert len(pts) == len(grid)
+        assert draws == [CODED_BLOCK_SIZE] * math.ceil(trials / CODED_BLOCK_SIZE)
+
+    def test_narrow_destination_supernode_draws_its_own_noise_shape(self, q4):
+        # A (2,2,1) path through (2,2,2): its effective channel has one output, not dim[-1].
+        part = Partition(
+            (AfPath((Supernode(frozenset({0, 1})), Supernode(frozenset({0, 1})),
+                     Supernode(frozenset({0})))),)
+        )
+        scheme = ParallelAfScheme(part)
+        pts = simulate_ser((2, 2, 2), scheme, alamouti(q4), [0.0, 30.0], 300, seed=2)
+        assert pts[0].outage_count > pts[1].outage_count
 
     def test_error_rate_decreases_with_snr(self, q4):
         cb = alamouti(q4)
