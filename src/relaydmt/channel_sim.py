@@ -517,20 +517,25 @@ _open_pool: ContextVar[ProcessPoolExecutor | None] = ContextVar("_open_pool", de
 
 
 @contextmanager
-def _block_pool(workers: int, n_blocks: int):
-    """Scope of a run's pool: yields ``workers`` clamped to ``n_blocks`` and the pool.
+def _block_pool(workers: int, trials: int, block_size: int):
+    """Scope of a run's pool: yields its block count, its width (``workers`` capped there) and pool.
 
-    Opens no pool at width 1 (the pool is then ``None``) or inside a scope
-    that already has one open, whose pool it yields.
+    Refuses a ``trials`` or ``workers`` that is not a positive integer (a bool
+    included) with ``ValueError`` before any pool opens.  Opens no pool at width
+    1 (the pool is then ``None``) or inside an open scope, whose pool it yields.
     """
-    width, pool = max(1, min(workers, n_blocks)), _open_pool.get()
+    for what, count in (("trial", trials), ("worker", workers)):
+        if isinstance(count, bool) or not hasattr(count, "__index__") or operator.index(count) < 1:
+            raise ValueError(f"need at least one {what}, as an integer; got {count!r}")
+    n_blocks = math.ceil(trials / block_size)
+    width, pool = min(workers, n_blocks), _open_pool.get()
     if width == 1 or pool is not None:
-        yield width, pool
+        yield n_blocks, width, pool
         return
     with ProcessPoolExecutor(max_workers=width) as pool:
         token = _open_pool.set(pool)
         try:
-            yield width, pool
+            yield n_blocks, width, pool
         finally:
             _open_pool.reset(token)
 
@@ -542,17 +547,14 @@ def _map_blocks(
 
     ``live`` is the number of the block's trials that the run counts (all but
     the last block count in full); a block's count is an int, or a NumPy integer
-    vector of one count per point.  Worker ``w`` of ``workers`` takes blocks
-    ``w, w + workers, ...``; integer sums do not depend on the worker count.  The
+    vector of one count per point.  Worker ``w`` of the run's width takes blocks
+    ``w, w + width, ...``; integer sums do not depend on the worker count.  The
     blocks go to the pool of the run's :func:`_block_pool` scope, opened here if
-    there is none.  ``count_block`` must be a module-level function so worker
-    processes can unpickle it.  A ``trials`` that is not an integer (or is a
-    bool) raises ``ValueError`` before any block.
+    there is none; that scope checks ``trials`` and ``workers`` before any block.
+    ``count_block`` must be a module-level function so worker processes can
+    unpickle it.
     """
-    if isinstance(trials, bool) or not hasattr(trials, "__index__") or operator.index(trials) < 1:
-        raise ValueError(f"need at least one trial, as an integer; got {trials!r}")
-    n_blocks = math.ceil(trials / block_size)
-    with _block_pool(workers, n_blocks) as (width, pool):
+    with _block_pool(workers, trials, block_size) as (n_blocks, width, pool):
         chunks = [
             (count_block, params, range(w, n_blocks, width), trials, block_size)
             for w in range(width)
@@ -605,7 +607,7 @@ def outage_curve(
     then estimates the maximum diversity).  With ``"multiplexing"`` the
     per-point rate is ``rate * log2(SNR)``, tracing the tradeoff at
     multiplexing gain ``rate``; far more trials are needed there for
-    comparable accuracy.
+    comparable accuracy.  An empty grid gives ``[]`` at once, with no pool.
     """
     if rate_policy == "fixed":
         rates = [rate] * len(snr_grid_db)
@@ -613,7 +615,9 @@ def outage_curve(
         rates = [rate * (s / 10.0) * math.log2(10.0) for s in snr_grid_db]
     else:
         raise ValueError(f"unknown rate policy {rate_policy!r}")
-    with _block_pool(workers, math.ceil(trials / BLOCK_SIZE)):
+    if not rates:
+        return []
+    with _block_pool(workers, trials, BLOCK_SIZE):
         return [
             estimate_outage(dim, scheme, rr, s, trials, seed, workers=workers)
             for rr, s in zip(rates, snr_grid_db)
@@ -664,34 +668,14 @@ def write_outage_csv(points: Sequence[OutageEstimate], out: IO[str]) -> None:
         )
 
 
-def run_manifest(
-    command: str,
-    dim: DimensionLike,
-    scheme_desc: dict,
-    rate: float | None,
-    snr_grid_db: Sequence[float],
-    trials: int,
-    seed: int,
-    block_size: int = BLOCK_SIZE,
-    extra: dict | None = None,
-) -> dict:
-    """Reproducibility record for a simulation run, with a digest of all but ``versions``."""
+def run_manifest(record: dict) -> dict:
+    """``record`` plus ``config_hash``, the SHA-1 of its sorted-key JSON, and ``versions``.
+
+    The hash leaves the versions out, so a run keeps its hash across upgrades.
+    """
     from . import __version__  # the package is fully imported by now
-    doc = {
-        "command": command,
-        "dim": list(as_dimension(dim).counts),
-        "scheme": scheme_desc,
-        "rate_bpcu": rate,
-        "snr_grid_db": [float(s) for s in snr_grid_db],
-        "trials": trials,
-        "seed": seed,
-        "block_size": block_size,
-    }
-    if extra:
-        doc.update(extra)
-    canon = json.dumps(doc, sort_keys=True, separators=(",", ":"))
-    doc["config_hash"] = hashlib.sha1(canon.encode()).hexdigest()
+    canon = json.dumps(record, sort_keys=True, separators=(",", ":"))
     blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]["name"]
-    doc["versions"] = {"relaydmt": __version__, "numpy": np.__version__,
-                       "python": platform.python_version(), "blas": blas}
-    return doc
+    versions = {"relaydmt": __version__, "numpy": np.__version__,
+                "python": platform.python_version(), "blas": blas}
+    return {**record, "config_hash": hashlib.sha1(canon.encode()).hexdigest(), "versions": versions}

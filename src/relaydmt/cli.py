@@ -241,34 +241,23 @@ def cmd_simulate(args) -> int:
         env = os.environ.get(SEED_ENV_VAR)
         seed = int(env) if env else 0
     scheme = _SCHEMES[args.scheme][1](args, dim)
-    coded = "code" in _SCHEMES[args.scheme][0]
-    if coded:
+    record = {"command": "simulate", "dim": list(dim.counts), "scheme": scheme.describe(),
+              "snr_grid_db": grid, "trials": trials, "seed": seed}
+    if "code" in _SCHEMES[args.scheme][0]:
         cb = stbc.Codebook(args.code or "alamouti", stbc.QamAlphabet.qam(args.qam or 4))
         points = stbc.simulate_ser(dim, scheme, cb, grid, trials, seed, workers=args.workers)
-        rate = points[0].rate_bpcu
-        extra = {"code": cb.describe()}
+        record.update(rate_bpcu=points[0].rate_bpcu, block_size=stbc.CODED_BLOCK_SIZE,
+                      code=cb.describe())
     else:
-        rate = _required(args, "rate", "outage simulations")
-        if not math.isfinite(rate):
-            raise UsageError(f"--rate must be finite, got {rate}")
-        policy = args.rate_policy or "fixed"
-        points = channel_sim.outage_curve(
-            dim, scheme, rate, grid, trials, seed, workers=args.workers, rate_policy=policy,
-        )
-        extra = {"rate_policy": policy}
+        if not math.isfinite(_required(args, "rate", "outage simulations")):
+            raise UsageError(f"--rate must be finite, got {args.rate}")
+        record.update(rate_bpcu=args.rate, block_size=channel_sim.BLOCK_SIZE,
+                      rate_policy=args.rate_policy or "fixed")
+        points = channel_sim.outage_curve(dim, scheme, args.rate, grid, trials, seed,
+                                          workers=args.workers, rate_policy=record["rate_policy"])
     with _output(args.output) as out:
         channel_sim.write_outage_csv(points, out)
-    manifest = channel_sim.run_manifest(
-        command="simulate",
-        dim=dim,
-        scheme_desc=scheme.describe(),
-        rate=rate,
-        snr_grid_db=grid,
-        trials=trials,
-        seed=seed,
-        block_size=stbc.CODED_BLOCK_SIZE if coded else channel_sim.BLOCK_SIZE,
-        extra=extra,
-    )
+    manifest = channel_sim.run_manifest(record)
     manifest_path = args.manifest
     if manifest_path is None and args.output not in (None, "-"):
         manifest_path = args.output + ".manifest.json"

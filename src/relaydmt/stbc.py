@@ -397,13 +397,15 @@ def simulate_ser(
     per flip mode for FF); DF has no effective channel and raises
     ``TypeError``.  Deterministic for a given seed, independent of the
     worker count and of the grid: each block is drawn once and decided
-    at every point, in one map over the run's blocks.
+    at every point, in one map over the run's blocks (none for an empty grid).
     """
     dim = as_dimension(dim)
     if cb.n_t != dim[0]:
         raise ValueError(
             f"code {cb.name!r} sends from {cb.n_t} antennas but the channel input has {dim[0]}"
         )
+    if not snr_grid_db:
+        return []
     words, _ = cb.codewords()
     snrs = [10.0 ** (snr_db / 10.0) for snr_db in snr_grid_db]
     params = (dim, scheme, cb, snrs, seed, words, _word_table(words))

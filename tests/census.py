@@ -11,6 +11,10 @@ as ``path:line: source``.  Module and class bodies run at import and are
 skipped, except a module's ``if __name__ == "__main__":`` block, which no
 import runs.
 
+The report ends with the package's size as ROADMAP aim 2 tracks it: its
+non-blank, non-comment lines (``grep -cvE '^\s*(#|$)'``) and the names in
+all of its modules' ``__all__`` lists.
+
 Only this process is traced.  Lines that run only in a subprocess, such
 as the demos that ``test_demos`` starts, or only in a pool worker, are
 reported as unreached.
@@ -60,6 +64,21 @@ def expected_lines(package_dir: str) -> dict[str, set[int]]:
             code = compile(source, path, "exec", dont_inherit=True)
             out[path] = _function_lines(code) | _main_block_lines(ast.parse(source))
     return out
+
+
+def package_size(package_dir: str) -> tuple[int, int]:
+    """Non-blank, non-comment source lines of the package, and its ``__all__`` names."""
+    lines = names = 0
+    for path in expected_lines(package_dir):
+        with open(path) as fh:
+            source = fh.read()
+        lines += sum(1 for line in source.splitlines() if line.strip()[:1] not in ("", "#"))
+        for stmt in ast.parse(source).body:
+            if isinstance(stmt, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == "__all__" for t in stmt.targets
+            ):
+                names += len(stmt.value.elts)
+    return lines, names
 
 
 class Census:
@@ -117,3 +136,7 @@ def pytest_terminal_summary(terminalreporter):
         with open(path) as fh:
             text = fh.read().splitlines()[line - 1].strip()
         terminalreporter.write_line(f"{os.path.relpath(path, root)}:{line}: {text}")
+    lines, names = package_size(_census.package_dir)
+    terminalreporter.write_line(
+        f"size: {lines} non-blank, non-comment lines; {names} names in module __all__ lists"
+    )

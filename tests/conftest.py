@@ -3,7 +3,7 @@ from concurrent.futures import ProcessPoolExecutor
 
 import pytest
 
-from relaydmt import channel_sim
+from relaydmt import channel_sim, stbc
 
 
 def all_dims(max_count: int, max_hops: int):
@@ -50,3 +50,13 @@ def pool_sizes(monkeypatch):
 
     monkeypatch.setattr(channel_sim, "ProcessPoolExecutor", RecordingPool)
     return seen
+
+
+@pytest.fixture
+def no_draw(monkeypatch):
+    """Make drawing a block fail the test, in the outage and the coded runner."""
+    def draw(*args):
+        raise AssertionError("a block was drawn")
+
+    monkeypatch.setattr(channel_sim, "_draw_hops", draw)
+    monkeypatch.setattr(stbc, "_draw_hops", draw)

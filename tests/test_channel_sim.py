@@ -6,6 +6,7 @@ import math
 import multiprocessing
 import platform
 import tracemalloc
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
@@ -52,6 +53,16 @@ from relaydmt.partition import (
 
 # Dimensions of the explicit-matrix-chain oracles of AF and FF.
 ORACLE_DIMS = [(2, 2, 2), (2, 4, 3), (3, 1, 4, 2), (3, 3, 3, 3)]
+
+
+@dataclass(frozen=True)
+class FailsAbove(AfScheme):
+    """AF whose outage fails above a linear SNR of 5, as a point can fail inside a run."""
+
+    def outage(self, real, snr, rate):
+        if snr > 5:
+            raise RuntimeError("point failed")
+        return super().outage(real, snr, rate)
 
 
 def scalar_real(*hops):
@@ -475,6 +486,21 @@ class TestSvdAlign:
         assert estimate_slope(svd) > estimate_slope(af) + 0.3
 
 
+RUNS = ["outage", "curve", "ser"]
+
+
+def run_counts(run, trials, workers):
+    """The counts of a (2, 2) AF run of ``trials`` through one public runner."""
+    if run == "outage":
+        return [estimate_outage((2, 2), AfScheme(), 2.0, 10.0, trials, 1, workers).outage_count]
+    if run == "curve":
+        pts = outage_curve((2, 2), AfScheme(), 2.0, [4.0, 10.0], trials, 1, workers)
+    else:
+        cb = stbc.alamouti(stbc.QamAlphabet.qam(4))
+        pts = stbc.simulate_ser((2, 2), AfScheme(), cb, [4.0, 10.0], trials, 1, workers)
+    return [p.outage_count for p in pts]
+
+
 class TestEstimateOutage:
     def test_zero_rate_never_in_outage(self):
         est = estimate_outage((2, 2, 2), AfScheme(), 0.0, 10.0, 5000, seed=1)
@@ -493,25 +519,32 @@ class TestEstimateOutage:
             outage_curve((2, 2), AfScheme(), rate, [0.0, 3.0], 1000, seed=0)
 
     @pytest.mark.parametrize("trials", [1e4, 2048.0, True, "100"])
-    @pytest.mark.parametrize("run", ["outage", "ser"])
-    def test_non_integer_trials_rejected_before_any_block(self, run, trials, monkeypatch):
-        # 1e4 used to fail with a bare TypeError after a whole block; True ran one trial.
-        def no_draw(*args):
-            raise AssertionError("a block was drawn")
-
-        monkeypatch.setattr(channel_sim, "_draw_hops", no_draw)
-        monkeypatch.setattr(stbc, "_draw_hops", no_draw)
+    @pytest.mark.parametrize("run", RUNS)
+    def test_non_integer_trials_rejected_before_any_block(self, run, trials, pool_sizes, no_draw):
+        # 1e4 used to fail with a bare TypeError after a whole block; True ran
+        # one trial; "100" failed with a bare TypeError from the curve's scope.
         with pytest.raises(ValueError, match=f"at least one trial, as an integer; got {trials!r}"):
-            if run == "outage":
-                estimate_outage((2, 2), AfScheme(), 2.0, 10.0, trials, seed=1)
-            else:
-                cb = stbc.alamouti(stbc.QamAlphabet.qam(4))
-                stbc.simulate_ser((2, 2), AfScheme(), cb, [10.0], trials, seed=1)
+            run_counts(run, trials, workers=2)
+        assert pool_sizes == []
+
+    @pytest.mark.parametrize("workers", [0, -3, 2.0, True])
+    @pytest.mark.parametrize("run", RUNS)
+    def test_bad_workers_rejected_before_any_pool(self, run, workers, pool_sizes, no_draw):
+        # 0, -3 and True used to run serially; 2.0 opened a pool, then failed with a TypeError.
+        with pytest.raises(ValueError, match=f"at least one worker, as an integer; got {workers!r}"):
+            run_counts(run, 2 * BLOCK_SIZE, workers)
+        assert pool_sizes == []
 
     def test_integer_like_trials_accepted(self):
         a = estimate_outage((2, 2), AfScheme(), 2.0, 10.0, np.int64(300), seed=1)
         b = estimate_outage((2, 2), AfScheme(), 2.0, 10.0, 300, seed=1)
         assert a.outage_count == b.outage_count and a.trials == 300
+
+    @pytest.mark.parametrize("run", RUNS)
+    def test_integer_like_workers_accepted(self, run, pool_sizes):
+        wide = run_counts(run, 2 * BLOCK_SIZE, np.int64(2))
+        assert pool_sizes == [2]
+        assert wide == run_counts(run, 2 * BLOCK_SIZE, 1)
 
     def test_deterministic_and_worker_invariant(self):
         kwargs = dict(rate=2.0, snr_db=8.0, trials=30000, seed=77)
@@ -534,26 +567,20 @@ class TestEstimateOutage:
         assert pool_sizes == [2]
         assert [p.outage_count for p in wide] == [p.outage_count for p in serial]
 
-    def test_failed_point_closes_the_pool(self, pool_sizes, monkeypatch):
-        real_estimate = channel_sim.estimate_outage
-        calls = []
-
-        def second_point_fails(*args, **kwargs):
-            calls.append(args)
-            if len(calls) == 2:
-                raise RuntimeError("point failed")
-            return real_estimate(*args, **kwargs)
-
-        monkeypatch.setattr(channel_sim, "estimate_outage", second_point_fails)
-        args = ((2, 2, 2), AfScheme(), 2.0, [4.0, 8.0], 2 * BLOCK_SIZE, 3)
+    def test_failed_point_closes_the_pool(self, pool_sizes):
+        # The second point fails inside the workers; the run's pool still closes.
+        run = (2.0, [4.0, 8.0], 2 * BLOCK_SIZE, 3)
         with pytest.raises(RuntimeError, match="point failed"):
-            outage_curve(*args, workers=2)
+            outage_curve((2, 2, 2), FailsAbove(), *run, workers=2)
         assert pool_sizes == [2]
         assert channel_sim._open_pool.get() is None
-        monkeypatch.setattr(channel_sim, "estimate_outage", real_estimate)
-        outage_curve(*args, workers=2)
+        outage_curve((2, 2, 2), AfScheme(), *run, workers=2)
         assert pool_sizes == [2, 2]
         assert multiprocessing.active_children() == []
+
+    def test_empty_grid_returns_at_once(self, pool_sizes, no_draw):
+        assert outage_curve((2, 2), AfScheme(), 2.0, [], 2 * BLOCK_SIZE, 3, workers=2) == []
+        assert pool_sizes == []
 
     def test_monotone_decreasing_in_snr(self):
         pts = outage_curve((2, 2, 2), AfScheme(), 2.0, [4.0, 8.0, 12.0, 16.0], 40000, seed=5)
@@ -674,7 +701,7 @@ class TestTiles:
         counts = (1, tile - 1, tile + 1, BLOCK_SIZE - 1, BLOCK_SIZE + tile + 3)
         replay = _whole_block_replay(case, rate, snr_db, seed, math.ceil(max(counts) / BLOCK_SIZE))
         assert 0 < np.count_nonzero(replay[:BLOCK_SIZE]) < BLOCK_SIZE
-        with channel_sim._block_pool(workers, 2):
+        with channel_sim._block_pool(workers, 2 * BLOCK_SIZE, BLOCK_SIZE):
             for trials in counts:
                 got = estimate_outage(dim, scheme, rate, snr_db, trials, seed, workers=workers)
                 assert got.outage_count == np.count_nonzero(replay[:trials]), trials
@@ -892,6 +919,10 @@ class TestFrobeniusSurrogate:
         assert abs(estimate_slope(frob_pts) - estimate_slope(rate_pts)) < 0.5
 
 
+MANIFEST_RECORD = {"command": "simulate", "dim": [2, 2], "scheme": {"kind": "af"},
+                   "rate_bpcu": 1.0, "snr_grid_db": [10.0], "trials": 100, "seed": 3}
+
+
 class TestOutputFormats:
     def test_csv_layout(self):
         pts = [OutageEstimate(10.0, 2.0, 1000, 123)]
@@ -905,27 +936,27 @@ class TestOutputFormats:
     def test_manifest_hash_stable_and_sensitive(self):
         base = dict(
             command="simulate",
-            dim=(2, 2, 2),
-            scheme_desc={"kind": "af"},
-            rate=2.0,
+            dim=[2, 2, 2],
+            scheme={"kind": "af"},
+            rate_bpcu=2.0,
             snr_grid_db=[10.0, 12.0],
             trials=1000,
             seed=7,
         )
-        a = run_manifest(**base)
-        b = run_manifest(**base)
+        a = run_manifest(base)
+        b = run_manifest(base)
         assert a["config_hash"] == b["config_hash"]
-        c = run_manifest(**{**base, "seed": 8})
+        c = run_manifest({**base, "seed": 8})
         assert c["config_hash"] != a["config_hash"]
 
     def test_manifest_hash_leaves_out_versions(self):
-        doc = run_manifest("simulate", (2, 2), {"kind": "af"}, 1.0, [10.0], 100, seed=3)
+        doc = run_manifest(MANIFEST_RECORD)
         rest = {k: v for k, v in doc.items() if k not in ("versions", "config_hash")}
         canon = json.dumps(rest, sort_keys=True, separators=(",", ":"))
         assert doc["config_hash"] == hashlib.sha1(canon.encode()).hexdigest()
 
     def test_manifest_records_versions(self):
-        doc = run_manifest("simulate", (2, 2), {"kind": "af"}, 1.0, [10.0], 100, seed=3)
+        doc = run_manifest(MANIFEST_RECORD)
         assert doc["versions"]["relaydmt"] == relaydmt.__version__
         assert doc["versions"]["numpy"] == np.__version__
         assert doc["versions"]["python"] == platform.python_version()

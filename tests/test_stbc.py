@@ -530,11 +530,7 @@ class TestSimulateSer:
         with pytest.raises(TypeError, match="no effective channel"):
             simulate_ser((2, 2, 2), DfScheme(DecodeSet((2,))), alamouti(q4), [10.0], 256, seed=1)
 
-    def test_code_width_mismatch_rejected_before_drawing(self, q4, monkeypatch):
-        def no_draw(*args):
-            raise AssertionError("a block was drawn")
-
-        monkeypatch.setattr(stbc, "_draw_hops", no_draw)
+    def test_code_width_mismatch_rejected_before_drawing(self, q4, no_draw):
         with pytest.raises(ValueError, match="2 antennas but the channel input has 3"):
             simulate_ser((3, 3), AfScheme(), alamouti(q4), [10.0], 256, seed=1)
 
@@ -574,6 +570,10 @@ class TestSimulateSer:
         pts = simulate_ser((2, 2), AfScheme(), alamouti(q4), grid, trials, seed=6)
         assert len(pts) == len(grid)
         assert draws == [CODED_BLOCK_SIZE] * math.ceil(trials / CODED_BLOCK_SIZE)
+
+    def test_empty_grid_returns_at_once(self, q4, pool_sizes, no_draw):
+        assert simulate_ser((2, 2), AfScheme(), alamouti(q4), [], 2 * CODED_BLOCK_SIZE, 3, 2) == []
+        assert pool_sizes == []
 
     def test_narrow_destination_supernode_draws_its_own_noise_shape(self, q4):
         # A (2,2,1) path through (2,2,2): its effective channel has one output, not dim[-1].
