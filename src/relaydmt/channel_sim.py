@@ -45,7 +45,7 @@ from typing import IO, Callable, Sequence
 import numpy as np
 
 from .dmt_core import DecodeSet, Dimension, DimensionLike, as_dimension
-from .partition import FlipSchedule, Partition, ff_schedule, min_full_div_partition_2hop
+from .partition import FlipSchedule, Partition, _validate, ff_schedule, min_full_div_partition_2hop
 
 __all__ = [
     "BLOCK_SIZE",
@@ -187,6 +187,8 @@ class DfScheme(Scheme):
 
 @dataclass(frozen=True)
 class ParallelAfScheme(Scheme):
+    """AF on each path of ``partition``; one built for another channel raises ``ValueError``."""
+
     partition: Partition
     kind = "parallel-af"
 
@@ -196,6 +198,7 @@ class ParallelAfScheme(Scheme):
     def effectives(self, real, snr):
         # Each path runs AF on its own antennas: a supernode of m antennas
         # transmits snr/m per antenna while its path is active.
+        _validate(real.dim, self.partition)
         out = []
         for path in self.partition.paths:
             idx = [node.sorted_antennas() for node in path.supernodes]
@@ -245,10 +248,16 @@ def default_ff_scheme(dim: DimensionLike) -> FfScheme:
 # --------------------------------------------------------------------------
 
 
-def _block_rng(seed: int, block_index: int) -> np.random.Generator:
-    # Philox keys are 64-bit words; a seed outside them would alias one inside.
+def _check_seed(seed: int) -> None:
+    # The one seed rule: TypeError for a non-integer, ValueError outside
+    # 0..2**64-1.  Philox keys are 64-bit words; a seed outside them would
+    # alias one inside.
     if not 0 <= operator.index(seed) < 2**64:
         raise ValueError(f"seed must be an integer in 0..2**64-1, got {seed}")
+
+
+def _block_rng(seed: int, block_index: int) -> np.random.Generator:
+    _check_seed(seed)
     key = np.array([seed, block_index], dtype=np.uint64)
     return np.random.Generator(np.random.Philox(key=key))
 
@@ -503,11 +512,11 @@ def _outage_block(dim, scheme, rate, snr, seed, block, live) -> int:
 
 
 def _count_blocks(args) -> int:
-    count_block, params, blocks, trials, block_size = args
+    count_block, params, seed, blocks, trials, block_size = args
     total = 0
     for b in blocks:
         live = min(trials - b * block_size, block_size)
-        total += count_block(*params, b, live)
+        total += count_block(*params, seed, b, live)
     return total
 
 
@@ -517,13 +526,14 @@ _open_pool: ContextVar[ProcessPoolExecutor | None] = ContextVar("_open_pool", de
 
 
 @contextmanager
-def _block_pool(workers: int, trials: int, block_size: int):
+def _block_pool(workers: int, trials: int, block_size: int, seed: int):
     """Scope of a run's pool: yields its block count, its width (``workers`` capped there) and pool.
 
-    Refuses a ``trials`` or ``workers`` that is not a positive integer (a bool
-    included) with ``ValueError`` before any pool opens.  Opens no pool at width
-    1 (the pool is then ``None``) or inside an open scope, whose pool it yields.
+    Before any pool opens, refuses a ``trials`` or ``workers`` that is not a positive
+    integer (a bool included) with ``ValueError``, and a bad ``seed`` as :func:`_check_seed`
+    does.  Opens no pool at width 1 (the pool is then ``None``) or inside an open scope.
     """
+    _check_seed(seed)
     for what, count in (("trial", trials), ("worker", workers)):
         if isinstance(count, bool) or not hasattr(count, "__index__") or operator.index(count) < 1:
             raise ValueError(f"need at least one {what}, as an integer; got {count!r}")
@@ -541,22 +551,22 @@ def _block_pool(workers: int, trials: int, block_size: int):
 
 
 def _map_blocks(
-    count_block: Callable, params: tuple, trials: int, block_size: int, workers: int
+    count_block: Callable, params: tuple, trials: int, block_size: int, workers: int, seed: int
 ) -> int | np.ndarray:
-    """Sum of ``count_block(*params, block, live)`` over the blocks of a run.
+    """Sum of ``count_block(*params, seed, block, live)`` over the blocks of a run.
 
     ``live`` is the number of the block's trials that the run counts (all but
     the last block count in full); a block's count is an int, or a NumPy integer
     vector of one count per point.  Worker ``w`` of the run's width takes blocks
     ``w, w + width, ...``; integer sums do not depend on the worker count.  The
     blocks go to the pool of the run's :func:`_block_pool` scope, opened here if
-    there is none; that scope checks ``trials`` and ``workers`` before any block.
+    there is none; that scope checks ``trials``, ``workers`` and ``seed`` before any block.
     ``count_block`` must be a module-level function so worker processes can
     unpickle it.
     """
-    with _block_pool(workers, trials, block_size) as (n_blocks, width, pool):
+    with _block_pool(workers, trials, block_size, seed) as (n_blocks, width, pool):
         chunks = [
-            (count_block, params, range(w, n_blocks, width), trials, block_size)
+            (count_block, params, seed, range(w, n_blocks, width), trials, block_size)
             for w in range(width)
         ]
         return sum((pool.map if pool else map)(_count_blocks, chunks))
@@ -587,7 +597,7 @@ def estimate_outage(
         raise ValueError(f"rate must be finite, got {rate}")
     dim = as_dimension(dim)
     snr = 10.0 ** (snr_db / 10.0)
-    count = _map_blocks(_outage_block, (dim, scheme, rate, snr, seed), trials, BLOCK_SIZE, workers)
+    count = _map_blocks(_outage_block, (dim, scheme, rate, snr), trials, BLOCK_SIZE, workers, seed)
     return OutageEstimate(float(snr_db), float(rate), trials, count)
 
 
@@ -607,7 +617,8 @@ def outage_curve(
     then estimates the maximum diversity).  With ``"multiplexing"`` the
     per-point rate is ``rate * log2(SNR)``, tracing the tradeoff at
     multiplexing gain ``rate``; far more trials are needed there for
-    comparable accuracy.  An empty grid gives ``[]`` at once, with no pool.
+    comparable accuracy.  An empty grid gives ``[]`` at once; otherwise every
+    point's rate, the seed and the counts are checked before the pool opens.
     """
     if rate_policy == "fixed":
         rates = [rate] * len(snr_grid_db)
@@ -617,7 +628,9 @@ def outage_curve(
         raise ValueError(f"unknown rate policy {rate_policy!r}")
     if not rates:
         return []
-    with _block_pool(workers, trials, BLOCK_SIZE):
+    if not all(map(math.isfinite, rates)):
+        raise ValueError(f"rate must be finite at every point; {rate_policy} rate {rate} is not")
+    with _block_pool(workers, trials, BLOCK_SIZE, seed):
         return [
             estimate_outage(dim, scheme, rr, s, trials, seed, workers=workers)
             for rr, s in zip(rates, snr_grid_db)

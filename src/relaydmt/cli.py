@@ -54,20 +54,15 @@ _CURVES = {
     "serial": (("decode",), lambda args, dim: dmt_core.dmt_serial_partition(
         dim, _parse_decode(_required(args, "decode", "the serial curve"), dim))),
     "ff-bound": (("k_modes",), lambda args, dim: dmt_core.dmt_ff_lower_bound(dim, _k_modes(args))),
-    "parallel-af": (("paths",), lambda args, dim: dmt_core.dmt_parallel_af(
-        dim, [_parse_dim(p) for p in args.paths.split(";")] if args.paths else [dim])),
+    "parallel-af": (("paths",), lambda args, dim: dmt_core.dmt_parallel_af(dim, args.paths or [dim])),
 }
-
-
-class UsageError(Exception):
-    pass
 
 
 def _required(args, option: str, user: str):
     """The value of ``option``, without which ``user`` cannot run."""
     value = getattr(args, option)
     if value is None:
-        raise UsageError(f"--{option.replace('_', '-')} is required for {user}")
+        raise ValueError(f"--{option.replace('_', '-')} is required for {user}")
     return value
 
 
@@ -80,15 +75,7 @@ def _refuse_unread(args, table: dict, chosen: list[str]) -> None:
         if option not in read and getattr(args, option) is not None
     ]
     if unread:
-        raise UsageError(f"{', '.join(unread)} not read by {', '.join(chosen)}")
-
-
-def _parse_dim(text: str):
-    try:
-        counts = tuple(int(tok) for tok in text.split(","))
-        return as_dimension(counts)
-    except (ValueError, TypeError) as exc:
-        raise UsageError(f"malformed dimension {text!r}: {exc}") from None
+        raise ValueError(f"{', '.join(unread)} not read by {', '.join(chosen)}")
 
 
 def _parse_decode(text: str, dim) -> DecodeSet:
@@ -97,25 +84,35 @@ def _parse_decode(text: str, dim) -> DecodeSet:
         decode.validate_for(dim)
         return decode
     except ValueError as exc:
-        raise UsageError(f"bad decode set {text!r}: {exc}") from None
+        raise ValueError(f"bad decode set {text!r}: {exc}") from None
+
+
+# The argparse types: each turns one option's text into its value, or raises
+# ArgumentTypeError, which argparse reports as a usage error naming the option.
+def _parse_dim(text: str):
+    try:
+        counts = tuple(int(tok) for tok in text.split(","))
+        return as_dimension(counts)
+    except (ValueError, TypeError) as exc:
+        raise argparse.ArgumentTypeError(f"malformed dimension {text!r}: {exc}") from None
 
 
 def _parse_grid(text: str) -> list[float]:
     try:
         start, step, stop = (float(tok) for tok in text.split(":"))
     except ValueError:
-        raise UsageError(f"SNR grid must be start:step:stop, got {text!r}") from None
+        raise argparse.ArgumentTypeError(f"SNR grid must be start:step:stop, got {text!r}") from None
     if not (math.isfinite(start) and math.isfinite(stop) and 0 < step < math.inf and start <= stop):
-        raise UsageError(f"SNR grid must be finite and increasing, got {text!r}")
+        raise argparse.ArgumentTypeError(f"SNR grid must be finite and increasing, got {text!r}")
     # Points are counted before any is built (a running sum stalls where the
     # step is below the float spacing); 1e-9 of a step keeps a stop that
     # division leaves just short, as in 0:0.1:0.3, on the grid.
     span = (stop - start) / step + 1e-9
     if span >= MAX_GRID_POINTS:
-        raise UsageError(f"SNR grid {text!r} has more than {MAX_GRID_POINTS} points")
+        raise argparse.ArgumentTypeError(f"SNR grid {text!r} has more than {MAX_GRID_POINTS} points")
     grid = [round(start + k * step, 9) for k in range(int(span) + 1)]
     if len(set(grid)) < len(grid):
-        raise UsageError(f"SNR grid {text!r} repeats points at 9 decimals")
+        raise argparse.ArgumentTypeError(f"SNR grid {text!r} repeats points at 9 decimals")
     return grid
 
 
@@ -123,10 +120,15 @@ def _parse_trials(text: str) -> int:
     try:
         value = float(text)
     except ValueError:
-        raise UsageError(f"--trials must be a number, got {text!r}") from None
+        raise argparse.ArgumentTypeError(f"must be a number, got {text!r}") from None
     if not value.is_integer() or value < 1:
-        raise UsageError(f"--trials must be a whole number of at least 1, got {text!r}")
+        raise argparse.ArgumentTypeError(f"must be a whole number of at least 1, got {text!r}")
     return int(value)
+
+
+def _parse_paths(text: str) -> list:
+    """Path dimensions separated by ``;``."""
+    return [_parse_dim(p) for p in text.split(";")]
 
 
 def _fmt(value) -> str:
@@ -145,14 +147,13 @@ def _output(path: str | None):
 
 
 def cmd_dmt(args) -> int:
-    dim = _parse_dim(args.dim)
     names = [name.strip() for name in args.curve.split(",")]
     if not set(names) <= set(_CURVES) or len(set(names)) < len(names):
-        raise UsageError(f"--curve takes distinct names from {', '.join(_CURVES)}, got {args.curve!r}")
+        raise ValueError(f"--curve takes distinct names from {', '.join(_CURVES)}, got {args.curve!r}")
     _refuse_unread(args, _CURVES, names)
     rows = []
     for name in names:
-        curve = _CURVES[name][1](args, dim)
+        curve = _CURVES[name][1](args, args.dim)
         for r, d in curve.vertices:
             rows.append((name, _fmt(r), _fmt(d)))
         if curve.partial:
@@ -162,7 +163,7 @@ def cmd_dmt(args) -> int:
             doc = {}
             for name, r, d in rows:
                 doc.setdefault(name, []).append([r, d])
-            out.write(json.dumps({"dim": list(dim.counts), "curves": doc}, indent=2) + "\n")
+            out.write(json.dumps({"dim": list(args.dim.counts), "curves": doc}, indent=2) + "\n")
         else:
             out.write("curve,r,d\n")
             for row in rows:
@@ -171,7 +172,7 @@ def cmd_dmt(args) -> int:
 
 
 def cmd_reduce(args) -> int:
-    dim = _parse_dim(args.dim)
+    dim = args.dim
     report = reduction.analyze(dim)
     practical = reduction.practical_vertical_reduction(dim)
     doc = {
@@ -192,11 +193,11 @@ def cmd_reduce(args) -> int:
 
 
 def cmd_partition(args) -> int:
-    dim = _parse_dim(args.dim)
+    dim = args.dim
     if args.max:
         part = partition.max_partition(dim)
     elif dim.hops != 2:
-        raise UsageError("--min-full-div applies to two-hop channels")
+        raise ValueError("--min-full-div applies to two-hop channels")
     else:
         _, part = partition.min_full_div_partition_2hop(*dim.counts)
     text = partition.partition_to_json(dim, part)
@@ -211,11 +212,11 @@ def _partition(args, dim):
         with open(args.partition) as fh:
             pdim, part = partition.partition_from_json(fh.read())
         if pdim != dim:
-            raise UsageError("partition file was built for a different dimension")
+            raise ValueError("partition file was built for a different dimension")
         return part
     if dim.hops == 2:
         return partition.min_full_div_partition_2hop(*dim.counts)[1]
-    raise UsageError(f"scheme {args.scheme!r} needs --partition for channels with more than two hops")
+    raise ValueError(f"scheme {args.scheme!r} needs --partition for channels with more than two hops")
 
 
 def _ff_scheme(args, dim):
@@ -225,35 +226,29 @@ def _ff_scheme(args, dim):
 def _k_modes(args) -> int:
     k_modes = _required(args, "k_modes", "the ff-bound curve")
     if k_modes < 1:
-        raise UsageError(f"--k-modes must be at least 1, got {k_modes}")
+        raise ValueError(f"--k-modes must be at least 1, got {k_modes}")
     return k_modes
 
 
 def cmd_simulate(args) -> int:
-    dim = _parse_dim(args.dim)
-    grid = _parse_grid(args.snr)
-    trials = _parse_trials(args.trials)
+    dim = args.dim
     if not 1 <= args.workers <= MAX_WORKERS:
-        raise UsageError(f"--workers must be in 1..{MAX_WORKERS}, got {args.workers}")
+        raise ValueError(f"--workers must be in 1..{MAX_WORKERS}, got {args.workers}")
     _refuse_unread(args, _SCHEMES, [args.scheme])
-    seed = args.seed
-    if seed is None:
-        env = os.environ.get(SEED_ENV_VAR)
-        seed = int(env) if env else 0
     scheme = _SCHEMES[args.scheme][1](args, dim)
     record = {"command": "simulate", "dim": list(dim.counts), "scheme": scheme.describe(),
-              "snr_grid_db": grid, "trials": trials, "seed": seed}
+              "snr_grid_db": args.snr, "trials": args.trials, "seed": args.seed}
     if "code" in _SCHEMES[args.scheme][0]:
         cb = stbc.Codebook(args.code or "alamouti", stbc.QamAlphabet.qam(args.qam or 4))
-        points = stbc.simulate_ser(dim, scheme, cb, grid, trials, seed, workers=args.workers)
+        points = stbc.simulate_ser(dim, scheme, cb, args.snr, args.trials, args.seed, workers=args.workers)
         record.update(rate_bpcu=points[0].rate_bpcu, block_size=stbc.CODED_BLOCK_SIZE,
                       code=cb.describe())
     else:
         if not math.isfinite(_required(args, "rate", "outage simulations")):
-            raise UsageError(f"--rate must be finite, got {args.rate}")
+            raise ValueError(f"--rate must be finite, got {args.rate}")
         record.update(rate_bpcu=args.rate, block_size=channel_sim.BLOCK_SIZE,
                       rate_policy=args.rate_policy or "fixed")
-        points = channel_sim.outage_curve(dim, scheme, args.rate, grid, trials, seed,
+        points = channel_sim.outage_curve(dim, scheme, args.rate, args.snr, args.trials, args.seed,
                                           workers=args.workers, rate_policy=record["rate_policy"])
     with _output(args.output) as out:
         channel_sim.write_outage_csv(points, out)
@@ -277,41 +272,38 @@ def build_parser() -> argparse.ArgumentParser:
         description="Diversity-multiplexing analysis and simulation of multihop relay channels",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    channel = argparse.ArgumentParser(add_help=False)  # options of every command
+    channel.add_argument("--dim", required=True, type=_parse_dim, help="antenna counts, e.g. 2,2,2")
+    channel.add_argument("--output", help="output file (default stdout)")
+    formats = argparse.ArgumentParser(add_help=False)
+    formats.add_argument("--format", choices=("csv", "json"), default="csv")
 
-    p_dmt = sub.add_parser("dmt", help="analytic tradeoff curves")
-    p_dmt.add_argument("--dim", required=True, help="antenna counts, e.g. 2,2,2")
+    p_dmt = sub.add_parser("dmt", parents=[channel, formats], help="analytic tradeoff curves")
     p_dmt.add_argument("--curve", default="rp", help=f"comma list from {', '.join(_CURVES)}")
     p_dmt.add_argument("--decode", help="decode layers for the serial curve, e.g. 2,3")
     p_dmt.add_argument("--k-modes", type=int, help="mode count for the ff-bound curve")
-    p_dmt.add_argument("--paths", help="semicolon list of path dims for parallel-af")
-    p_dmt.add_argument("--output", help="output file (default stdout)")
-    p_dmt.add_argument("--format", choices=("csv", "json"), default="csv")
+    p_dmt.add_argument("--paths", type=_parse_paths, help="semicolon list of path dims for parallel-af")
     p_dmt.set_defaults(func=cmd_dmt)
 
-    p_red = sub.add_parser("reduce", help="channel order and minimal forms")
-    p_red.add_argument("--dim", required=True)
-    p_red.add_argument("--output")
-    p_red.add_argument("--format", choices=("csv", "json"), default="csv")
+    p_red = sub.add_parser("reduce", parents=[channel, formats], help="channel order and minimal forms")
     p_red.set_defaults(func=cmd_reduce)
 
-    p_part = sub.add_parser("partition", help="construct parallel partitions")
-    p_part.add_argument("--dim", required=True)
+    p_part = sub.add_parser("partition", parents=[channel], help="construct parallel partitions")
     mode = p_part.add_mutually_exclusive_group(required=True)
     mode.add_argument("--max", action="store_true", help="maximum single-antenna partition")
     mode.add_argument(
         "--min-full-div", action="store_true", help="minimum full-diversity partition (2 hops)"
     )
-    p_part.add_argument("--output")
     p_part.set_defaults(func=cmd_partition)
 
-    p_sim = sub.add_parser("simulate", help="Monte-Carlo outage / SER")
-    p_sim.add_argument("--dim", required=True)
+    p_sim = sub.add_parser("simulate", parents=[channel], help="Monte-Carlo outage / SER")
     p_sim.add_argument("--scheme", required=True, choices=_SCHEMES)
     p_sim.add_argument("--rate", type=float, help="target rate (bits/use), or r under --rate-policy multiplexing")
     p_sim.add_argument("--rate-policy", choices=("fixed", "multiplexing"), help="outage schemes (default fixed)")
-    p_sim.add_argument("--snr", required=True, help="dB grid start:step:stop")
-    p_sim.add_argument("--trials", default="1e5", help="trials per point (accepts 1e6)")
-    p_sim.add_argument("--seed", type=int, help=f"RNG seed (default ${SEED_ENV_VAR} or 0)")
+    p_sim.add_argument("--snr", required=True, type=_parse_grid, help="dB grid start:step:stop")
+    p_sim.add_argument("--trials", default="1e5", type=_parse_trials, help="trials per point (accepts 1e6)")
+    p_sim.add_argument("--seed", type=int, default=os.environ.get(SEED_ENV_VAR) or "0",
+                       help=f"RNG seed (default ${SEED_ENV_VAR} or 0)")
     p_sim.add_argument("--workers", type=int, default=1)
     p_sim.add_argument("--decode", help="decode layers for the df scheme")
     p_sim.add_argument("--partition", help="partition JSON file for parallel-af, ff and coded-ff")
@@ -320,7 +312,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="space-time code for the coded schemes (default alamouti)",
     )
     p_sim.add_argument("--qam", type=int, choices=(4, 16), help="coded schemes (default 4)")
-    p_sim.add_argument("--output", help="CSV output (default stdout)")
     p_sim.add_argument("--manifest", help="manifest path (default <output>.manifest.json)")
     p_sim.set_defaults(func=cmd_simulate)
     return parser
@@ -338,7 +329,7 @@ def main(argv: list[str] | None = None) -> int:
     except np.linalg.LinAlgError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
-    except (UsageError, ValueError, OverflowError, OSError) as exc:
+    except (ValueError, OverflowError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -352,7 +352,7 @@ def _ml_decisions(
     return decided
 
 
-def _ser_block(dim, scheme, cb, snrs, seed, words, table, block, live) -> np.ndarray:
+def _ser_block(dim, scheme, cb, snrs, words, table, seed, block, live) -> np.ndarray:
     """Codeword errors among the first ``live`` trials of one block, one count per SNR.
 
     The block stream draws the hops (through the shared hop sampler), the
@@ -408,8 +408,8 @@ def simulate_ser(
         return []
     words, _ = cb.codewords()
     snrs = [10.0 ** (snr_db / 10.0) for snr_db in snr_grid_db]
-    params = (dim, scheme, cb, snrs, seed, words, _word_table(words))
-    errors = _map_blocks(_ser_block, params, trials, CODED_BLOCK_SIZE, workers)
+    params = (dim, scheme, cb, snrs, words, _word_table(words))
+    errors = _map_blocks(_ser_block, params, trials, CODED_BLOCK_SIZE, workers, seed)
     bits = cb.rate_syms_per_use * math.log2(cb.alphabet.order)
     return [OutageEstimate(float(db), bits, trials, int(e)) for db, e in zip(snr_grid_db, errors)]
 

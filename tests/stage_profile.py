@@ -149,7 +149,7 @@ def coded_main() -> None:
         table = stbc._word_table(words)
         for snrs in {len(g): g for g in (grid[:1], grid)}.values():
             snrs = [10.0 ** (s / 10.0) for s in snrs]
-            args = (dim, scheme, cb, snrs, 1, words, table, 0, stbc.CODED_BLOCK_SIZE)
+            args = (dim, scheme, cb, snrs, words, table, 1, 0, stbc.CODED_BLOCK_SIZE)
             counts = [int(c) for c in stbc._ser_block(*args)]
             alone = [stbc._ser_block(*args[:3], [s], *args[4:])[0] for s in snrs]
             assert counts == alone, (counts, alone)

@@ -14,6 +14,7 @@ import sys
 import time
 
 import numpy as np
+import pytest
 
 from relaydmt.channel_sim import (
     AfScheme,
@@ -33,6 +34,9 @@ from relaydmt.partition import (
 from relaydmt.recursion import dmt_recursive
 from relaydmt.reduction import analyze, equivalent
 from relaydmt.stbc import QamAlphabet, alamouti, golden, simulate_ser, verify_nvd
+
+# Every test here is a release criterion; `-m "not acceptance"` skips the gate.
+pytestmark = pytest.mark.acceptance
 
 TRIALS = 10**6
 SEED = 20260809

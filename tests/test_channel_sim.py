@@ -400,6 +400,21 @@ class TestParallelAf:
             assert np.allclose(eff.gain, h2 * d * h1)
             assert np.allclose(eff.noise_cov, 1 + abs(h2 * d) ** 2)
 
+    @pytest.mark.parametrize(
+        "dim,built_for,message",
+        [
+            # Counted 5738 of 8192 outages on the first three layers' antennas.
+            ((2, 2, 2), (2, 2, 2, 2), "path spans 4 layers, channel has 3"),
+            # Failed in the block with an IndexError.
+            ((2, 2, 2, 2), (2, 2, 2), "path spans 3 layers, channel has 4"),
+            ((2, 2, 2), (3, 3, 3), "antenna index out of range in layer 0"),
+        ],
+    )
+    def test_partition_of_another_channel_rejected(self, dim, built_for, message):
+        scheme = ParallelAfScheme(max_partition(built_for))
+        with pytest.raises(ValueError, match=message):
+            outage_curve(dim, scheme, 2.0, [10.0], BLOCK_SIZE, 1)
+
 
 class TestDf:
     def test_last_layer_decode_equals_af(self):
@@ -489,15 +504,15 @@ class TestSvdAlign:
 RUNS = ["outage", "curve", "ser"]
 
 
-def run_counts(run, trials, workers):
+def run_counts(run, trials, workers, seed=1):
     """The counts of a (2, 2) AF run of ``trials`` through one public runner."""
     if run == "outage":
-        return [estimate_outage((2, 2), AfScheme(), 2.0, 10.0, trials, 1, workers).outage_count]
+        return [estimate_outage((2, 2), AfScheme(), 2.0, 10.0, trials, seed, workers).outage_count]
     if run == "curve":
-        pts = outage_curve((2, 2), AfScheme(), 2.0, [4.0, 10.0], trials, 1, workers)
+        pts = outage_curve((2, 2), AfScheme(), 2.0, [4.0, 10.0], trials, seed, workers)
     else:
         cb = stbc.alamouti(stbc.QamAlphabet.qam(4))
-        pts = stbc.simulate_ser((2, 2), AfScheme(), cb, [4.0, 10.0], trials, 1, workers)
+        pts = stbc.simulate_ser((2, 2), AfScheme(), cb, [4.0, 10.0], trials, seed, workers)
     return [p.outage_count for p in pts]
 
 
@@ -533,6 +548,34 @@ class TestEstimateOutage:
         # 0, -3 and True used to run serially; 2.0 opened a pool, then failed with a TypeError.
         with pytest.raises(ValueError, match=f"at least one worker, as an integer; got {workers!r}"):
             run_counts(run, 2 * BLOCK_SIZE, workers)
+        assert pool_sizes == []
+
+    @pytest.mark.parametrize(
+        "seed,error,message",
+        [
+            (-1, ValueError, "seed must be an integer in 0..2"),
+            (2**64, ValueError, "seed must be an integer in 0..2"),
+            (1.5, TypeError, "cannot be interpreted as an integer"),
+        ],
+    )
+    @pytest.mark.parametrize("run", RUNS)
+    def test_bad_seed_rejected_before_any_pool(self, run, seed, error, message, pool_sizes, no_draw):
+        # Each used to open a 2-process pool and fail only in its first block.
+        with pytest.raises(error, match=message):
+            run_counts(run, 2 * BLOCK_SIZE, 2, seed)
+        assert pool_sizes == []
+
+    @pytest.mark.parametrize(
+        "rate,policy",
+        [(math.nan, "fixed"), (math.inf, "fixed"), (math.nan, "multiplexing"),
+         (-math.inf, "multiplexing"), (1e308, "multiplexing")],
+    )
+    def test_non_finite_rate_rejected_before_any_pool(self, rate, policy, pool_sizes, no_draw):
+        # A nan rate used to open the pool and fail at the first point.  Under
+        # multiplexing, 1e308 is finite at 0 dB but overflows at 30 dB.
+        with pytest.raises(ValueError, match="rate must be finite at every point"):
+            outage_curve((2, 2), AfScheme(), rate, [0.0, 30.0], 2 * BLOCK_SIZE, 1, workers=2,
+                         rate_policy=policy)
         assert pool_sizes == []
 
     def test_integer_like_trials_accepted(self):
@@ -701,7 +744,7 @@ class TestTiles:
         counts = (1, tile - 1, tile + 1, BLOCK_SIZE - 1, BLOCK_SIZE + tile + 3)
         replay = _whole_block_replay(case, rate, snr_db, seed, math.ceil(max(counts) / BLOCK_SIZE))
         assert 0 < np.count_nonzero(replay[:BLOCK_SIZE]) < BLOCK_SIZE
-        with channel_sim._block_pool(workers, 2 * BLOCK_SIZE, BLOCK_SIZE):
+        with channel_sim._block_pool(workers, 2 * BLOCK_SIZE, BLOCK_SIZE, seed):
             for trials in counts:
                 got = estimate_outage(dim, scheme, rate, snr_db, trials, seed, workers=workers)
                 assert got.outage_count == np.count_nonzero(replay[:trials]), trials

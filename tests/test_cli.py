@@ -552,7 +552,7 @@ class TestSimulateCommand:
             "--snr", "10:2:12", "--trials", "1e",
         )
         assert code == 2 and out == ""
-        assert "--trials must be a number, got '1e'" in err
+        assert "error: argument --trials: must be a number, got '1e'" in err
 
     def test_exponent_trials_accepted(self, capsys):
         code, out, _ = run(
@@ -570,6 +570,38 @@ class TestSimulateCommand:
         )
         assert code == 2 and out == ""
         assert "--rate" in err
+
+    # A valid run: each case below appends one malformed option, which argparse reads last.
+    _RUN = ["simulate", "--dim", "2,2", "--scheme", "af", "--rate", "1",
+            "--snr", "10:2:12", "--trials", "100"]
+
+    @pytest.mark.parametrize(
+        "argv,seed_env,option,reason",
+        [
+            (["dmt", "--dim", "0,2"], None, "--dim", "malformed dimension '0,2': antenna counts"),
+            (["reduce", "--dim", "2,x"], None, "--dim", "malformed dimension '2,x'"),
+            (["partition", "--max", "--dim", "2"], None, "--dim", "malformed dimension '2'"),
+            (_RUN + ["--dim", ""], None, "--dim", "malformed dimension ''"),
+            (_RUN + ["--snr", "1:2"], None, "--snr", "SNR grid must be start:step:stop, got '1:2'"),
+            (_RUN + ["--snr=0:1:inf"], None, "--snr", "SNR grid must be finite and increasing"),
+            (_RUN + ["--trials", "x"], None, "--trials", "must be a number, got 'x'"),
+            (_RUN + ["--trials", "2.5"], None, "--trials", "must be a whole number of at least 1"),
+            (["dmt", "--dim", "2,2,2", "--curve", "parallel-af", "--paths", "1,1,1;x"], None, "--paths",
+             "malformed dimension 'x'"),
+            (_RUN, "abc", "--seed", "invalid int value: 'abc'"),
+        ],
+    )
+    def test_malformed_argument_is_a_usage_error(
+        self, argv, seed_env, option, reason, capsys, monkeypatch
+    ):
+        """argparse refuses it before any command runs: usage, then the option and the reason."""
+        monkeypatch.delenv(SEED_ENV_VAR, raising=False)
+        if seed_env is not None:
+            monkeypatch.setenv(SEED_ENV_VAR, seed_env)
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == ""
+        assert err.startswith(f"usage: relaydmt {argv[0]} ")
+        assert f"relaydmt {argv[0]}: error: argument {option}: {reason}" in err
 
     def test_unknown_scheme(self, capsys):
         code, _, _ = run(
@@ -726,7 +758,8 @@ def _option_values(action, dirs) -> tuple[list[str], list[str]]:
     """The valid and the malformed values of one option, as argv strings."""
     if action.choices is not None:
         return [str(c) for c in action.choices], ["bogus"]
-    valid, bad = _TYPED_VALUES[action.type] if action.type else _STRING_VALUES[action.dest]
+    typed = _TYPED_VALUES.get(action.type)  # argparse's own types; the CLI's parsers are by name
+    valid, bad = typed or _STRING_VALUES[action.dest]
     folder = {"partition": dirs[0], "output": dirs[1], "manifest": dirs[1]}.get(action.dest)
     if folder is not None:
         valid, bad = ([v if v == "-" else str(folder / v) for v in vs] for vs in (valid, bad))
@@ -832,7 +865,9 @@ def test_every_accepted_option_is_honoured(command, cli_slots, rng):
             code, output, err = _run_in(run_dir, _argv(command, chosen))
             if code != 2:
                 break
-            named = {by_flag[f] for f in re.findall(r"--[a-z][a-z-]*", err) if f in by_flag}
+            # Only the error line: a usage line before it names every option.
+            message = err.rpartition("error:")[2]
+            named = {by_flag[f] for f in re.findall(r"--[a-z][a-z-]*", message) if f in by_flag}
             for key in named or [rng.choice(sorted(chosen))]:
                 if key in chosen and key not in kept:
                     del chosen[key]
