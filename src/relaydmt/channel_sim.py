@@ -31,6 +31,7 @@ the coded runner in ``stbc`` (one map per grid) share :func:`_map_blocks`.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import math
@@ -511,15 +512,6 @@ def _outage_block(dim, scheme, rate, snr, seed, block, live) -> int:
     return sum(int(np.count_nonzero(scheme.outage(t, snr, rate))) for t in tiles)
 
 
-def _count_blocks(args) -> int:
-    count_block, params, seed, blocks, trials, block_size = args
-    total = 0
-    for b in blocks:
-        live = min(trials - b * block_size, block_size)
-        total += count_block(*params, seed, b, live)
-    return total
-
-
 # The pool of the run in progress in this context, if it has one.  A run's
 # points all map their blocks over it; it closes when the run's scope exits.
 _open_pool: ContextVar[ProcessPoolExecutor | None] = ContextVar("_open_pool", default=None)
@@ -557,19 +549,19 @@ def _map_blocks(
 
     ``live`` is the number of the block's trials that the run counts (all but
     the last block count in full); a block's count is an int, or a NumPy integer
-    vector of one count per point.  Worker ``w`` of the run's width takes blocks
-    ``w, w + width, ...``; integer sums do not depend on the worker count.  The
-    blocks go to the pool of the run's :func:`_block_pool` scope, opened here if
-    there is none; that scope checks ``trials``, ``workers`` and ``seed`` before any block.
-    ``count_block`` must be a module-level function so worker processes can
-    unpickle it.
+    vector of one count per point.  The blocks go to the pool of the run's
+    :func:`_block_pool` scope (opened here if there is none; it checks ``trials``,
+    ``workers`` and ``seed`` before any block) in contiguous chunks of
+    ceil(blocks / width): one task, and one pickle of ``params``, per worker.  A
+    block's count depends only on its own draw, and an integer sum not on its
+    order, so no count depends on the chunks.  ``count_block`` must be module-level.
     """
     with _block_pool(workers, trials, block_size, seed) as (n_blocks, width, pool):
-        chunks = [
-            (count_block, params, seed, range(w, n_blocks, width), trials, block_size)
-            for w in range(width)
-        ]
-        return sum((pool.map if pool else map)(_count_blocks, chunks))
+        task = functools.partial(count_block, *params, seed)
+        lives = [min(trials - b * block_size, block_size) for b in range(n_blocks)]
+        if pool is None:
+            return sum(map(task, range(n_blocks), lives))
+        return sum(pool.map(task, range(n_blocks), lives, chunksize=math.ceil(n_blocks / width)))
 
 
 def _binomial_ci(count: int, trials: int) -> tuple[float, float]:

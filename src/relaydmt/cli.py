@@ -16,7 +16,6 @@ import json
 import math
 import os
 import sys
-from fractions import Fraction
 
 import numpy as np
 
@@ -53,7 +52,8 @@ _CURVES = {
         dim, DecodeSet(tuple(range(1, dim.hops + 1))))),
     "serial": (("decode",), lambda args, dim: dmt_core.dmt_serial_partition(
         dim, _parse_decode(_required(args, "decode", "the serial curve"), dim))),
-    "ff-bound": (("k_modes",), lambda args, dim: dmt_core.dmt_ff_lower_bound(dim, _k_modes(args))),
+    "ff-bound": (("k_modes",), lambda args, dim: dmt_core.dmt_ff_lower_bound(
+        dim, _required(args, "k_modes", "the ff-bound curve"))),
     "parallel-af": (("paths",), lambda args, dim: dmt_core.dmt_parallel_af(dim, args.paths or [dim])),
 }
 
@@ -116,7 +116,7 @@ def _parse_grid(text: str) -> list[float]:
     return grid
 
 
-def _parse_trials(text: str) -> int:
+def _parse_count(text: str) -> int:
     try:
         value = float(text)
     except ValueError:
@@ -131,19 +131,9 @@ def _parse_paths(text: str) -> list:
     return [_parse_dim(p) for p in text.split(";")]
 
 
-def _fmt(value) -> str:
-    f = Fraction(value)
-    return str(f.numerator) if f.denominator == 1 else f"{f.numerator}/{f.denominator}"
-
-
-@contextlib.contextmanager
 def _output(path: str | None):
     """Stdout for ``None`` or ``-``, else the file at ``path``, closed on exit."""
-    if path is None or path == "-":
-        yield sys.stdout
-    else:
-        with open(path, "w") as fh:
-            yield fh
+    return contextlib.nullcontext(sys.stdout) if path in (None, "-") else open(path, "w")
 
 
 def cmd_dmt(args) -> int:
@@ -155,7 +145,7 @@ def cmd_dmt(args) -> int:
     for name in names:
         curve = _CURVES[name][1](args, args.dim)
         for r, d in curve.vertices:
-            rows.append((name, _fmt(r), _fmt(d)))
+            rows.append((name, str(r), str(d)))
         if curve.partial:
             rows.append((name, "partial", "only d(0) is known for heterogeneous paths"))
     with _output(args.output) as out:
@@ -223,13 +213,6 @@ def _ff_scheme(args, dim):
     return channel_sim.FfScheme(partition.ff_schedule(dim, _partition(args, dim)))
 
 
-def _k_modes(args) -> int:
-    k_modes = _required(args, "k_modes", "the ff-bound curve")
-    if k_modes < 1:
-        raise ValueError(f"--k-modes must be at least 1, got {k_modes}")
-    return k_modes
-
-
 def cmd_simulate(args) -> int:
     dim = args.dim
     if not 1 <= args.workers <= MAX_WORKERS:
@@ -281,7 +264,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_dmt = sub.add_parser("dmt", parents=[channel, formats], help="analytic tradeoff curves")
     p_dmt.add_argument("--curve", default="rp", help=f"comma list from {', '.join(_CURVES)}")
     p_dmt.add_argument("--decode", help="decode layers for the serial curve, e.g. 2,3")
-    p_dmt.add_argument("--k-modes", type=int, help="mode count for the ff-bound curve")
+    p_dmt.add_argument("--k-modes", type=_parse_count, help="mode count for the ff-bound curve")
     p_dmt.add_argument("--paths", type=_parse_paths, help="semicolon list of path dims for parallel-af")
     p_dmt.set_defaults(func=cmd_dmt)
 
@@ -301,7 +284,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim.add_argument("--rate", type=float, help="target rate (bits/use), or r under --rate-policy multiplexing")
     p_sim.add_argument("--rate-policy", choices=("fixed", "multiplexing"), help="outage schemes (default fixed)")
     p_sim.add_argument("--snr", required=True, type=_parse_grid, help="dB grid start:step:stop")
-    p_sim.add_argument("--trials", default="1e5", type=_parse_trials, help="trials per point (accepts 1e6)")
+    p_sim.add_argument("--trials", default="1e5", type=_parse_count, help="trials per point (accepts 1e6)")
     p_sim.add_argument("--seed", type=int, default=os.environ.get(SEED_ENV_VAR) or "0",
                        help=f"RNG seed (default ${SEED_ENV_VAR} or 0)")
     p_sim.add_argument("--workers", type=int, default=1)

@@ -13,7 +13,10 @@ import runs.
 
 The report ends with the package's size as ROADMAP aim 2 tracks it: its
 non-blank, non-comment lines (``grep -cvE '^\s*(#|$)'``) and the names in
-all of its modules' ``__all__`` lists.
+all of its modules' ``__all__`` lists.  Run as a script, it prints only
+that line, without running the suite::
+
+    PYTHONPATH=src python tests/census.py
 
 Only this process is traced.  Lines that run only in a subprocess, such
 as the demos that ``test_demos`` starts, or only in a pool worker, are
@@ -81,6 +84,11 @@ def package_size(package_dir: str) -> tuple[int, int]:
     return lines, names
 
 
+def size_line(package_dir: str) -> str:
+    lines, names = package_size(package_dir)
+    return f"size: {lines} non-blank, non-comment lines; {names} names in module __all__ lists"
+
+
 class Census:
     def __init__(self, package_dir: str):
         self.package_dir = package_dir
@@ -136,7 +144,8 @@ def pytest_terminal_summary(terminalreporter):
         with open(path) as fh:
             text = fh.read().splitlines()[line - 1].strip()
         terminalreporter.write_line(f"{os.path.relpath(path, root)}:{line}: {text}")
-    lines, names = package_size(_census.package_dir)
-    terminalreporter.write_line(
-        f"size: {lines} non-blank, non-comment lines; {names} names in module __all__ lists"
-    )
+    terminalreporter.write_line(size_line(_census.package_dir))
+
+
+if __name__ == "__main__":
+    print(size_line(PACKAGE_DIR))

@@ -584,6 +584,14 @@ class TestEstimateOutage:
         assert a.outage_count == b.outage_count and a.trials == 300
 
     @pytest.mark.parametrize("run", RUNS)
+    def test_partial_last_chunk_counts_equal_serial(self, run, pool_sizes):
+        # Five blocks at width 3 go out as chunks of 2, 2 and 1; the last block is partial.
+        block = stbc.CODED_BLOCK_SIZE if run == "ser" else BLOCK_SIZE
+        wide = run_counts(run, 4 * block + 5, 3)
+        assert pool_sizes == [3]
+        assert wide == run_counts(run, 4 * block + 5, 1)
+
+    @pytest.mark.parametrize("run", RUNS)
     def test_integer_like_workers_accepted(self, run, pool_sizes):
         wide = run_counts(run, 2 * BLOCK_SIZE, np.int64(2))
         assert pool_sizes == [2]

@@ -92,13 +92,28 @@ class TestDmtCommand:
         assert code == 2 and out == ""
         assert option in err
 
-    @pytest.mark.parametrize("k_modes", ["0", "-1"])
-    def test_k_modes_must_be_positive(self, k_modes, capsys):
+    @pytest.mark.parametrize(
+        "k_modes,message",
+        [
+            ("0", "must be a whole number of at least 1"),
+            ("-1", "must be a whole number of at least 1"),
+            ("2.5", "must be a whole number of at least 1"),
+            ("x", "must be a number"),
+        ],
+        ids=["0", "-1", "2.5", "x"],
+    )
+    def test_k_modes_must_be_positive(self, k_modes, message, capsys):
         code, out, err = run(
             capsys, "dmt", "--dim", "2,2,2", "--curve", "ff-bound", "--k-modes", k_modes
         )
         assert code == 2 and out == ""
-        assert "--k-modes must be at least 1" in err
+        assert f"argument --k-modes: {message}, got {k_modes!r}" in err
+
+    def test_k_modes_reads_exponent_counts(self, capsys):
+        argv = ("dmt", "--dim", "3,1,4,2", "--curve", "rp,ff-bound", "--k-modes")
+        code, out, _ = run(capsys, *argv, "2")
+        assert code == 0 and "ff-bound,1/2," in out
+        assert run(capsys, *argv, "2e0") == (0, out, "")
 
     def test_ff_bound_requires_k_modes(self, capsys):
         code, out, err = run(capsys, "dmt", "--dim", "2,2,2", "--curve", "ff-bound")
@@ -743,6 +758,7 @@ _STRING_VALUES = {
     "paths": (("1,1,1", "1,1,1;1,1,1", "1,2,1;1,1,1"), ("5,5,5", "1;x")),
     "snr": (("10:1:10", "14:1:14"), ("nan:1:3", "-inf:1:0", "0:1:inf", "20:-2:10", "1:2")),
     "trials": (("1", "3"), ("2.5", "0", "x")),
+    "k_modes": (("1", "2", "3"), ("0", "-1", "2.5", "x")),
     "partition": (("min-2,2,2.json", "max-2,2,2.json", "max-2,4,3.json"),
                   ("empty.json", "missing.json")),
     "output": (("-", "out.txt"), ()),
