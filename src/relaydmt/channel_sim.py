@@ -277,15 +277,9 @@ def _complex_normal(rng: np.random.Generator, shape: tuple[int, ...]) -> np.ndar
     return np.divide(raw, np.sqrt(2.0), out=np.empty(shape[::-1], dtype=complex).T)
 
 
-def sample_block(
-    dim: DimensionLike, seed: int, block_index: int, count: int = BLOCK_SIZE
-) -> ChannelRealization:
-    """Draw ``count`` stacked realizations from stream ``(seed, block_index)``.
-
-    Each hop is drawn whole in turn, so below ``BLOCK_SIZE`` only hop 0 is a prefix of the block.
-    """
-    dim = as_dimension(dim)
-    return _draw_hops(dim, _block_rng(seed, block_index), count)
+def sample_block(dim: DimensionLike, seed: int, block_index: int) -> ChannelRealization:
+    """Draw the ``BLOCK_SIZE`` stacked realizations of stream ``(seed, block_index)``."""
+    return _draw_hops(as_dimension(dim), _block_rng(seed, block_index), BLOCK_SIZE)
 
 
 # --------------------------------------------------------------------------
@@ -429,7 +423,7 @@ def pf_effective(real: ChannelRealization, snr: float) -> EffectiveChannel:
     rank, hops = real.hops[0].shape[-1], []
     for hop in real.hops[:-1]:
         hop = hop[..., :, :rank]
-        hops.append(np.linalg.qr(hop)[1] if hop.shape[-2] > rank else hop)
+        hops.append(np.linalg.qr(hop, mode="r") if hop.shape[-2] > rank else hop)
         rank = hops[-1].shape[-2]
     hops.append(real.hops[-1][..., :, :rank])
     return af_effective(ChannelRealization(tuple(hops)), snr)

@@ -125,9 +125,6 @@ class DecodeSet:
         bounds = (0,) + self.indices
         return [tuple(dim.counts[a : b + 1]) for a, b in zip(bounds, bounds[1:])]
 
-    def __len__(self) -> int:
-        return len(self.indices)
-
 
 @dataclass(frozen=True, repr=False, slots=True)
 class DmtCurve:
@@ -304,8 +301,7 @@ def dmt_rp(dim: DimensionLike) -> DmtCurve:
 
 def dmt_rayleigh(nt: int, nr: int) -> DmtCurve:
     """Point-to-point Rayleigh MIMO tradeoff: ``d(k) = (nt - k)(nr - k)``."""
-    if nt < 1 or nr < 1:
-        raise ValueError("antenna counts must be positive")
+    nt, nr = as_dimension((nt, nr)).counts
     points = [(k, (nt - k) * (nr - k)) for k in range(min(nt, nr) + 1)]
     return DmtCurve(points)
 

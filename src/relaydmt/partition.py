@@ -189,8 +189,7 @@ def min_full_div_partition_2hop(n0: int, n1: int, n2: int) -> tuple[int, Partiti
     ``K = ceil(n1 / (|n0 - n2| + 1))``: the relay layer is split into K
     nearly equal supernodes and the source/destination stay whole.
     """
-    if min(n0, n1, n2) < 1:
-        raise ValueError("antenna counts must be positive")
+    n0, n1, n2 = as_dimension((n0, n1, n2)).counts
     k = math.ceil(n1 / (abs(n0 - n2) + 1))
     source = Supernode(frozenset(range(n0)))
     dest = Supernode(frozenset(range(n2)))

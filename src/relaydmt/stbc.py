@@ -62,14 +62,13 @@ __all__ = [
     "verify_nvd",
     "simulate_ser",
     "codebook_to_json",
-    "NVD_EVALUATION_CAP",
     "CODED_BLOCK_SIZE",
 ]
 
-NVD_EVALUATION_CAP = 10**6
 CODED_BLOCK_SIZE = 2048
 _SCORE_ENTRIES = 2**19  # float64 scores per ML row batch: 4 MB
 _NVD_CHUNK = 4096  # difference tuples per NVD search step
+_NVD_EVALUATION_CAP = 10**6  # difference tuples one NVD search may enumerate
 
 _GOLDEN_RATIO = (1.0 + math.sqrt(5.0)) / 2.0
 _GOLDEN_CONJ = (1.0 - math.sqrt(5.0)) / 2.0
@@ -264,16 +263,16 @@ def verify_nvd(
     codeword differences), ``_NVD_CHUNK`` tuples at a time.  On Gaussian-integer differences
     every product is an integer below 2**53, so the search is exact and does not depend on
     the chunk size.  Returns the minimum and the first tuple, in enumeration order, that
-    attains it.  Raises if the enumeration would exceed ``NVD_EVALUATION_CAP`` tuples
-    (checked before any work) rather than silently sampling.  Raw lattice symbols are used;
-    no energy normalization is applied.
+    attains it.  Raises if the enumeration would exceed ``_NVD_EVALUATION_CAP`` (10**6)
+    tuples (checked before any work) rather than silently sampling.  Raw lattice symbols are
+    used; no energy normalization is applied.
     """
     k = cb.num_symbols
     n_tuples = len(difference_points) ** k
-    if n_tuples > NVD_EVALUATION_CAP:
+    if n_tuples > _NVD_EVALUATION_CAP:
         raise ValueError(
             f"{n_tuples} difference tuples exceed the exhaustive cap of "
-            f"{NVD_EVALUATION_CAP}; restrict the difference alphabet"
+            f"{_NVD_EVALUATION_CAP}; restrict the difference alphabet"
         )
     best = math.inf
     best_tuple: tuple[complex, ...] = ()

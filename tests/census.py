@@ -11,10 +11,11 @@ as ``path:line: source``.  Module and class bodies run at import and are
 skipped, except a module's ``if __name__ == "__main__":`` block, which no
 import runs.
 
-The report ends with the package's size as ROADMAP aim 2 tracks it: its
-non-blank, non-comment lines (``grep -cvE '^\s*(#|$)'``) and the names in
-all of its modules' ``__all__`` lists.  Run as a script, it prints only
-that line, without running the suite::
+The report ends with the package's size as ROADMAP aim 2 tracks it: each
+file's non-blank, non-comment lines (``grep -cvE '^\s*(#|$)'``), then a
+``size:`` line with their sum and the names in all of its modules'
+``__all__`` lists.  Run as a script, it prints only those lines, without
+running the suite::
 
     PYTHONPATH=src python tests/census.py
 
@@ -69,24 +70,24 @@ def expected_lines(package_dir: str) -> dict[str, set[int]]:
     return out
 
 
-def package_size(package_dir: str) -> tuple[int, int]:
-    """Non-blank, non-comment source lines of the package, and its ``__all__`` names."""
-    lines = names = 0
+def size_report(package_dir: str) -> list[str]:
+    """Each file's non-blank, non-comment source lines, then the package's ``size:`` line."""
+    report, lines, names = [], 0, 0
     for path in expected_lines(package_dir):
         with open(path) as fh:
             source = fh.read()
-        lines += sum(1 for line in source.splitlines() if line.strip()[:1] not in ("", "#"))
+        count = sum(1 for line in source.splitlines() if line.strip()[:1] not in ("", "#"))
+        report.append(f"{os.path.basename(path)}: {count} lines")
+        lines += count
         for stmt in ast.parse(source).body:
             if isinstance(stmt, ast.Assign) and any(
                 isinstance(t, ast.Name) and t.id == "__all__" for t in stmt.targets
             ):
                 names += len(stmt.value.elts)
-    return lines, names
-
-
-def size_line(package_dir: str) -> str:
-    lines, names = package_size(package_dir)
-    return f"size: {lines} non-blank, non-comment lines; {names} names in module __all__ lists"
+    report.append(
+        f"size: {lines} non-blank, non-comment lines; {names} names in module __all__ lists"
+    )
+    return report
 
 
 class Census:
@@ -144,8 +145,9 @@ def pytest_terminal_summary(terminalreporter):
         with open(path) as fh:
             text = fh.read().splitlines()[line - 1].strip()
         terminalreporter.write_line(f"{os.path.relpath(path, root)}:{line}: {text}")
-    terminalreporter.write_line(size_line(_census.package_dir))
+    for line in size_report(_census.package_dir):
+        terminalreporter.write_line(line)
 
 
 if __name__ == "__main__":
-    print(size_line(PACKAGE_DIR))
+    print("\n".join(size_report(PACKAGE_DIR)))

@@ -25,7 +25,9 @@ part of the package:
 * ``det_products`` and ``nvd_products_dense`` -- product determinants
   taken in float from the encoded codewords (checks the closed forms in
   ``stbc._CODES``);
-* ``sample_channel`` -- the single realization a trial of a run sees.
+* ``sample_channel`` -- the single realization a trial of a run sees;
+* ``draw_block`` -- a stack of ``count`` trials drawn from a block's
+  stream the way ``sample_block`` draws a whole block.
 """
 
 from __future__ import annotations
@@ -40,6 +42,8 @@ from relaydmt.channel_sim import (
     BLOCK_SIZE,
     ChannelRealization,
     EffectiveChannel,
+    _block_rng,
+    _draw_hops,
     _hermitian_square,
     sample_block,
 )
@@ -268,6 +272,14 @@ def sample_channel(dim: DimensionLike, seed: int, index: int = 0) -> ChannelReal
     block, offset = divmod(index, BLOCK_SIZE)
     stacked = sample_block(dim, seed, block)
     return ChannelRealization(tuple(h[offset] for h in stacked.hops))
+
+
+def draw_block(dim: DimensionLike, seed: int, block_index: int, count: int) -> ChannelRealization:
+    """``count`` stacked realizations from stream ``(seed, block_index)``, each hop drawn whole.
+
+    Below ``BLOCK_SIZE`` only hop 0 is a prefix of the block ``sample_block`` draws.
+    """
+    return _draw_hops(as_dimension(dim), _block_rng(seed, block_index), count)
 
 
 def ml_decode(

@@ -179,6 +179,8 @@ class TestDomainGuards:
             (dmt_symmetric, (2, 0), "n and hop count must be positive"),
             (dmt_ff_lower_bound, ((2, 2, 2), 0), "mode count must be positive"),
             (dmt_parallel_af, ((2, 2, 2), []), "need at least one path"),
+            (dmt_rayleigh, (2.5, 2), "antenna counts must be positive"),
+            (dmt_rayleigh, (True, 2), "antenna counts must be positive"),
         ],
     )
     def test_rejected(self, func, args, message):
@@ -444,7 +446,7 @@ class TestWhereToDecode:
                 greedy = where_to_decode(counts, d)
                 assert dmt_serial_partition(counts, greedy).d_max >= d
                 reference = exhaustive_min_decode_set(counts, d)
-                assert len(greedy) == len(reference), (counts, d)
+                assert len(greedy.indices) == len(reference.indices), (counts, d)
 
 
 class TestFfLowerBound:

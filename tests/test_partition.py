@@ -232,7 +232,9 @@ class TestMinFullDiversity2Hop:
         assert k == expect
         assert is_full_diversity(counts, p)
 
-    @pytest.mark.parametrize("counts", [(0, 2, 2), (2, 0, 2), (2, 2, -1)])
+    @pytest.mark.parametrize(
+        "counts", [(0, 2, 2), (2, 0, 2), (2, 2, -1), (True, 2, 2), (2, 4.0, 3)]
+    )
     def test_non_positive_counts_rejected(self, counts):
         with pytest.raises(ValueError, match="antenna counts must be positive"):
             min_full_div_partition_2hop(*counts)

@@ -8,6 +8,7 @@ import pytest
 from oracles import (
     codewords_dense,
     det_products,
+    draw_block,
     ml_decode,
     nvd_minimum_dense,
     nvd_products_dense,
@@ -25,7 +26,6 @@ from relaydmt.channel_sim import (
     af_effective,
     default_ff_scheme,
     ff_effective,
-    sample_block,
 )
 from relaydmt.dmt_core import DecodeSet
 from relaydmt.partition import AfPath, Partition, Supernode
@@ -391,7 +391,7 @@ class TestVectorisedDecisionOracle:
         amp = math.sqrt(snr / dim[0]) * cb.energy_norm
         words, _ = cb.codewords()
         rng = np.random.default_rng(int(snr_db))
-        effs = effs_of(sample_block(dim, seed=19, block_index=0, count=rows), snr)
+        effs = effs_of(draw_block(dim, seed=19, block_index=0, count=rows), snr)
         sent = rng.integers(0, words.shape[0], size=rows)
         ys, gains, whitened = [], [], []
         for k, eff in enumerate(effs):

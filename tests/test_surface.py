@@ -1,13 +1,18 @@
 """
-The package's declared surface: exported names resolve, each is reached
-from somewhere other than the tests, and the benchmark's traced run can
-still wrap every attribute it traces.
+The package's declared surface: ``relaydmt`` exports exactly its modules'
+``__all__`` names, exported names resolve, each is reached from somewhere
+other than the tests, and the benchmark's traced run can still wrap every
+attribute it traces.
 """
 
 import ast
 import importlib
+import json
+import os
 import pkgutil
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -16,13 +21,14 @@ import relaydmt
 
 ROOT = Path(__file__).resolve().parent.parent
 BENCH = ROOT / "relaybench"
+SRC = Path(relaydmt.__path__[0]).parent
 MODULES = sorted(m.name for m in pkgutil.iter_modules(relaydmt.__path__))
 
 
 def _names_read_in_src() -> set[str]:
     """Every name the package's code reads, as a bare name or an attribute.
 
-    A definition, an ``__all__`` string and an import (the re-exports in
+    A definition, an ``__all__`` string and an import (the star imports in
     ``__init__.py``) read nothing, so they do not count; nor do docstrings.
     """
     read = set()
@@ -40,6 +46,23 @@ def _text_outside_tests() -> str:
     files = [ROOT / "README.md", *sorted((ROOT / "demos").glob("*.py"))]
     files += [p for p in sorted(BENCH.glob("*.py")) if not p.name.startswith("test_")]
     return "\n".join(p.read_text() for p in files)
+
+
+def test_package_exports_exactly_the_module_exports():
+    # A fresh interpreter, so that no submodule another test imported (cli)
+    # is counted as a package attribute.
+    script = "import json, relaydmt; print(json.dumps(sorted(vars(relaydmt))))"
+    path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+    out = subprocess.run(
+        [sys.executable, "-c", script],
+        capture_output=True, text=True, check=True, env={**os.environ, "PYTHONPATH": path},
+    )
+    public = {name for name in json.loads(out.stdout) if not name.startswith("_")}
+    modules = ("dmt_core", "reduction", "recursion", "partition", "channel_sim", "stbc")
+    exported = set(modules).union(
+        *(importlib.import_module(f"relaydmt.{m}").__all__ for m in modules)
+    )
+    assert public == exported
 
 
 @pytest.mark.parametrize("name", MODULES)
