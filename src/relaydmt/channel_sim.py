@@ -423,6 +423,10 @@ def pf_effective(real: ChannelRealization, snr: float) -> EffectiveChannel:
     rank, hops = real.hops[0].shape[-1], []
     for hop in real.hops[:-1]:
         hop = hop[..., :, :rank]
+        if rank == 1 < hop.shape[-2]:
+            # LAPACK's R of one column, -copysign(|h|, Re h_0), with no QR per matrix.
+            # For a zero tail LAPACK keeps a real h_0 as it is: a sign the rate does not see.
+            hop = -np.copysign(np.linalg.norm(hop, axis=-2, keepdims=True), hop[..., :1, :].real)
         hops.append(np.linalg.qr(hop, mode="r") if hop.shape[-2] > rank else hop)
         rank = hops[-1].shape[-2]
     hops.append(real.hops[-1][..., :, :rank])

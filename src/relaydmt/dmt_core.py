@@ -91,10 +91,13 @@ def as_dimension(dim: DimensionLike) -> Dimension:
     """Coerce a sequence of integer antenna counts (not bools) into a :class:`Dimension`."""
     if isinstance(dim, Dimension):
         return dim
+    counts = tuple(dim)
+    if set(map(type, counts)) <= {int}:  # exact ints, checked by Dimension as they are
+        return Dimension(counts)
     try:
-        return Dimension(tuple(n if type(n) is bool else operator.index(n) for n in dim))
+        return Dimension(tuple(n if type(n) is bool else operator.index(n) for n in counts))
     except TypeError:  # not an integer type, such as 2.5
-        raise ValueError(f"antenna counts must be positive integers: {tuple(dim)}") from None
+        raise ValueError(f"antenna counts must be positive integers: {counts}") from None
 
 
 @dataclass(frozen=True)
@@ -133,9 +136,10 @@ class DmtCurve:
     Vertices are ``(r, d)`` pairs with rational coordinates, ``r``
     strictly increasing from 0; any iterable of pairs constructs a curve.
     Evaluation is linear interpolation, clamped to ``d(0)`` left of zero
-    and to 0 beyond the last vertex.
-    Construction canonicalizes: collinear interior vertices are merged,
-    so two curves are equal iff they are the same function.
+    and to 0 beyond the last vertex.  Construction canonicalizes:
+    collinear interior vertices are merged, so two curves are equal iff
+    they are the same function.  It checks and merges ``int`` and ``Fraction``
+    values as given, others as ``Fraction``; kept vertices are stored as ``Fraction``.
 
     A full tradeoff ends at ``d = 0``; a curve that stops above it is
     *partial*: only the maximum-diversity point ``d(0)`` is known
@@ -146,7 +150,7 @@ class DmtCurve:
     vertices: tuple[tuple[Fraction, Fraction], ...]
 
     def __post_init__(self) -> None:
-        verts = [(Fraction(r), Fraction(d)) for r, d in self.vertices]
+        verts = [(_exact(r), _exact(d)) for r, d in self.vertices]
         if not verts:
             raise ValueError("a curve needs at least one vertex")
         if any(a[0] >= b[0] for a, b in zip(verts, verts[1:])):
@@ -157,7 +161,7 @@ class DmtCurve:
             raise ValueError("diversity must be non-increasing in r")
         if verts[-1][1] < 0:
             raise ValueError("diversity must be non-negative")
-        object.__setattr__(self, "vertices", tuple(_merge_collinear(verts)))
+        object.__setattr__(self, "vertices", _merge_collinear(verts))
 
     @property
     def partial(self) -> bool:
@@ -176,7 +180,7 @@ class DmtCurve:
         return self.vertices[-1][0]
 
     def evaluate(self, r: Rational) -> Fraction:
-        r = r if isinstance(r, Fraction) else Fraction(r)
+        r = _exact(r)
         if r <= 0:
             return self.vertices[0][1]
         if self.partial:
@@ -188,7 +192,8 @@ class DmtCurve:
         for (x0, y0), (x1, y1) in zip(verts, verts[1:]):
             if r <= x1:
                 break
-        return y0 + (y1 - y0) * (r - x0) / (x1 - x0)
+        # On a vertex (each integer gain of dmt_rp is one) nothing is interpolated.
+        return y1 if r == x1 else y0 + (y1 - y0) * (r - x0) / (x1 - x0)
 
     @staticmethod
     def pointwise_min(curves: Sequence["DmtCurve"]) -> "DmtCurve":
@@ -210,7 +215,11 @@ class DmtCurve:
         right = min(c.r_max for c in curves)
         grid = sorted({x for c in curves for x, _ in c.vertices if x < right} | {right})
         values = [[c.evaluate(x) for x in grid] for c in curves]
-        verts = [(grid[0], min(v[0] for v in values))]
+        low = [min(column) for column in zip(*values)]
+        for c, v in zip(curves, values):
+            if v == low and c.r_max == right:  # lowest at every breakpoint, so everywhere
+                return c
+        verts = [(grid[0], low[0])]
         for i, (x0, x1) in enumerate(zip(grid, grid[1:])):
             # Each input on [x0, x1] as (value at x0, slope); start on the lowest.
             w = x1 - x0
@@ -241,7 +250,13 @@ class DmtCurve:
         return f"DmtCurve([{pts}])"
 
 
-def _merge_collinear(verts: list[tuple[Fraction, Fraction]]) -> list[tuple[Fraction, Fraction]]:
+def _exact(v) -> Rational:
+    # An int or Fraction as given; anything else (float, numpy int, str) as a Fraction.
+    return v if type(v) is int or type(v) is Fraction else Fraction(v)
+
+
+def _merge_collinear(verts: list[tuple[Rational, Rational]]) -> tuple[tuple[Fraction, Fraction], ...]:
+    # The vertices left after merging, each converted to Fraction once.
     out = [verts[0]]
     for v in verts[1:]:
         while len(out) >= 2:
@@ -252,7 +267,7 @@ def _merge_collinear(verts: list[tuple[Fraction, Fraction]]) -> list[tuple[Fract
             else:
                 break
         out.append(v)
-    return out
+    return tuple((Fraction(x), Fraction(y)) for x, y in out)
 
 
 # ---------------------------------------------------------------------------
@@ -368,17 +383,16 @@ def where_to_decode(dim: DimensionLike, d: int) -> DecodeSet:
     ``min_i n_{i-1} n_i``.
     """
     dim = as_dimension(dim)
-    d_ceiling = _cutset_d_max(dim)
-    if d > d_ceiling:
-        raise ValueError(f"unachievable diversity: {d} > d_max = {d_ceiling}")
-    indices = []
-    start = 0
-    while start < dim.hops:
-        # The farthest end whose AF segment reaches d; for d <= d_max a single hop does.
-        start = next(
-            end for end in range(dim.hops, start, -1) if _af_d_max(dim.counts[start : end + 1]) >= d
-        )
-        indices.append(start)
+    if d > _cutset_d_max(dim):
+        raise ValueError(f"unachievable diversity: {d} > d_max = {_cutset_d_max(dim)}")
+    indices, end = [], 0
+    while end < dim.hops:
+        start, end = end, end + 1
+        # A single hop reaches d <= d_max, and a segment's diversity only falls as it
+        # lengthens (the recursion's j = 0 term), so extend it while one more hop reaches d.
+        while end < dim.hops and _af_d_max(dim.counts[start : end + 2]) >= d:
+            end += 1
+        indices.append(end)
     return DecodeSet(tuple(indices))
 
 

@@ -27,19 +27,30 @@ AF (2,2) at one SNR, it prints the median milliseconds per
 table is built once per run, outside the block) and the tracemalloc
 peak of one block, and checks that the grid's counts equal those of its
 points run one at a time.
+
+Last of all, the analytic sweep of the benchmark's ``exact-analytic``
+workload: over every dimension up to (5,4) it prints the median
+microseconds per call of ``dmt_rp``, ``cutset_bound``,
+``where_to_decode`` (at the cut-set ``d_max``), ``DmtCurve.evaluate`` and
+``dmt_recursive`` (each at every integer gain), over ``ANALYTIC_PASSES``
+passes.  That part alone runs with::
+
+    PYTHONPATH=src:tests python -c "import stage_profile; stage_profile.analytic_main()"
 """
 
 from __future__ import annotations
 
+import itertools
 import statistics
 import time
 import tracemalloc
 
 import numpy as np
 
-from relaydmt import channel_sim, stbc
+from relaydmt import channel_sim, dmt_core, stbc
 from relaydmt.channel_sim import BLOCK_SIZE, AfScheme, DfScheme, PfScheme, default_ff_scheme
 from relaydmt.dmt_core import DecodeSet, as_dimension
+from relaydmt.recursion import dmt_recursive
 
 RATE = 2.0
 REPEATS = 15
@@ -163,7 +174,35 @@ def coded_main() -> None:
             print(f"{label:22s} {len(snrs):6d} {ms:9.2f} {mb:8.2f} {counts}")
 
 
+ANALYTIC_PASSES = 3
+
+
+def analytic_main() -> None:
+    dims = [c for hops in range(1, 5) for c in itertools.product(range(1, 6), repeat=hops + 1)]
+    curves = {c: dmt_core.dmt_rp(c) for c in dims}
+    gains = [(c, k) for c in dims for k in range(min(c) + 1)]
+    calls = {
+        "dmt_rp": [(dmt_core.dmt_rp, (c,)) for c in dims],
+        "cutset_bound": [(dmt_core.cutset_bound, (c,)) for c in dims],
+        "where_to_decode": [
+            (dmt_core.where_to_decode, (c, int(dmt_core.cutset_bound(c).d_max))) for c in dims
+        ],
+        "DmtCurve.evaluate": [(curves[c].evaluate, (k,)) for c, k in gains],
+        "dmt_recursive": [(dmt_recursive, (c, k)) for c, k in gains],
+    }
+    print(f"{'analytic stage':18s} {'calls':>6s} {'us/call':>8s}")
+    for label, todo in calls.items():
+        times = []
+        for _ in range(ANALYTIC_PASSES):
+            for fn, args in todo:
+                start = time.perf_counter()
+                fn(*args)
+                times.append(1e6 * (time.perf_counter() - start))
+        print(f"{label:18s} {len(todo):6d} {statistics.median(times):8.2f}")
+
+
 if __name__ == "__main__":
     main()
     nvd_main()
     coded_main()
+    analytic_main()

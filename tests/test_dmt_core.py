@@ -86,6 +86,11 @@ class TestDimension:
     def test_coercion_takes_integer_types(self):
         assert as_dimension([np.int64(2), 1, np.uint8(3)]) == Dimension((2, 1, 3))
 
+    @pytest.mark.parametrize("bad", [("2", 2), "22", (2, "3", 2)])
+    def test_coercion_refuses_strings(self, bad):
+        with pytest.raises(ValueError, match="positive integers"):
+            as_dimension(bad)
+
 
 class TestCurveArithmetic:
     def test_evaluation_clamps(self):
@@ -109,6 +114,15 @@ class TestCurveArithmetic:
     def test_pointwise_min_of_one_curve_is_that_curve(self):
         c = dmt_rayleigh(2, 3)
         assert DmtCurve.pointwise_min([c]) is c
+
+    def test_envelope_that_is_one_input_returns_it(self):
+        # (1,4) lies below (2,3) everywhere; a flat zero stretch past the
+        # envelope's end is cut off, not returned.
+        low, high = dmt_rayleigh(1, 4), dmt_rayleigh(2, 3)
+        assert DmtCurve.pointwise_min([high, low]) is low
+        zero_tail = DmtCurve([(0, 0), (2, 0)])
+        env = DmtCurve.pointwise_min([zero_tail, DmtCurve([(0, 1), (1, 0)])])
+        assert env == DmtCurve([(0, 0), (1, 0)])
 
     def test_collinear_vertices_merge(self):
         c = DmtCurve([(0, 4), (1, 2), (2, 0)])
@@ -139,6 +153,47 @@ class TestCurveArithmetic:
         assert c != DmtCurve([(0, 8), (1, 0)])
         assert repr(c) == "DmtCurve([(0,8)])"
         assert not DmtCurve([(0, 8), (1, 0)]).partial
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(
+        st.lists(st.integers(1, 6), min_size=0, max_size=4, unique=True),
+        st.data(),
+    )
+    def test_vertex_types_build_equal_curves(self, xs, data):
+        # Integer vertices given as int, Fraction, exact float or numpy int
+        # (mixed per coordinate) build one curve, stored as Fraction.
+        xs = [0] + sorted(xs)
+        ds = sorted(data.draw(st.lists(st.integers(0, 12), min_size=len(xs), max_size=len(xs))))[::-1]
+        kinds = iter(data.draw(st.lists(
+            st.sampled_from((int, Fraction, float, np.int64)), min_size=2 * len(xs), max_size=2 * len(xs)
+        )))
+        curve = DmtCurve([(next(kinds)(x), next(kinds)(d)) for x, d in zip(xs, ds)])
+        expect = DmtCurve([(Fraction(x), Fraction(d)) for x, d in zip(xs, ds)])
+        assert curve == expect and hash(curve) == hash(expect)
+        assert all(type(v) is Fraction for vertex in curve.vertices for v in vertex)
+
+    @pytest.mark.parametrize(
+        "verts,message",
+        [
+            ([], "at least one vertex"),
+            ([(0, 1), (0, 0)], "abscissas must be strictly increasing"),
+            ([(1, 1), (2, 0)], "curves start at r = 0"),
+            ([(0, 1), (1, 2), (2, 0)], "diversity must be non-increasing"),
+            ([(0, 1), (1, -1)], "diversity must be non-negative"),
+        ],
+    )
+    @pytest.mark.parametrize("kind", [int, Fraction, float, np.int64])
+    def test_every_refusal_fires_for_every_vertex_type(self, verts, message, kind):
+        with pytest.raises(ValueError, match=message):
+            DmtCurve([(kind(x), kind(d)) for x, d in verts])
+
+    def test_evaluation_at_integer_and_rational_gains(self):
+        # Between vertices and on them, int, Fraction and float r agree and give a Fraction.
+        c = DmtCurve([(0, 5), (2, 1), (3, 0)])
+        for r, expect in [(1, 3), (2, 1), (Fraction(5, 2), Fraction(1, 2)), (0.5, 4)]:
+            value = c.evaluate(r)
+            assert value == expect and type(value) is Fraction
+        assert c.evaluate(np.int64(2)) == 1
 
     def test_monotone_validation(self):
         with pytest.raises(ValueError):
