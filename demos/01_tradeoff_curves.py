@@ -1,7 +1,7 @@
 """Exact diversity-multiplexing tradeoff curves of multihop relay channels.
 
 Walks through the analytic toolbox: the amplify-and-forward (AF) curve,
-the cut-set upper bound, the symmetric-channel closed form, serial
+the cut-set upper bound, symmetric chains, serial
 (decode-and-forward) partitions, and the flip-and-forward lower bound.
 """
 
@@ -14,7 +14,6 @@ from relaydmt import (
     dmt_parallel_af,
     dmt_rp,
     dmt_serial_partition,
-    dmt_symmetric,
     where_to_decode,
 )
 
@@ -37,7 +36,7 @@ print()
 
 print("Symmetric channels: adding hops stops hurting after n of them")
 for hops in (1, 2, 3, 5, 8):
-    d0 = dmt_symmetric(5, hops).d_max
+    d0 = dmt_rp((5,) * (hops + 1)).d_max
     print(f"  5-antenna chain, {hops} hops: maximum diversity {d0}")
 print()
 

@@ -6,14 +6,15 @@ partition into sign patterns that keep the full channel width.
 """
 
 from relaydmt import (
+    DecodeSet,
     cutset_bound,
     dmt_rp,
+    dmt_serial_partition,
     ff_schedule,
     is_full_diversity,
     is_independent,
     max_partition,
     min_full_div_partition_2hop,
-    nonind_partition_diversity,
 )
 from relaydmt.dmt_core import as_dimension
 from relaydmt.partition import partition_to_json
@@ -45,7 +46,9 @@ for mode in range(1, 3):
 print()
 
 print("non-independent single-antenna selection at one relay layer of (3,2,2,2,3):")
-d = nonind_partition_diversity((3, 2, 2, 2, 3), layer=2)
+# Cycling through the antennas of relay layer 2 has the diversity of decoding
+# there: the smaller AF diversity of (3,2,2) and (2,2,3), the pivot in both.
+d = dmt_serial_partition((3, 2, 2, 2, 3), DecodeSet((2, 4))).d_max
 print(f"  diversity {d} == cut-set maximum {cutset_bound((3, 2, 2, 2, 3)).d_max}, "
       "with only 2 modes instead of 8 paths")
 print()

@@ -81,7 +81,7 @@ def _refuse_unread(args, table: dict, chosen: list[str]) -> None:
 def _parse_decode(text: str, dim) -> DecodeSet:
     try:
         decode = DecodeSet(tuple(int(tok) for tok in text.split(",")))
-        decode.validate_for(dim)
+        decode.segments(dim)  # refuses a last index other than the destination layer
         return decode
     except ValueError as exc:
         raise ValueError(f"bad decode set {text!r}: {exc}") from None

@@ -12,8 +12,8 @@ The multihop channel is described by its antenna counts per layer,
 source to destination.  The amplify-and-forward (AF) chain behaves, in
 the tradeoff sense, like a point-to-point channel whose matrix is a
 product of independent Rayleigh hop matrices, so the AF tradeoff is
-that of the matrix-product channel and depends only on the sorted
-antenna counts.
+that of the matrix-product channel, :func:`dmt_rp`, the one formula the
+package has for it.  It depends only on the sorted antenna counts.
 """
 
 from __future__ import annotations
@@ -31,9 +31,7 @@ __all__ = [
     "as_dimension",
     "coeffs",
     "dmt_rp",
-    "dmt_rayleigh",
     "cutset_bound",
-    "dmt_symmetric",
     "dmt_serial_partition",
     "where_to_decode",
     "dmt_ff_lower_bound",
@@ -91,13 +89,13 @@ def as_dimension(dim: DimensionLike) -> Dimension:
     """Coerce a sequence of integer antenna counts (not bools) into a :class:`Dimension`."""
     if isinstance(dim, Dimension):
         return dim
-    counts = tuple(dim)
-    if set(map(type, counts)) <= {int}:  # exact ints, checked by Dimension as they are
-        return Dimension(counts)
     try:
+        counts = tuple(dim)
+        if set(map(type, counts)) <= {int}:  # exact ints, checked by Dimension as they are
+            return Dimension(counts)
         return Dimension(tuple(n if type(n) is bool else operator.index(n) for n in counts))
-    except TypeError:  # not an integer type, such as 2.5
-        raise ValueError(f"antenna counts must be positive integers: {counts}") from None
+    except TypeError:  # not a sequence, or not an integer type, such as 2.5
+        raise ValueError(f"antenna counts must be positive integers: {dim!r}") from None
 
 
 @dataclass(frozen=True)
@@ -118,13 +116,10 @@ class DecodeSet:
         if self.indices[0] < 1:
             raise ValueError("decode indices start at layer 1")
 
-    def validate_for(self, dim: Dimension) -> None:
+    def segments(self, dim: Dimension) -> list[tuple[int, ...]]:
+        """Per-segment sub-dimensions ``(n_{D_{i-1}}, ..., n_{D_i})``; raises unless ``D_m = N``."""
         if self.indices[-1] != dim.hops:
             raise ValueError(f"last decode index must be the destination layer {dim.hops}")
-
-    def segments(self, dim: Dimension) -> list[tuple[int, ...]]:
-        """Per-segment sub-dimensions ``(n_{D_{i-1}}, ..., n_{D_i})``."""
-        self.validate_for(dim)
         bounds = (0,) + self.indices
         return [tuple(dim.counts[a : b + 1]) for a, b in zip(bounds, bounds[1:])]
 
@@ -136,10 +131,10 @@ class DmtCurve:
     Vertices are ``(r, d)`` pairs with rational coordinates, ``r``
     strictly increasing from 0; any iterable of pairs constructs a curve.
     Evaluation is linear interpolation, clamped to ``d(0)`` left of zero
-    and to 0 beyond the last vertex.  Construction canonicalizes:
-    collinear interior vertices are merged, so two curves are equal iff
-    they are the same function.  It checks and merges ``int`` and ``Fraction``
-    values as given, others as ``Fraction``; kept vertices are stored as ``Fraction``.
+    and to 0 beyond the last vertex.  Construction canonicalizes: collinear
+    interior vertices are merged and a flat tail at ``d = 0`` is cut, so two
+    curves are equal iff they are the same function.  ``int`` and ``Fraction``
+    values are checked as given, others as ``Fraction``; kept ones are stored as ``Fraction``.
 
     A full tradeoff ends at ``d = 0``; a curve that stops above it is
     *partial*: only the maximum-diversity point ``d(0)`` is known
@@ -161,6 +156,9 @@ class DmtCurve:
             raise ValueError("diversity must be non-increasing in r")
         if verts[-1][1] < 0:
             raise ValueError("diversity must be non-negative")
+        # Cut a flat zero tail: only the last vertex may have d = 0, so r_max is where d first is.
+        while len(verts) > 1 and verts[-2][1] == 0:
+            verts.pop()
         object.__setattr__(self, "vertices", _merge_collinear(verts))
 
     @property
@@ -217,7 +215,7 @@ class DmtCurve:
         values = [[c.evaluate(x) for x in grid] for c in curves]
         low = [min(column) for column in zip(*values)]
         for c, v in zip(curves, values):
-            if v == low and c.r_max == right:  # lowest at every breakpoint, so everywhere
+            if v == low:  # lowest at every breakpoint, so everywhere
                 return c
         verts = [(grid[0], low[0])]
         for i, (x0, x1) in enumerate(zip(grid, grid[1:])):
@@ -307,17 +305,12 @@ def dmt_rp(dim: DimensionLike) -> DmtCurve:
 
     The curve connects the integer points ``(k, sum of c_i for i > k)``
     for ``k = 0 .. n_min``; it depends only on the sorted antenna counts.
+    One hop is the point-to-point Rayleigh curve ``(nt - k)(nr - k)``; a chain
+    of ``N >= n`` hops of ``n`` antennas each gives ``(n - k)(n + 1 - k) / 2``.
     """
     dim = as_dimension(dim)
     c = coeffs(dim)
     points = [(k, sum(c[k:])) for k in range(dim.n_min + 1)]
-    return DmtCurve(points)
-
-
-def dmt_rayleigh(nt: int, nr: int) -> DmtCurve:
-    """Point-to-point Rayleigh MIMO tradeoff: ``d(k) = (nt - k)(nr - k)``."""
-    nt, nr = as_dimension((nt, nr)).counts
-    points = [(k, (nt - k) * (nr - k)) for k in range(min(nt, nr) + 1)]
     return DmtCurve(points)
 
 
@@ -338,27 +331,8 @@ def cutset_bound(dim: DimensionLike) -> DmtCurve:
     pairs = sorted({tuple(sorted(hop)) for hop in zip(dim.counts, dim.counts[1:])})
     # Earlier pairs have p' <= p, so a pair is Pareto-minimal iff every earlier q' > q.
     front = [(p, q) for i, (p, q) in enumerate(pairs) if all(q < b for _, b in pairs[:i])]
-    return DmtCurve.pointwise_min([dmt_rayleigh(p, q) for p, q in front])
-
-
-def dmt_symmetric(n: int, n_hops: int) -> DmtCurve:
-    """Closed form for the AF tradeoff of the all-``n`` channel with ``n_hops`` hops.
-
-    With ``a = floor((n - k) / N)`` and ``b = (n - k) mod N``::
-
-        d(k) = (n-k)(n+1-k)/2 + a((a-1)N + 2b)/2
-
-    For ``N >= n`` this collapses to ``(n-k)(n+1-k)/2``: past that point
-    extra hops no longer degrade the diversity.
-    """
-    if n < 1 or n_hops < 1:
-        raise ValueError("n and hop count must be positive")
-    points = []
-    for k in range(n + 1):
-        a, b = divmod(n - k, n_hops)
-        d = Fraction((n - k) * (n + 1 - k), 2) + Fraction(a * ((a - 1) * n_hops + 2 * b), 2)
-        points.append((k, d))
-    return DmtCurve(points)
+    curves = [DmtCurve([(k, (p - k) * (q - k)) for k in range(p + 1)]) for p, q in front]
+    return DmtCurve.pointwise_min(curves)
 
 
 def dmt_serial_partition(dim: DimensionLike, decode: DecodeSet) -> DmtCurve:
@@ -408,8 +382,8 @@ def dmt_ff_lower_bound(dim: DimensionLike, k_modes: int) -> DmtCurve:
         raise ValueError("mode count must be positive")
     af = dmt_rp(dim)
     deficit = _cutset_d_max(dim) - af.d_max
+    # 1/k_modes <= 1 <= af.r_max: no abscissa lies past the AF curve's end.
     xs = sorted({Fraction(0), Fraction(1, k_modes)} | {x for x, _ in af.vertices})
-    xs = [x for x in xs if x <= af.r_max]
     return DmtCurve((x, af.evaluate(x) + deficit * max(Fraction(0), 1 - k_modes * x)) for x in xs)
 
 

@@ -15,6 +15,9 @@ The flip-and-forward schedule turns an independent partition into
 ``i``): in mode k, relay layer i negates the antennas of its
 ``f_i(k)``-th supernode, which de-correlates the alignment of adjacent
 hops across modes and restores the cut-set diversity.
+
+Cycling through one relay layer's single-antenna selections (a partition
+that is not independent) has the diversity of decode-and-forward there.
 """
 
 from __future__ import annotations
@@ -40,7 +43,6 @@ __all__ = [
     "max_partition",
     "min_full_div_partition_2hop",
     "ff_schedule",
-    "nonind_partition_diversity",
     "partition_to_json",
     "partition_from_json",
 ]
@@ -268,21 +270,6 @@ def ff_schedule(dim: DimensionLike, p: Partition) -> FlipSchedule:
     return FlipSchedule(dim, tuple(p.layer_supernodes(layer) for layer in range(1, dim.hops)))
 
 
-def nonind_partition_diversity(dim: DimensionLike, layer: int) -> int:
-    """Diversity of the antenna-selection parallel scheme pivoted at ``layer``.
-
-    Cycling through the single-antenna selections of one relay layer
-    achieves the minimum of the AF diversities of the two sides (the
-    pivot layer counted in both), as if that layer decoded.
-    """
-    dim = as_dimension(dim)
-    if not 1 <= layer <= dim.hops - 1:
-        raise ValueError("pivot layer must be a relay layer")
-    left = _af_d_max(dim.counts[: layer + 1])
-    right = _af_d_max(dim.counts[layer:])
-    return min(left, right)
-
-
 # ---------------------------------------------------------------------------
 # JSON round-trip
 # ---------------------------------------------------------------------------
@@ -327,7 +314,7 @@ def partition_from_json(text: str) -> tuple[Dimension, Partition]:
         return Supernode(frozenset(ants))
 
     try:
-        dim = as_dimension(doc["dim"])
+        dim = as_dimension(tuple(doc["dim"]))  # a dim that is not an array is a wrong JSON type
         layer_nodes = [[supernode(ants) for ants in nodes] for nodes in doc["layers"]]
         paths = tuple(
             AfPath(tuple(node(layer, ref) for layer, ref in enumerate(refs)))

@@ -38,7 +38,7 @@ def _d(ordered: tuple[int, ...], k: int) -> int:
 
 
 def dmt_recursive(dim: DimensionLike, k: int) -> int:
-    """Diversity at integer multiplexing gain ``k`` via the flow recursion."""
+    """Diversity at gain ``k`` by the flow recursion, kept here while the benchmark traces it."""
     dim = as_dimension(dim)
     if not 0 <= k <= dim.n_min:
         raise ValueError(f"k must be in 0..{dim.n_min}")

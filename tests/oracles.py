@@ -10,6 +10,10 @@ part of the package:
   ``partition.min_full_div_partition_2hop``);
 * ``bottleneck_full_diversity`` -- the paper's bottleneck criterion for
   full diversity (checks ``partition.is_full_diversity``);
+* ``dmt_rayleigh`` and ``dmt_symmetric`` -- the point-to-point Rayleigh
+  curve and the paper's symmetric-chain closed form (check
+  ``dmt_core.dmt_rp`` on one hop and on all-``n`` chains, and the per-hop
+  curves of ``dmt_core.cutset_bound``);
 * ``split_values`` and ``cross_check`` -- the flow recursion cut at
   every interior layer (checks ``dmt_core.dmt_rp``);
 * ``interval_boundaries`` -- the cost-interval edges (a second
@@ -34,6 +38,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from fractions import Fraction
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -50,6 +55,7 @@ from relaydmt.channel_sim import (
 from relaydmt.dmt_core import (
     Dimension,
     DimensionLike,
+    DmtCurve,
     _af_d_max,
     _cutset_d_max,
     as_dimension,
@@ -196,8 +202,31 @@ def _backtrack_full_div(
 
 
 # ---------------------------------------------------------------------------
-# Recursion and reduction
+# Closed forms, recursion and reduction
 # ---------------------------------------------------------------------------
+
+
+def dmt_rayleigh(nt: int, nr: int) -> DmtCurve:
+    """Point-to-point Rayleigh MIMO tradeoff (Zheng and Tse): ``d(k) = (nt - k)(nr - k)``."""
+    return DmtCurve([(k, (nt - k) * (nr - k)) for k in range(min(nt, nr) + 1)])
+
+
+def dmt_symmetric(n: int, n_hops: int) -> DmtCurve:
+    """The paper's closed form for the AF tradeoff of the all-``n`` chain of ``n_hops`` hops.
+
+    With ``a = floor((n - k) / N)`` and ``b = (n - k) mod N``::
+
+        d(k) = (n-k)(n+1-k)/2 + a((a-1)N + 2b)/2
+
+    For ``N >= n`` this collapses to ``(n-k)(n+1-k)/2``: past that point
+    extra hops no longer degrade the diversity.
+    """
+    points = []
+    for k in range(n + 1):
+        a, b = divmod(n - k, n_hops)
+        d = Fraction((n - k) * (n + 1 - k), 2) + Fraction(a * ((a - 1) * n_hops + 2 * b), 2)
+        points.append((k, d))
+    return DmtCurve(points)
 
 
 def split_values(dim: DimensionLike, k: int, layer: int) -> int:

@@ -15,6 +15,7 @@ import time
 
 import numpy as np
 import pytest
+from oracles import dmt_symmetric
 
 from relaydmt.channel_sim import (
     AfScheme,
@@ -24,7 +25,7 @@ from relaydmt.channel_sim import (
     estimate_slope,
     outage_curve,
 )
-from relaydmt.dmt_core import DecodeSet, cutset_bound, dmt_rp, dmt_symmetric
+from relaydmt.dmt_core import DecodeSet, cutset_bound, dmt_rp
 from relaydmt.partition import (
     is_full_diversity,
     is_independent,

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from oracles import dmt_rayleigh, dmt_symmetric
 
 from relaydmt.dmt_core import (
     _af_d_max,
@@ -16,10 +17,8 @@ from relaydmt.dmt_core import (
     cutset_bound,
     dmt_ff_lower_bound,
     dmt_parallel_af,
-    dmt_rayleigh,
     dmt_rp,
     dmt_serial_partition,
-    dmt_symmetric,
     where_to_decode,
 )
 
@@ -116,13 +115,20 @@ class TestCurveArithmetic:
         assert DmtCurve.pointwise_min([c]) is c
 
     def test_envelope_that_is_one_input_returns_it(self):
-        # (1,4) lies below (2,3) everywhere; a flat zero stretch past the
-        # envelope's end is cut off, not returned.
+        # (1,4) lies below (2,3) everywhere; a curve at d = 0 from r = 0 is
+        # the envelope, its flat zero stretch cut off.
         low, high = dmt_rayleigh(1, 4), dmt_rayleigh(2, 3)
         assert DmtCurve.pointwise_min([high, low]) is low
         zero_tail = DmtCurve([(0, 0), (2, 0)])
         env = DmtCurve.pointwise_min([zero_tail, DmtCurve([(0, 1), (1, 0)])])
         assert env == DmtCurve([(0, 0), (1, 0)])
+
+    def test_flat_zero_tail_is_cut(self):
+        # r_max is the smallest r with d(r) = 0, so only the first vertex at d = 0 stays.
+        c = DmtCurve([(0, 0), (2, 0)])
+        assert c == DmtCurve([(0, 0)]) and c.r_max == 0 and not c.partial
+        tail = DmtCurve([(0, 3), (1, 0), (Fraction(5, 2), 0), (4, 0)])
+        assert tail == DmtCurve([(0, 3), (1, 0)]) and tail.r_max == 1
 
     def test_collinear_vertices_merge(self):
         c = DmtCurve([(0, 4), (1, 2), (2, 0)])
@@ -228,14 +234,14 @@ class TestDomainGuards:
             (DmtCurve.pointwise_min, ([dmt_rp((2, 2)), DmtCurve([(0, 8)])],), "partial curves"),
             (DmtCurve.scale, (dmt_rp((2, 2)), 0), "scale factor must be positive"),
             (DmtCurve.scale, (dmt_rp((2, 2)), -1), "scale factor must be positive"),
-            (dmt_rayleigh, (0, 2), "antenna counts must be positive"),
-            (dmt_rayleigh, (2, 0), "antenna counts must be positive"),
-            (dmt_symmetric, (0, 2), "n and hop count must be positive"),
-            (dmt_symmetric, (2, 0), "n and hop count must be positive"),
+            (cutset_bound, ((0, 2),), "antenna counts must be positive"),
+            (cutset_bound, ((2, 0),), "antenna counts must be positive"),
+            (dmt_rp, (5,), "antenna counts must be positive integers: 5"),
+            (cutset_bound, (None,), "antenna counts must be positive integers: None"),
             (dmt_ff_lower_bound, ((2, 2, 2), 0), "mode count must be positive"),
             (dmt_parallel_af, ((2, 2, 2), []), "need at least one path"),
-            (dmt_rayleigh, (2.5, 2), "antenna counts must be positive"),
-            (dmt_rayleigh, (True, 2), "antenna counts must be positive"),
+            (cutset_bound, ((2.5, 2),), "antenna counts must be positive"),
+            (cutset_bound, ((True, 2),), "antenna counts must be positive"),
         ],
     )
     def test_rejected(self, func, args, message):

@@ -9,7 +9,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from oracles import bottleneck_full_diversity, search_min_full_diversity_partition
 
-from relaydmt.dmt_core import cutset_bound, dmt_rp
+from relaydmt.dmt_core import DecodeSet, cutset_bound, dmt_rp, dmt_serial_partition
 from relaydmt.partition import (
     AfPath,
     Partition,
@@ -19,7 +19,6 @@ from relaydmt.partition import (
     is_independent,
     max_partition,
     min_full_div_partition_2hop,
-    nonind_partition_diversity,
     partition_from_json,
     partition_to_json,
     singleton_path,
@@ -335,24 +334,32 @@ class TestFlipSchedule:
         assert warned_shapes != set(shapes)
 
 
+def pivot_diversity(counts, layer):
+    """Diversity of cycling the single-antenna selections of relay ``layer``: DF there."""
+    return dmt_serial_partition(counts, DecodeSet((layer, len(counts) - 1))).d_max
+
+
 class TestNonIndependentPartition:
     def test_32223_pivot_2(self):
-        assert nonind_partition_diversity((3, 2, 2, 2, 3), 2) == 4
+        assert pivot_diversity((3, 2, 2, 2, 3), 2) == 4
 
     def test_222_pivot_1(self):
-        assert nonind_partition_diversity((2, 2, 2), 1) == 4
+        assert pivot_diversity((2, 2, 2), 1) == 4
 
     def test_matches_segment_minimum(self, dims_to_3_3):
+        # The paper's value: the smaller AF diversity of the two sides, the pivot in both.
         for counts in dims_to_3_3:
             hops = len(counts) - 1
             for layer in range(1, hops):
                 left = dmt_rp(counts[: layer + 1]).d_max
                 right = dmt_rp(counts[layer:]).d_max
-                assert nonind_partition_diversity(counts, layer) == min(left, right)
+                assert pivot_diversity(counts, layer) == min(left, right), (counts, layer)
 
     def test_pivot_out_of_range(self):
-        with pytest.raises(ValueError):
-            nonind_partition_diversity((2, 2, 2), 2)
+        # The source and the destination are not relay layers.
+        for layer in (0, 2):
+            with pytest.raises(ValueError, match="decode indices"):
+                pivot_diversity((2, 2, 2), layer)
 
 
 class TestDiversitySumBound:

@@ -1,8 +1,8 @@
 """
 The package's declared surface: ``relaydmt`` exports exactly its modules'
 ``__all__`` names, exported names resolve, each is reached from somewhere
-other than the tests, and the benchmark's traced run can still wrap every
-attribute it traces.
+other than the tests, no oracle of ``tests/oracles.py`` is among them, and the
+benchmark's traced run can still wrap every attribute it traces.
 """
 
 import ast
@@ -83,6 +83,15 @@ def test_every_export_is_reached_outside_tests(name):
         if attr not in read and not re.search(rf"\b{re.escape(attr)}\b", text)
     ]
     assert unreached == []
+
+
+def test_oracles_stay_out_of_the_package():
+    # An oracle is a second derivation beside the tests; one the package
+    # exports again would check the package against itself.
+    tree = ast.parse((ROOT / "tests" / "oracles.py").read_text())
+    defined = {node.name for node in tree.body if isinstance(node, ast.FunctionDef)}
+    public = {name for name in vars(relaydmt) if not name.startswith("_")}
+    assert defined & public == set()
 
 
 def test_benchmark_spans_install(monkeypatch):
