@@ -282,6 +282,11 @@ def sample_block(dim: DimensionLike, seed: int, block_index: int) -> ChannelReal
     return _draw_hops(as_dimension(dim), _block_rng(seed, block_index), BLOCK_SIZE)
 
 
+def _zero_trial(dim: Dimension) -> ChannelRealization:
+    """One all-zero trial of ``dim``, from no stream: a run tries its scheme on it first."""
+    return ChannelRealization(tuple(np.zeros((1, b, a), complex) for a, b in zip(dim, dim[1:])))
+
+
 # --------------------------------------------------------------------------
 # Batched small-matrix kernels
 # --------------------------------------------------------------------------
@@ -607,8 +612,9 @@ def outage_curve(
     then estimates the maximum diversity).  With ``"multiplexing"`` the
     per-point rate is ``rate * log2(SNR)``, tracing the tradeoff at
     multiplexing gain ``rate``; far more trials are needed there for
-    comparable accuracy.  An empty grid gives ``[]`` at once; otherwise every
-    point's rate, the seed and the counts are checked before the pool opens.
+    comparable accuracy.  An empty grid gives ``[]`` at once.  Otherwise, before any
+    pool opens, every point's rate, the seed and the counts are checked, and the scheme
+    runs on one all-zero trial of ``dim``, where a misfit raises its own error.
     """
     if rate_policy == "fixed":
         rates = [rate] * len(snr_grid_db)
@@ -620,6 +626,7 @@ def outage_curve(
         return []
     if not all(map(math.isfinite, rates)):
         raise ValueError(f"rate must be finite at every point; {rate_policy} rate {rate} is not")
+    scheme.outage(_zero_trial(as_dimension(dim)), 1.0, 0.0)
     with _block_pool(workers, trials, BLOCK_SIZE, seed):
         return [
             estimate_outage(dim, scheme, rr, s, trials, seed, workers=workers)

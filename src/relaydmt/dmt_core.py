@@ -29,7 +29,6 @@ __all__ = [
     "DmtCurve",
     "DecodeSet",
     "as_dimension",
-    "coeffs",
     "dmt_rp",
     "cutset_bound",
     "dmt_serial_partition",
@@ -273,22 +272,8 @@ def _merge_collinear(verts: list[tuple[Rational, Rational]]) -> tuple[tuple[Frac
 # ---------------------------------------------------------------------------
 
 
-def coeffs(dim: DimensionLike) -> tuple[int, ...]:
-    """Disconnection costs ``(c_1, ..., c_{n_min})`` of the matrix-product channel.
-
-    ``c_i`` is the high-SNR cost of zeroing the i-th strongest eigenmode;
-    the costs decrease strictly and sum to the AF ``d_max``.  On the
-    sorted counts ``m_0 <= ... <= m_N``::
-
-        c_i = 1 - i + min over k in 1..N of floor((m_0 + ... + m_k - i) / k)
-
-    for ``i = 1 .. n_min``, evaluated in exact integer arithmetic.
-    """
-    return tuple(_coeff_values(as_dimension(dim).counts))
-
-
 def _coeff_values(counts: Sequence[int]) -> list[int]:
-    # The formula of coeffs on unvalidated counts.
+    # The disconnection costs (c_1, ..., c_{n_min}) of dmt_rp, on unvalidated counts.
     ordered = sorted(counts)
     prefix = list(itertools.accumulate(ordered))  # prefix[k] = m_0 + ... + m_k
     ks = range(1, len(ordered))
@@ -296,7 +281,7 @@ def _coeff_values(counts: Sequence[int]) -> list[int]:
 
 
 def _af_d_max(counts: Sequence[int]) -> int:
-    # d_max of dmt_rp(counts), the sum of its coefficients, without building the curve.
+    # d_max of dmt_rp(counts), the sum of its costs, without building the curve.
     return sum(_coeff_values(counts))
 
 
@@ -305,11 +290,13 @@ def dmt_rp(dim: DimensionLike) -> DmtCurve:
 
     The curve connects the integer points ``(k, sum of c_i for i > k)``
     for ``k = 0 .. n_min``; it depends only on the sorted antenna counts.
+    The disconnection costs ``c_i = d(i - 1) - d(i)`` decrease strictly; on the sorted
+    counts ``m_0 <= ... <= m_N``, ``c_i = 1 - i + min_{k=1..N} floor((m_0 + ... + m_k - i) / k)``.
     One hop is the point-to-point Rayleigh curve ``(nt - k)(nr - k)``; a chain
     of ``N >= n`` hops of ``n`` antennas each gives ``(n - k)(n + 1 - k) / 2``.
     """
     dim = as_dimension(dim)
-    c = coeffs(dim)
+    c = _coeff_values(dim.counts)
     points = [(k, sum(c[k:])) for k in range(dim.n_min + 1)]
     return DmtCurve(points)
 
@@ -353,8 +340,8 @@ def where_to_decode(dim: DimensionLike, d: int) -> DecodeSet:
     destination as possible while the AF segment ending there still has
     diversity >= ``d``.  AF diversity degrades as segments lengthen, so
     the greedy choice is optimal.  Diversities are read as integers: a
-    segment's is the sum of its :func:`coeffs`, the cut-set ceiling is
-    ``min_i n_{i-1} n_i``.
+    segment's is the sum of its disconnection costs ``c_i`` (see
+    :func:`dmt_rp`), the cut-set ceiling is ``min_i n_{i-1} n_i``.
     """
     dim = as_dimension(dim)
     if d > _cutset_d_max(dim):

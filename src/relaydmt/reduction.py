@@ -10,7 +10,8 @@ its first ``k`` sorted layers iff
     k * (m_{k+1} + 1) >= m_0 + ... + m_k
 
 with ``m_{N+1}`` treated as infinite, so reduction to itself is always
-allowed.  The smallest such ``k`` is the channel *order*.
+allowed.  The channel *order*, :func:`analyze`'s ``order``, is the first
+``k`` this criterion accepts; it accepts every larger ``k`` too.
 """
 
 from __future__ import annotations
@@ -22,7 +23,6 @@ from .dmt_core import Dimension, DimensionLike, as_dimension
 
 __all__ = [
     "ReductionReport",
-    "can_reduce",
     "analyze",
     "equivalent",
     "practical_vertical_reduction",
@@ -45,22 +45,13 @@ class ReductionReport:
     n_bar: int
 
 
-def can_reduce(dim: DimensionLike, k: int) -> bool:
-    """Whether the channel reduces to its first ``k`` sorted layers (a ``k``-hop chain)."""
-    dim = as_dimension(dim)
-    if not 1 <= k <= dim.hops:
-        raise ValueError(f"k must be in 1..{dim.hops}")
-    if k == dim.hops:
-        return True
-    ordered = dim.ordered
-    return k * (ordered[k + 1] + 1) >= sum(ordered[: k + 1])
-
-
 def analyze(dim: DimensionLike) -> ReductionReport:
     """Channel order, minimal forms, and the minimal per-layer antenna count."""
     dim = as_dimension(dim)
     ordered = dim.ordered
-    order = next(k for k in range(1, dim.hops + 1) if can_reduce(dim, k))
+    # The first k the module's criterion accepts; k = N always reduces to itself.
+    accepts = (k for k in range(1, dim.hops) if k * (ordered[k + 1] + 1) >= sum(ordered[: k + 1]))
+    order = next(accepts, dim.hops)
     head = ordered[: order + 1]
     n_bar = math.ceil(sum(head) / order) - 1
     padded = head + (n_bar,) * (dim.hops - order)

@@ -48,6 +48,7 @@ from .channel_sim import (
     _map_blocks,
     _matmul,
     _trial_slice,
+    _zero_trial,
 )
 
 # Unused here: the benchmark's traced run wraps these names in this module.
@@ -351,31 +352,27 @@ def _ml_decisions(
     return decided
 
 
-def _ser_block(dim, scheme, cb, snrs, words, table, seed, block, live) -> np.ndarray:
+def _ser_block(dim, scheme, cb, snrs, widths, words, table, seed, block, live) -> np.ndarray:
     """Codeword errors among the first ``live`` trials of one block, one count per SNR.
 
-    The block stream draws the hops (through the shared hop sampler), the
-    sent codeword indices, then per-sub-channel white noise ``W``, each for
-    the whole block, so it depends on neither ``live`` nor the SNRs.  At each
-    SNR the live trials receive ``G X + W`` through the scaled whitened gain
-    ``G = amp L^-1 G_eff`` (``L L^H`` the noise covariance).
+    The block stream draws the hops (through the shared hop sampler), the sent
+    codeword indices, then white noise ``W`` shaped by each of the run's ``widths``
+    (effective-channel outputs), in that order and each for the whole block, so it
+    depends on neither ``live`` nor the SNRs.  At each SNR the live trials receive
+    ``G X + W`` through ``G = amp L^-1 G_eff`` (``L L^H`` the noise covariance).
     """
     rng = _block_rng(seed, block)
     real = _trial_slice(_draw_hops(dim, rng, CODED_BLOCK_SIZE), 0, live)
     sent = rng.integers(0, words.shape[0], size=CODED_BLOCK_SIZE)[:live]
+    noise = [_complex_normal(rng, (CODED_BLOCK_SIZE, w, cb.time_span))[:live] for w in widths]
     # Taken along the last axis of the transpose, so trials stay innermost.
     sent_words = [np.take(words[:, k].T, sent, axis=-1).T for k in range(cb.k_sub)]
-    errors, noise = np.zeros(len(snrs), dtype=np.int64), None
+    errors = np.zeros(len(snrs), dtype=np.int64)
     for i, snr in enumerate(snrs):
         effs = scheme.effectives(real, snr)
-        if len(effs) != cb.k_sub:
-            raise ValueError(f"code has {cb.k_sub} sub-channels but the scheme offers {len(effs)}")
-        if noise is None:  # shaped by the first point's channels; no SNR changes their shapes
-            noise = [_complex_normal(rng, (CODED_BLOCK_SIZE, e.gain.shape[-2], cb.time_span))
-                     for e in effs]
         amp = math.sqrt(snr / dim[0]) * cb.energy_norm
         gains = [amp * _forward_sub(_cholesky(e.noise_cov), e.gain) for e in effs]
-        received = [_matmul(g, x) + w[:live] for g, x, w in zip(gains, sent_words, noise)]
+        received = [_matmul(g, x) + w for g, x, w in zip(gains, sent_words, noise)]
         errors[i] = np.count_nonzero(_ml_decisions(gains, received, table) != sent)
     return errors
 
@@ -391,12 +388,13 @@ def simulate_ser(
 ) -> list[OutageEstimate]:
     """Codeword error rate per SNR point under exhaustive ML decoding.
 
-    The code's transmit antennas must match the channel input and its
-    sub-channel count the scheme's effective channels (one for AF, one
-    per flip mode for FF); DF has no effective channel and raises
-    ``TypeError``.  Deterministic for a given seed, independent of the
-    worker count and of the grid: each block is drawn once and decided
-    at every point, in one map over the run's blocks (none for an empty grid).
+    The code's transmit antennas must match the channel input and its sub-channel
+    count the scheme's effective channels (one for AF, one per flip mode for FF),
+    built once on an all-zero trial of ``dim`` before any pool opens: a misfit
+    raises its own error there, and DF (no effective channel) ``TypeError``.
+    Deterministic for a given seed, independent of the worker count and of the
+    grid: each block is drawn once and decided at every point, in one map over
+    the run's blocks (none for an empty grid).
     """
     dim = as_dimension(dim)
     if cb.n_t != dim[0]:
@@ -405,9 +403,12 @@ def simulate_ser(
         )
     if not snr_grid_db:
         return []
+    widths = [e.gain.shape[-2] for e in scheme.effectives(_zero_trial(dim), 1.0)]
+    if len(widths) != cb.k_sub:
+        raise ValueError(f"code has {cb.k_sub} sub-channels but the scheme offers {len(widths)}")
     words, _ = cb.codewords()
     snrs = [10.0 ** (snr_db / 10.0) for snr_db in snr_grid_db]
-    params = (dim, scheme, cb, snrs, words, _word_table(words))
+    params = (dim, scheme, cb, snrs, widths, words, _word_table(words))
     errors = _map_blocks(_ser_block, params, trials, CODED_BLOCK_SIZE, workers, seed)
     bits = cb.rate_syms_per_use * math.log2(cb.alphabet.order)
     return [OutageEstimate(float(db), bits, trials, int(e)) for db, e in zip(snr_grid_db, errors)]

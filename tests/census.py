@@ -34,7 +34,11 @@ import sys
 import threading
 from types import CodeType
 
-PACKAGE_DIR = os.path.realpath(importlib.util.find_spec("relaydmt").submodule_search_locations[0])
+_SPEC = importlib.util.find_spec("relaydmt")
+if _SPEC is None:
+    print("census: cannot import relaydmt; run with PYTHONPATH=src", file=sys.stderr)
+    sys.exit(2)
+PACKAGE_DIR = os.path.realpath(_SPEC.submodule_search_locations[0])
 
 
 def _function_lines(code: CodeType) -> set[int]:

@@ -16,8 +16,11 @@ part of the package:
   curves of ``dmt_core.cutset_bound``);
 * ``split_values`` and ``cross_check`` -- the flow recursion cut at
   every interior layer (checks ``dmt_core.dmt_rp``);
-* ``interval_boundaries`` -- the cost-interval edges (a second
-  derivation of ``dmt_core.coeffs``);
+* ``reduces_to`` -- the paper's reduction criterion (checks the channel
+  order of ``reduction.analyze``);
+* ``interval_boundaries`` -- the cost-interval edges (a second derivation
+  of ``rp_costs``, the disconnection costs ``c_i = d(i - 1) - d(i)`` read
+  off ``dmt_core.dmt_rp``);
 * ``ml_decode`` -- exhaustive ML decoding of one reception with
   ``np.linalg`` (checks ``stbc._ml_decisions``);
 * ``word_table_concat`` -- the ML metric's codeword table assembled from
@@ -273,6 +276,22 @@ def cross_check(dim: DimensionLike) -> bool:
             if dmt_recursive(shifted, 0) != expected:
                 return False
     return True
+
+
+def reduces_to(dim: DimensionLike, k: int) -> bool:
+    """The paper's criterion: the channel reduces to its first ``k`` sorted layers.
+
+    ``k (m_{k+1} + 1) >= m_0 + ... + m_k`` on the sorted counts, with
+    ``m_{N+1}`` infinite, so ``k = N`` always holds.
+    """
+    o = as_dimension(dim).ordered
+    return k == len(o) - 1 or k * (o[k + 1] + 1) >= sum(o[: k + 1])
+
+
+def rp_costs(dim: DimensionLike) -> tuple[Fraction, ...]:
+    """The disconnection costs ``c_i = d(i - 1) - d(i)`` of ``dmt_rp``, ``i = 1 .. n_min``."""
+    curve = dmt_rp(dim)
+    return tuple(curve.evaluate(i - 1) - curve.evaluate(i) for i in range(1, min(dim) + 1))
 
 
 def interval_boundaries(dim: DimensionLike) -> tuple[int, ...]:

@@ -158,9 +158,10 @@ def coded_main() -> None:
         dim, cb = as_dimension(dim), stbc.Codebook(code, stbc.QamAlphabet.qam(qam))
         words = cb.codewords()[0]
         table = stbc._word_table(words)
+        widths = [e.gain.shape[-2] for e in scheme.effectives(channel_sim._zero_trial(dim), 1.0)]
         for snrs in {len(g): g for g in (grid[:1], grid)}.values():
             snrs = [10.0 ** (s / 10.0) for s in snrs]
-            args = (dim, scheme, cb, snrs, words, table, 1, 0, stbc.CODED_BLOCK_SIZE)
+            args = (dim, scheme, cb, snrs, widths, words, table, 1, 0, stbc.CODED_BLOCK_SIZE)
             counts = [int(c) for c in stbc._ser_block(*args)]
             alone = [stbc._ser_block(*args[:3], [s], *args[4:])[0] for s in snrs]
             assert counts == alone, (counts, alone)

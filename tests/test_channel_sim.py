@@ -516,6 +516,24 @@ def run_counts(run, trials, workers, seed=1):
     return [p.outage_count for p in pts]
 
 
+# Schemes that do not fit their channel, each with the error its own builder raises:
+# runner, channel, scheme, exception type and message.
+MISFITS = {
+    "df-decode-set": ("curve", (2, 2, 2), DfScheme(DecodeSet((1,))), ValueError,
+                      "last decode index must be the destination layer 2"),
+    "svd-align-asymmetric": ("curve", (2, 1, 2), SvdAlignScheme(), ValueError,
+                             "alignment requires a symmetric (n,...,n) dimension"),
+    "ff-schedule": ("curve", (2, 2, 2, 2), default_ff_scheme((2, 2, 2)), ValueError,
+                    "schedule was built for a different dimension"),
+    "parallel-af-partition": ("curve", (2, 2, 2), ParallelAfScheme(max_partition((2, 2, 2, 2))),
+                              ValueError, "path spans 4 layers, channel has 3"),
+    "alamouti-over-ff": ("ser", (2, 2, 2), default_ff_scheme((2, 2, 2)), ValueError,
+                         "code has 1 sub-channels but the scheme offers 2"),
+    "df-coded": ("ser", (2, 2, 2), DfScheme(DecodeSet((2,))), TypeError,
+                 "the df scheme has no effective channel"),
+}
+
+
 class TestEstimateOutage:
     def test_zero_rate_never_in_outage(self):
         est = estimate_outage((2, 2, 2), AfScheme(), 0.0, 10.0, 5000, seed=1)
@@ -576,6 +594,19 @@ class TestEstimateOutage:
         with pytest.raises(ValueError, match="rate must be finite at every point"):
             outage_curve((2, 2), AfScheme(), rate, [0.0, 30.0], 2 * BLOCK_SIZE, 1, workers=2,
                          rate_policy=policy)
+        assert pool_sizes == []
+
+    @pytest.mark.parametrize("case", list(MISFITS))
+    def test_misfit_scheme_rejected_before_any_pool(self, case, pool_sizes, no_draw):
+        # Each used to open a 2-process pool and fail only in its first block.
+        run, dim, scheme, error, message = MISFITS[case]
+        with pytest.raises(error) as info:
+            if run == "curve":
+                outage_curve(dim, scheme, 2.0, [4.0, 10.0], 2 * BLOCK_SIZE, 1, workers=2)
+            else:
+                cb = stbc.alamouti(stbc.QamAlphabet.qam(4))
+                stbc.simulate_ser(dim, scheme, cb, [4.0, 10.0], 2 * stbc.CODED_BLOCK_SIZE, 1, 2)
+        assert str(info.value) == message
         assert pool_sizes == []
 
     def test_integer_like_trials_accepted(self):

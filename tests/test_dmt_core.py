@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import dmt_rayleigh, dmt_symmetric
+from oracles import dmt_rayleigh, dmt_symmetric, rp_costs
 
 from relaydmt.dmt_core import (
     _af_d_max,
@@ -13,7 +13,6 @@ from relaydmt.dmt_core import (
     Dimension,
     DmtCurve,
     as_dimension,
-    coeffs,
     cutset_bound,
     dmt_ff_lower_bound,
     dmt_parallel_af,
@@ -251,18 +250,18 @@ class TestDomainGuards:
 
 class TestCoeffs:
     def test_222(self):
-        assert coeffs((2, 2, 2)) == (2, 1)
+        assert rp_costs((2, 2, 2)) == (2, 1)
 
     def test_243(self):
-        assert coeffs((2, 4, 3)) == (4, 2)
+        assert rp_costs((2, 4, 3)) == (4, 2)
 
     @pytest.mark.parametrize("m", [1, 2, 3, 7])
     def test_single_relay_stream(self, m):
-        assert coeffs((1, m)) == (m,)
+        assert rp_costs((1, m)) == (m,)
 
     def test_strictly_decreasing(self, dims_to_5_4):
         for counts in dims_to_5_4:
-            c = coeffs(counts)
+            c = rp_costs(counts)
             assert all(a > b for a, b in zip(c, c[1:])), counts
 
 
@@ -418,7 +417,7 @@ class TestClosedForms:
             for b in range(a + 1, len(counts))
         }
         for seg in segments:
-            assert sum(coeffs(seg)) == dmt_rp(seg).d_max, seg
+            assert sum(rp_costs(seg)) == dmt_rp(seg).d_max, seg
             assert _af_d_max(seg) == dmt_rp(seg).d_max, seg
 
     def test_beyond_cutset_raises(self, dims_to_5_4):

@@ -1,24 +1,28 @@
 import pytest
-from oracles import interval_boundaries
+from oracles import interval_boundaries, reduces_to, rp_costs
 
-from relaydmt.dmt_core import as_dimension, coeffs, dmt_rp
-from relaydmt.reduction import analyze, can_reduce, equivalent, practical_vertical_reduction
+from relaydmt.dmt_core import as_dimension, dmt_rp
+from relaydmt.reduction import analyze, equivalent, practical_vertical_reduction
 
 
 class TestCanReduce:
+    """A channel reduces to ``k`` hops iff ``k`` is at least its order."""
+
     def test_141_reduces_to_rayleigh(self):
-        assert can_reduce((1, 4, 1), 1)
+        assert analyze((1, 4, 1)).order == 1
 
     def test_222_does_not(self):
-        assert not can_reduce((2, 2, 2), 1)
+        assert analyze((2, 2, 2)).order == 2
 
     def test_self_reduction_always_true(self, dims_to_4_3):
         for counts in dims_to_4_3:
-            assert can_reduce(counts, len(counts) - 1)
+            assert analyze(counts).order <= len(counts) - 1, counts
 
-    def test_k_out_of_range(self):
-        with pytest.raises(ValueError):
-            can_reduce((2, 2, 2), 0)
+    def test_order_is_first_k_the_criterion_accepts(self, dims_to_5_4):
+        for counts in dims_to_5_4:
+            hops, order = len(counts) - 1, analyze(counts).order
+            assert not any(reduces_to(counts, k) for k in range(1, order)), counts
+            assert all(reduces_to(counts, k) for k in range(order, hops + 1)), counts
 
 
 class TestAnalyze:
@@ -120,7 +124,7 @@ class TestIntervalBoundaries:
             for i in range(1, dim.n_min + 1):
                 k = next(kk for kk in range(1, dim.hops + 1) if p[kk] <= i <= p[kk - 1])
                 expect.append(1 - i + (sum(o[: k + 1]) - i) // k)
-            assert tuple(expect) == coeffs(dim), counts
+            assert tuple(expect) == rp_costs(dim), counts
 
     def test_first_boundary_is_n_min(self, dims_to_4_3):
         for counts in dims_to_4_3:
