@@ -21,8 +21,9 @@ block once and decides it at every SNR point through the scaled whitened
 channel: it expands the distance, drops the part that does not depend on
 the codeword, and scores every codeword with real matrix products against
 the run's one codeword table, in row batches of at most 4 MB of scores.
-The exact NVD search (closed-form product determinants) streams its
-tuples in fixed chunks that do not change it.
+The exact NVD search (closed-form product determinants) evaluates each
+half of a difference tuple once and combines the halves in fixed
+row blocks that do not change it.
 """
 
 from __future__ import annotations
@@ -68,7 +69,7 @@ __all__ = [
 
 CODED_BLOCK_SIZE = 2048
 _SCORE_ENTRIES = 2**19  # float64 scores per ML row batch: 4 MB
-_NVD_CHUNK = 4096  # difference tuples per NVD search step
+_NVD_CHUNK = 4096  # difference tuples per NVD search block: whole rows, at least one
 _NVD_EVALUATION_CAP = 10**6  # difference tuples one NVD search may enumerate
 
 _GOLDEN_RATIO = (1.0 + math.sqrt(5.0)) / 2.0
@@ -201,26 +202,27 @@ def _encode_golden_modes(s: np.ndarray, gammas: Sequence[complex]) -> np.ndarray
     return x
 
 
-def _golden_norm(s: np.ndarray, i: int) -> np.ndarray:
-    """``N(x, y) = (x + y th)(x + y th') = x^2 + xy - y^2`` of symbols ``x, y = s[i], s[i + 1]``."""
-    x, y = s[..., i], s[..., i + 1]
+def _golden_norm(h: np.ndarray) -> np.ndarray:
+    """``N(x, y) = (x + y th)(x + y th') = x^2 + xy - y^2`` of the half-tuple ``x, y = h``."""
+    x, y = h[..., 0], h[..., 1]
     return x * x + x * y - y * y
 
 
 # Each construction: its encoder, sub-channel count, symbols per codeword and the
-# product determinant prod_k |det D_k|^2 of a difference tuple in closed form. The
-# golden determinant is alpha alpha' (N(a, b) - gamma N(c, d)), since th + th' = 1
+# product determinant prod_k |det D_k|^2 of a difference tuple in closed form, split as
+# combine(half(s[..., :h]), half(s[..., h:])) over its two half-tuples (h = symbols / 2).
+# The golden determinant is alpha alpha' (N(a, b) - gamma N(c, d)), since th + th' = 1
 # and th th' = -1, with alpha alpha' = 2 + i; the parallel modes +-zeta8 multiply to
 # N(a, b)^2 - i N(c, d)^2, since zeta8^2 = i.
 _CODES = {
-    "alamouti": (_encode_alamouti, 1, 2, lambda s: (_abs2(s[..., 0]) + _abs2(s[..., 1])) ** 2),
+    "alamouti": (_encode_alamouti, 1, 2, lambda h: _abs2(h[..., 0]), lambda u, v: (u + v) ** 2),
     "golden": (
         functools.partial(_encode_golden_modes, gammas=(1j,)), 1, 4,
-        lambda s: 5.0 * _abs2(_golden_norm(s, 0) - 1j * _golden_norm(s, 2)),
+        _golden_norm, lambda u, v: 5.0 * _abs2(u - 1j * v),
     ),
     "parallel-golden": (
         functools.partial(_encode_golden_modes, gammas=(_ZETA8, -_ZETA8)), 2, 4,
-        lambda s: 25.0 * _abs2(_golden_norm(s, 0) ** 2 - 1j * _golden_norm(s, 2) ** 2),
+        lambda h: _golden_norm(h) ** 2, lambda u, v: 25.0 * _abs2(u - 1j * v),
     ),
 }
 
@@ -261,10 +263,13 @@ def verify_nvd(
 
     Evaluates ``prod_k det(D_k D_k^H)`` by the code's closed form in the symbols over every
     nonzero tuple of difference symbols (codewords are symbol-linear, so these are exactly the
-    codeword differences), ``_NVD_CHUNK`` tuples at a time.  On Gaussian-integer differences
-    every product is an integer below 2**53, so the search is exact and does not depend on
-    the chunk size.  Returns the minimum and the first tuple, in enumeration order, that
-    attains it.  Raises if the enumeration would exceed ``_NVD_EVALUATION_CAP`` (10**6)
+    codeword differences).  The form reads one value per half-tuple, so each of the
+    ``n**(k/2)`` half-tuples is evaluated once, and the search combines
+    ``max(1, _NVD_CHUNK // n**(k/2))`` first halves with every second half at a time, in
+    enumeration order; only a pair of two all-zero halves is skipped.  On Gaussian-integer
+    differences every product is an integer below 2**53, so the search is exact and does not
+    depend on the block size.  Returns the minimum and the first tuple, in enumeration order,
+    that attains it.  Raises if the enumeration would exceed ``_NVD_EVALUATION_CAP`` (10**6)
     tuples (checked before any work) rather than silently sampling.  Raw lattice symbols are
     used; no energy normalization is applied.
     """
@@ -275,17 +280,21 @@ def verify_nvd(
             f"{n_tuples} difference tuples exceed the exhaustive cap of "
             f"{_NVD_EVALUATION_CAP}; restrict the difference alphabet"
         )
-    best = math.inf
-    best_tuple: tuple[complex, ...] = ()
-    for start in range(0, n_tuples, _NVD_CHUNK):
-        chunk = _symbol_tuples(difference_points, k, start, min(start + _NVD_CHUNK, n_tuples))
-        # The zero tuple scores inf, so it never attains the minimum.
-        prod = np.where(np.any(chunk != 0, axis=-1), _CODES[cb.name][3](chunk), np.inf)
+    *_, half, combine = _CODES[cb.name]
+    halves = _symbol_tuples(difference_points, k // 2, 0, len(difference_points) ** (k // 2))
+    values, zero = half(halves), np.all(halves == 0, axis=-1)
+    rows = max(1, _NVD_CHUNK // max(1, len(values)))
+    best, best_index = math.inf, 0
+    for start in range(0, len(values), rows):
+        prod = combine(values[start : start + rows, None], values)
+        # A pair of all-zero halves is the zero tuple: it scores inf and never attains the minimum.
+        prod[np.ix_(zero[start : start + rows], zero)] = np.inf
         i = int(np.argmin(prod))
-        if prod[i] < best:
-            best = float(prod[i])
-            best_tuple = tuple(chunk[i])
-    return best, best_tuple
+        if prod.flat[i] < best:
+            best, best_index = float(prod.flat[i]), start * len(values) + i
+    if best == math.inf:
+        return best, ()
+    return best, tuple(_symbol_tuples(difference_points, k, best_index, best_index + 1)[0])
 
 
 # --------------------------------------------------------------------------

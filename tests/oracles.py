@@ -31,7 +31,7 @@ part of the package:
   and ``stbc.verify_nvd``);
 * ``det_products`` and ``nvd_products_dense`` -- product determinants
   taken in float from the encoded codewords (checks the closed forms in
-  ``stbc._CODES``);
+  ``stbc._CODES``, each applied to a whole tuple's two halves);
 * ``sample_channel`` -- the single realization a trial of a run sees;
 * ``draw_block`` -- a stack of ``count`` trials drawn from a block's
   stream the way ``sample_block`` draws a whole block.
@@ -396,12 +396,14 @@ def nvd_products_dense(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Every difference tuple, zero included, and its float product determinant.
 
-    Encodes the tuples 65,536 at a time, which bounds the codeword memory,
-    and takes :func:`det_products` of the codewords, so the products carry
-    the encoder's rounding.
+    Encodes the tuples 65,536 at a time (at least once, so an empty
+    alphabet gives empty arrays), which bounds the codeword memory, and
+    takes :func:`det_products` of the codewords, so the products carry the
+    encoder's rounding.
     """
     tuples = symbol_tuples_dense(difference_points, cb.num_symbols)
-    prods = [det_products(cb.encode(tuples[a : a + 65536])) for a in range(0, len(tuples), 65536)]
+    starts = range(0, max(len(tuples), 1), 65536)
+    prods = [det_products(cb.encode(tuples[a : a + 65536])) for a in starts]
     return tuples, np.concatenate(prods)
 
 
@@ -413,9 +415,12 @@ def nvd_minimum_dense(
     Scores every tuple by :func:`nvd_products_dense` rounded to the
     nearest integer, which is exact for Gaussian-integer differences,
     and returns the first nonzero tuple in enumeration order that
-    attains the minimum.
+    attains the minimum, or ``(inf, ())`` if no tuple is nonzero.
     """
     tuples, prods = nvd_products_dense(cb, difference_points)
-    exact = np.where(np.any(tuples != 0, axis=-1), np.rint(prods), np.inf)
+    nonzero = np.any(tuples != 0, axis=-1)
+    if not nonzero.any():
+        return math.inf, ()
+    exact = np.where(nonzero, np.rint(prods), np.inf)
     i = int(np.argmin(exact))
     return float(exact[i]), tuple(tuples[i])

@@ -217,14 +217,18 @@ class TestVerifyNvd:
         tuples, oracle = nvd_products_dense(cb, diffs)
         rounded = np.rint(oracle)
         assert np.max(np.abs(oracle - rounded)) < 0.01
-        assert np.array_equal(stbc._CODES[code][3](tuples), rounded)
+        *_, half, combine = stbc._CODES[code]
+        h = cb.num_symbols // 2
+        assert np.array_equal(combine(half(tuples[:, :h]), half(tuples[:, h:])), rounded)
 
     @NVD_CASES
     def test_streamed_search_matches_dense(self, code, qam):
-        # Every case but alamouti spans more than one chunk: 2 at 4-QAM, 96 boxed 16-QAM.
+        # Every case but alamouti spans more than one block of first halves:
+        # 2 at 4-QAM (81 halves, 50 a block), 105 boxed 16-QAM (625 halves, 6 a block).
         cb, diffs = nvd_case(code, qam)
-        chunks = math.ceil(len(diffs) ** cb.num_symbols / stbc._NVD_CHUNK)
-        assert chunks == (1 if code == "alamouti" else 2 if qam == 4 else 96)
+        halves = len(diffs) ** (cb.num_symbols // 2)
+        blocks = math.ceil(halves / max(1, stbc._NVD_CHUNK // halves))
+        assert blocks == (1 if code == "alamouti" else 2 if qam == 4 else 105)
         mn, arg = verify_nvd(cb, diffs)
         assert mn == NVD_MINIMA[code]
         dense_mn, dense_arg = nvd_minimum_dense(cb, diffs)
@@ -242,28 +246,45 @@ class TestVerifyNvd:
         assert verify_nvd(cb, diffs) == expect
 
     def test_chunks_cover_the_enumeration_once(self, q4, q16, monkeypatch):
-        # The minimum sits in the first chunk, so the case above alone would
-        # miss a skipped or repeated later chunk.
+        # The minimum sits in the first block, so the case above alone would
+        # miss a skipped or repeated later block: the blocks together must score
+        # every (first half, second half) pair once, in enumeration order.
         seen = []
-        encode, k_sub, num_symbols, products = stbc._CODES["golden"]
+        encode, k_sub, num_symbols, half, combine = stbc._CODES["golden"]
 
-        def spy(chunk):
-            seen.append(chunk)
-            return products(chunk)
+        def spy(u, v):
+            seen.append(np.broadcast_arrays(u, v))
+            return combine(u, v)
 
-        monkeypatch.setitem(stbc._CODES, "golden", (encode, k_sub, num_symbols, spy))
+        monkeypatch.setitem(stbc._CODES, "golden", (encode, k_sub, num_symbols, half, spy))
         cb, diffs = golden(q4), q16.difference_points(max_coord=4)
         verify_nvd(cb, diffs)
-        assert [len(c) for c in seen] == [4096] * 95 + [390625 - 95 * 4096]
-        assert np.array_equal(np.concatenate(seen), symbol_tuples_dense(diffs, 4))
+        # 625 half-tuples; 4096 // 625 = 6 first halves per block.
+        assert [u.shape for u, _ in seen] == [(6, 625)] * 104 + [(1, 625)]
+        tuples = symbol_tuples_dense(diffs, 4)
+        assert np.array_equal(np.concatenate([u.ravel() for u, _ in seen]), half(tuples[:, :2]))
+        assert np.array_equal(np.concatenate([v.ravel() for _, v in seen]), half(tuples[:, 2:]))
+
+    @pytest.mark.parametrize("code", ["alamouti", "golden", "parallel-golden"])
+    @pytest.mark.parametrize(
+        "points",
+        [(0j, 0j, 2, 2j), QamAlphabet.qam(4).points, (0j,), ()],
+        ids=["zero-twice", "qam4-no-zero", "zero-only", "empty"],
+    )
+    def test_zero_mask_excludes_exactly_the_zero_tuples(self, code, points):
+        # Only a pair of two all-zero halves is masked: with 0 listed twice every
+        # all-zero tuple is out, with no 0 none is, and with only 0 or nothing
+        # there is no tuple left.
+        cb = Codebook(code, QamAlphabet.qam(4))
+        assert verify_nvd(cb, points) == nvd_minimum_dense(cb, points)
 
     def test_degenerate_alphabets_find_nothing(self, q4):
         assert verify_nvd(alamouti(q4), [0j]) == (math.inf, ())
         assert verify_nvd(alamouti(q4), []) == (math.inf, ())
 
     def test_streamed_search_memory_is_bounded(self, q4, q16, monkeypatch):
-        # Traced peaks with numpy 2.4: 0.82 MB at 4096-tuple chunks, 13.1 MB at
-        # 65,536-tuple chunks, 78.5 MB for the whole enumeration at once.
+        # Traced peaks with numpy 2.4: 0.25 MB at 6-row blocks (_NVD_CHUNK 4096),
+        # 2.63 MB at 104-row blocks (65,536).
         cb, diffs = golden(q4, m=1), q16.difference_points(max_coord=4)
         _, peak = traced_peak_mb(verify_nvd, cb, diffs)
         assert peak < 1.2
