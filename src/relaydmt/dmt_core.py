@@ -110,6 +110,9 @@ class DecodeSet:
     def __post_init__(self) -> None:
         if not self.indices:
             raise ValueError("decode set cannot be empty")
+        # A bool is an int to isinstance, but not a layer.
+        if any(type(i) is not int for i in self.indices):
+            raise ValueError(f"decode indices must be integers: {self.indices}")
         if any(a >= b for a, b in zip(self.indices, self.indices[1:])):
             raise ValueError("decode indices must be strictly increasing")
         if self.indices[0] < 1:
@@ -196,12 +199,12 @@ class DmtCurve:
     def pointwise_min(curves: Sequence["DmtCurve"]) -> "DmtCurve":
         """Exact lower envelope of a set of curves.
 
-        A sweep over the union of the inputs' breakpoints: between two
-        consecutive breakpoints every input is one line, so the envelope
-        follows the lowest line (ties to the smaller slope) and gains a
-        vertex only where a line of smaller slope first dips below it.
-        Those crossings can make vertex values rational even when all
-        inputs are integral.
+        Between two consecutive breakpoints of the inputs every input is a
+        line, and a minimum of lines bends only where two of them cross.  So
+        the envelope takes the inputs' minimum at each breakpoint and at every
+        pairwise crossing inside each interval; construction merges the
+        collinear vertices.  Crossings can make vertex values rational even
+        when all inputs are integral.
         """
         if not curves:
             raise ValueError("need at least one curve")
@@ -216,24 +219,16 @@ class DmtCurve:
         for c, v in zip(curves, values):
             if v == low:  # lowest at every breakpoint, so everywhere
                 return c
-        verts = [(grid[0], low[0])]
+        verts = []
         for i, (x0, x1) in enumerate(zip(grid, grid[1:])):
-            # Each input on [x0, x1] as (value at x0, slope); start on the lowest.
+            # Each input on [x0, x1] as (value at x0, slope); t is the offset from x0.
             w = x1 - x0
             lines = [(v[i], (v[i + 1] - v[i]) / w) for v in values]
-            y, s = min(lines)
-            # The first line of smaller slope to cross below takes over; the
-            # smallest slope wins a tie, as it stays lowest past the crossing.
-            while True:
-                t, s_next, y_next = min(
-                    (((yc - y) / (s - sc), sc, yc) for yc, sc in lines if sc < s), default=(w, s, y)
-                )
-                if t >= w:
-                    break
-                y, s = y_next, s_next
-                verts.append((x0 + t, y + s * t))
-            verts.append((x1, y + s * w))
-        return DmtCurve(verts)
+            pairs = itertools.combinations(lines, 2)
+            crossings = {(ya - yb) / (sb - sa) for (ya, sa), (yb, sb) in pairs if sa != sb}
+            for t in sorted(t for t in crossings | {0} if 0 <= t < w):
+                verts.append((x0 + t, min(y + s * t for y, s in lines)))
+        return DmtCurve(verts + [(right, low[-1])])
 
     def scale(self, factor: Rational) -> "DmtCurve":
         """Multiply diversity values by a positive factor."""
@@ -365,8 +360,8 @@ def dmt_ff_lower_bound(dim: DimensionLike, k_modes: int) -> DmtCurve:
     to the AF curve beyond ``r = 1/k_modes``.
     """
     dim = as_dimension(dim)
-    if k_modes < 1:
-        raise ValueError("mode count must be positive")
+    if type(k_modes) is not int or k_modes < 1:  # a bool is not a count
+        raise ValueError(f"mode count must be positive (an int, not a bool): {k_modes!r}")
     af = dmt_rp(dim)
     deficit = _cutset_d_max(dim) - af.d_max
     # 1/k_modes <= 1 <= af.r_max: no abscissa lies past the AF curve's end.

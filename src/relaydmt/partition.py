@@ -213,11 +213,11 @@ class FlipSchedule:
     ``supernodes[i-1]`` holds relay layer i's ``K_i`` ordered supernodes;
     there are ``mode_count = prod K_i`` modes.  ``mode_map[k-1]`` is the
     tuple ``(f_1(k), ..., f_{N-1}(k))`` of 1-based supernode choices, with
-    ``f_1(k) = ((k-1) mod K_1) + 1`` and, for deeper layers,
-    ``f_i(k) = ceil((k-1) / (K_1 ... K_{i-1})) mod K_i + 1``.  The k-th
-    flip pattern of layer i negates the antennas of supernode ``f_i(k)``
-    unless ``f_i(k) == 1`` (mode 1 of every layer is the identity).  The
-    mode tuples enumerate the full product set exactly once.
+    ``f_i(k) = ceil((k-1) / (K_1 ... K_{i-1})) mod K_i + 1`` for every relay
+    layer (the empty product of layer 1 is 1).  The k-th flip pattern of
+    layer i negates the antennas of supernode ``f_i(k)`` unless
+    ``f_i(k) == 1`` (mode 1 of every layer is the identity).  The mode
+    tuples enumerate the full product set exactly once.
     """
 
     dim: Dimension
@@ -229,32 +229,25 @@ class FlipSchedule:
 
     @functools.cached_property
     def mode_map(self) -> tuple[tuple[int, ...], ...]:
-        counts, mode_map = self.layer_counts, []
-        for k in range(1, math.prod(counts) + 1):
-            choices = [(k - 1) % counts[0] + 1] if counts else []
-            prefix = counts[0] if counts else 1
-            for i in range(1, len(counts)):
-                choices.append((-((1 - k) // prefix)) % counts[i] + 1)
-                prefix *= counts[i]
-            mode_map.append(tuple(choices))
-        return tuple(mode_map)
+        counts = self.layer_counts
+        prefixes = [math.prod(counts[:i]) for i in range(len(counts))]
+        # -((1 - k) // p) is ceil((k - 1) / p) in integers.
+        return tuple(
+            tuple(-((1 - k) // p) % n + 1 for p, n in zip(prefixes, counts))
+            for k in range(1, math.prod(counts) + 1)
+        )
 
     @property
     def mode_count(self) -> int:
         return len(self.mode_map)
 
-    def flip_vector(self, layer: int, choice: int) -> tuple[int, ...]:
-        """Diagonal +-1 pattern of relay ``layer`` for supernode ``choice`` (1-based)."""
-        pattern = [1] * self.dim[layer]
-        if choice != 1:
-            for a in self.supernodes[layer - 1][choice - 1].antennas:
-                pattern[a] = -1
-        return tuple(pattern)
-
     def mode_flips(self, mode: int) -> list[tuple[int, ...]]:
-        """Flip patterns of relay layers 1..N-1 for 1-based ``mode``."""
-        choices = self.mode_map[mode - 1]
-        return [self.flip_vector(layer, c) for layer, c in enumerate(choices, start=1)]
+        """Diagonal +-1 patterns of relay layers 1..N-1 for 1-based ``mode``."""
+        choices = zip(self.supernodes, self.mode_map[mode - 1])
+        return [
+            tuple(-1 if c != 1 and a in nodes[c - 1].antennas else 1 for a in range(n))
+            for n, (nodes, c) in zip(self.dim.counts[1:], choices)
+        ]
 
 
 def ff_schedule(dim: DimensionLike, p: Partition) -> FlipSchedule:

@@ -64,6 +64,17 @@ def integer_curves(draw):
     return DmtCurve(zip([0] + xs, ds[::-1] + [0]))
 
 
+@st.composite
+def rational_curves(draw):
+    """A curve whose vertices have denominators 1 to 3, so its slopes are fractions."""
+    def rationals(lo, hi):
+        return st.builds(Fraction, st.integers(lo, hi), st.integers(1, 3))
+
+    xs = sorted(set(draw(st.lists(rationals(1, 18), min_size=1, max_size=4))))
+    ds = sorted(draw(st.lists(rationals(0, 36), min_size=len(xs), max_size=len(xs))))
+    return DmtCurve(zip([0] + xs, ds[::-1] + [0]))
+
+
 class TestDimension:
     def test_basic(self):
         d = as_dimension((3, 1, 4, 2))
@@ -134,7 +145,7 @@ class TestCurveArithmetic:
         assert c == DmtCurve([(0, 4), (2, 0)])
 
     @settings(max_examples=300, deadline=None, derandomize=True)
-    @given(st.lists(integer_curves(), min_size=2, max_size=4))
+    @given(st.lists(integer_curves() | rational_curves(), min_size=2, max_size=4))
     def test_pointwise_min_is_the_lower_envelope(self, curves):
         env = DmtCurve.pointwise_min(curves)
         assert all(isinstance(x, Fraction) and isinstance(y, Fraction) for x, y in env.vertices)
@@ -241,6 +252,10 @@ class TestDomainGuards:
             (dmt_parallel_af, ((2, 2, 2), []), "need at least one path"),
             (cutset_bound, ((2.5, 2),), "antenna counts must be positive"),
             (cutset_bound, ((True, 2),), "antenna counts must be positive"),
+            (DecodeSet, ((True, 2),), "decode indices must be integers"),
+            (DecodeSet, ((1.5, 2),), "decode indices must be integers"),
+            (dmt_ff_lower_bound, ((2, 2, 2), 1.5), "mode count must be positive"),
+            (dmt_ff_lower_bound, ((2, 2, 2), True), "mode count must be positive"),
         ],
     )
     def test_rejected(self, func, args, message):

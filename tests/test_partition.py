@@ -2,6 +2,7 @@ import itertools
 import json
 import math
 import warnings
+from fractions import Fraction
 
 import networkx as nx
 import pytest
@@ -328,6 +329,15 @@ class TestFlipSchedule:
             assert sorted(sched.mode_map) == sorted(
                 itertools.product(*[range(1, k + 1) for k in layer_counts])
             ), layer_counts
+            # The order is the docstring's: f_1(k) = (k-1) mod K_1 + 1 and
+            # f_i(k) = ceil((k-1) / (K_1 ... K_{i-1})) mod K_i + 1.  FF averages
+            # its modes and coded FF gives mode k sub-channel k, so order counts.
+            for k, choices in enumerate(sched.mode_map, start=1):
+                f = [(k - 1) % layer_counts[0] + 1]
+                for i in range(1, len(layer_counts)):
+                    prefix = math.prod(layer_counts[:i])
+                    f.append(math.ceil(Fraction(k - 1, prefix)) % layer_counts[i] + 1)
+                assert choices == tuple(f), (layer_counts, k)
         # Both branches are exercised: every three-layer shape warns, and
         # some shallower shape does not.
         assert {ks for ks in shapes if len(ks) == 3} <= warned_shapes
