@@ -29,7 +29,7 @@ print(f"maximum partition: {p_max.size} single-antenna paths, "
 k, p_min = min_full_div_partition_2hop(*dim)
 print(f"minimum full-diversity partition: {k} paths of widths {p_min.path_dims()}")
 print(f"  full diversity: {is_full_diversity(dim, p_min)} "
-      f"(per-path diversities {[int(dmt_rp(path.widths).d_max) for path in p_min.paths]})")
+      f"(per-path diversities {[int(dmt_rp(w).d_max) for w in p_min.path_dims()]})")
 print()
 
 print("flip schedule derived from the partition:")

@@ -202,7 +202,7 @@ class ParallelAfScheme(Scheme):
         _validate(real.dim, self.partition)
         out = []
         for path in self.partition.paths:
-            idx = [node.sorted_antennas() for node in path.supernodes]
+            idx = [sorted(node) for node in path]
             hops = tuple(h[..., idx[i + 1], :][..., :, idx[i]] for i, h in enumerate(real.hops))
             out.append(af_effective(ChannelRealization(hops), snr))
         return out

@@ -2,13 +2,14 @@
 Parallel partitions of a multihop channel: supernodes, AF paths,
 independence and full-diversity checks, and flip-mode schedules.
 
-A *supernode* is a subset of the antennas in one layer acting together.
-An *AF path* chains one supernode per layer from source to destination;
-a *parallel partition* is a set of such paths, time-multiplexed into a
-parallel channel.  Two paths are edge-disjoint when they never use the
-same antenna pair on any hop; a partition of pairwise edge-disjoint
-paths is *independent*, and it has full diversity when the per-path
-diversities add up to the cut-set maximum.
+A *supernode* is a frozenset of antenna indices in one layer: antennas
+acting together.  An *AF path* is a tuple of supernodes, one per layer
+from source to destination; a *parallel partition* is a set of such
+paths, time-multiplexed into a parallel channel.  Two paths are
+edge-disjoint when they never use the same antenna pair on any hop; a
+partition of pairwise edge-disjoint paths is *independent*, and it has
+full diversity when the per-path diversities add up to the cut-set
+maximum.
 
 The flip-and-forward schedule turns an independent partition into
 ``K' = prod K_i`` relaying modes (``K_i`` = supernodes in relay layer
@@ -29,13 +30,11 @@ import json
 import math
 import warnings
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterable
 
 from .dmt_core import Dimension, DimensionLike, _af_d_max, _cutset_d_max, as_dimension
 
 __all__ = [
-    "Supernode",
-    "AfPath",
     "Partition",
     "FlipSchedule",
     "is_independent",
@@ -48,85 +47,57 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class Supernode:
-    """A non-empty set of antenna indices within one layer.
-
-    Its layer is its position in :attr:`AfPath.supernodes`.
-    """
-
-    antennas: frozenset[int]
-
-    def __post_init__(self) -> None:
-        if not self.antennas:
+def _check_nodes(nodes: Iterable[frozenset[int]]) -> None:
+    for node in nodes:
+        if not node:
             raise ValueError("supernode cannot be empty")
         # type(a) is int: a JSON true is a bool, and names no antenna.
-        if any(a < 0 or type(a) is not int for a in self.antennas):
+        if any(a < 0 or type(a) is not int for a in node):
             raise ValueError("antenna indices are non-negative integers")
-
-    @property
-    def size(self) -> int:
-        return len(self.antennas)
-
-    def sorted_antennas(self) -> tuple[int, ...]:
-        return tuple(sorted(self.antennas))
-
-
-@dataclass(frozen=True)
-class AfPath:
-    """One supernode per layer, source to destination."""
-
-    supernodes: tuple[Supernode, ...]
-
-    def __post_init__(self) -> None:
-        if len(self.supernodes) < 2:
-            raise ValueError("a path spans at least two layers")
-
-    @property
-    def widths(self) -> tuple[int, ...]:
-        """Per-layer antenna counts of the path, its own sub-dimension."""
-        return tuple(node.size for node in self.supernodes)
 
 
 @dataclass(frozen=True)
 class Partition:
-    """A set of AF paths over a common supernode structure."""
+    """A set of AF paths over a common supernode structure.
 
-    paths: tuple[AfPath, ...]
+    Each path is a tuple of supernodes, one per layer from source to
+    destination, and each supernode a non-empty frozenset of antenna
+    indices in its layer.
+    """
+
+    paths: tuple[tuple[frozenset[int], ...], ...]
 
     def __post_init__(self) -> None:
         if not self.paths:
             raise ValueError("partition needs at least one path")
+        if any(len(path) < 2 for path in self.paths):
+            raise ValueError("a path spans at least two layers")
+        _check_nodes(node for path in self.paths for node in path)
 
     @property
     def size(self) -> int:
         return len(self.paths)
 
-    def layer_supernodes(self, layer: int) -> tuple[Supernode, ...]:
+    def layer_supernodes(self, layer: int) -> tuple[frozenset[int], ...]:
         """Distinct supernodes at a layer, ordered by smallest antenna index."""
-        seen = {p.supernodes[layer] for p in self.paths}
-        return tuple(sorted(seen, key=lambda s: s.sorted_antennas()))
+        return tuple(sorted({path[layer] for path in self.paths}, key=sorted))
 
     def path_dims(self) -> tuple[tuple[int, ...], ...]:
-        return tuple(p.widths for p in self.paths)
-
-
-def singleton_path(antennas: Sequence[int]) -> AfPath:
-    """Path through one named antenna per layer."""
-    return AfPath(tuple(Supernode(frozenset({a})) for a in antennas))
+        """Per-layer antenna counts of each path, its own sub-dimension."""
+        return tuple(tuple(map(len, path)) for path in self.paths)
 
 
 def _validate(dim: Dimension, p: Partition) -> None:
     for path in p.paths:
-        if len(path.supernodes) != len(dim):
-            raise ValueError(f"path spans {len(path.supernodes)} layers, channel has {len(dim)}")
-        for layer, node in enumerate(path.supernodes):
-            if max(node.antennas) >= dim[layer]:
+        if len(path) != len(dim):
+            raise ValueError(f"path spans {len(path)} layers, channel has {len(dim)}")
+        for layer, node in enumerate(path):
+            if max(node) >= dim[layer]:
                 raise ValueError(f"antenna index out of range in layer {layer}")
     for layer in range(len(dim)):
-        nodes = {path.supernodes[layer] for path in p.paths}
+        nodes = {path[layer] for path in p.paths}
         for a, b in itertools.combinations(nodes, 2):
-            if a.antennas & b.antennas:
+            if a & b:
                 raise ValueError(f"overlapping supernodes in layer {layer}")
 
 
@@ -140,9 +111,9 @@ def is_independent(dim: DimensionLike, p: Partition) -> bool:
     dim = as_dimension(dim)
     _validate(dim, p)
     for hop in range(1, len(dim)):
-        seen: set[tuple[Supernode, Supernode]] = set()
+        seen: set[tuple[frozenset[int], ...]] = set()
         for path in p.paths:
-            ends = (path.supernodes[hop - 1], path.supernodes[hop])
+            ends = path[hop - 1 : hop + 1]
             if ends in seen:
                 return False
             seen.add(ends)
@@ -179,10 +150,7 @@ def max_partition(dim: DimensionLike) -> Partition:
         for pos, k in enumerate(order):
             nxt[k] = pos % dim[layer]
         assign.append(nxt)
-    paths = tuple(
-        singleton_path([assign[layer][k] for layer in range(len(dim))]) for k in range(d_max)
-    )
-    return Partition(paths)
+    return Partition(tuple(tuple(frozenset({a}) for a in chain) for chain in zip(*assign)))
 
 
 def min_full_div_partition_2hop(n0: int, n1: int, n2: int) -> tuple[int, Partition]:
@@ -193,17 +161,12 @@ def min_full_div_partition_2hop(n0: int, n1: int, n2: int) -> tuple[int, Partiti
     """
     n0, n1, n2 = as_dimension((n0, n1, n2)).counts
     k = math.ceil(n1 / (abs(n0 - n2) + 1))
-    source = Supernode(frozenset(range(n0)))
-    dest = Supernode(frozenset(range(n2)))
+    source, dest = frozenset(range(n0)), frozenset(range(n2))
     base, extra = divmod(n1, k)
-    chunks = []
-    start = 0
-    for idx in range(k):
-        size = base + (1 if idx < extra else 0)
-        chunks.append(frozenset(range(start, start + size)))
-        start += size
-    paths = tuple(AfPath((source, Supernode(c), dest)) for c in chunks)
-    return k, Partition(paths)
+    # Relay supernode idx holds base antennas, one more if idx < extra.
+    starts = [idx * base + min(idx, extra) for idx in range(k + 1)]
+    relays = [frozenset(range(a, b)) for a, b in itertools.pairwise(starts)]
+    return k, Partition(tuple((source, relay, dest) for relay in relays))
 
 
 @dataclass(frozen=True)
@@ -221,7 +184,7 @@ class FlipSchedule:
     """
 
     dim: Dimension
-    supernodes: tuple[tuple[Supernode, ...], ...]  # per relay layer, ordered
+    supernodes: tuple[tuple[frozenset[int], ...], ...]  # per relay layer, ordered
 
     @property
     def layer_counts(self) -> tuple[int, ...]:
@@ -243,9 +206,12 @@ class FlipSchedule:
 
     def mode_flips(self, mode: int) -> list[tuple[int, ...]]:
         """Diagonal +-1 patterns of relay layers 1..N-1 for 1-based ``mode``."""
+        # A bool is an int to isinstance, but not a mode.
+        if type(mode) is not int or not 1 <= mode <= self.mode_count:
+            raise ValueError(f"mode must be an integer in 1..{self.mode_count}: {mode!r}")
         choices = zip(self.supernodes, self.mode_map[mode - 1])
         return [
-            tuple(-1 if c != 1 and a in nodes[c - 1].antennas else 1 for a in range(n))
+            tuple(-1 if c != 1 and a in nodes[c - 1] else 1 for a in range(n))
             for n, (nodes, c) in zip(self.dim.counts[1:], choices)
         ]
 
@@ -278,11 +244,8 @@ def partition_to_json(dim: DimensionLike, p: Partition) -> str:
     }
     doc = {
         "dim": list(dim.counts),
-        "layers": [[list(node.sorted_antennas()) for node in nodes] for nodes in layer_nodes],
-        "paths": [
-            [index[(layer, node)] for layer, node in enumerate(path.supernodes)]
-            for path in p.paths
-        ],
+        "layers": [[sorted(node) for node in nodes] for nodes in layer_nodes],
+        "paths": [[index[(layer, node)] for layer, node in enumerate(path)] for path in p.paths],
     }
     return json.dumps(doc, indent=2, sort_keys=True)
 
@@ -293,25 +256,26 @@ def partition_from_json(text: str) -> tuple[Dimension, Partition]:
     if not isinstance(doc, dict) or not {"dim", "layers", "paths"} <= doc.keys():
         raise ValueError("a partition document is an object with 'dim', 'layers' and 'paths'")
 
-    def node(layer: int, ref) -> Supernode:
+    def node(layer: int, ref) -> frozenset[int]:
         count = len(layer_nodes[layer]) if layer < len(layer_nodes) else 0
         if not (type(ref) is int and 0 <= ref < count):
             raise ValueError(f"a path refers to supernode {ref!r} of layer {layer}, which has {count}")
         return layer_nodes[layer][ref]
 
-    def supernode(ants) -> Supernode:
+    def supernode(ants) -> frozenset[int]:
         # frozenset would merge a repeat silently, and a JSON true equals 1.
         repeats = [a for a, n in collections.Counter(ants).items() if n > 1]
         if repeats:
             raise ValueError(f"supernode {json.dumps(ants)} names antenna {repeats[0]} twice")
-        return Supernode(frozenset(ants))
+        antennas = frozenset(ants)
+        _check_nodes([antennas])  # also a supernode that no path refers to
+        return antennas
 
     try:
         dim = as_dimension(tuple(doc["dim"]))  # a dim that is not an array is a wrong JSON type
         layer_nodes = [[supernode(ants) for ants in nodes] for nodes in doc["layers"]]
         paths = tuple(
-            AfPath(tuple(node(layer, ref) for layer, ref in enumerate(refs)))
-            for refs in doc["paths"]
+            tuple(node(layer, ref) for layer, ref in enumerate(refs)) for refs in doc["paths"]
         )
     except TypeError as exc:  # a field of the wrong JSON type
         raise ValueError(f"malformed partition document: {exc}") from None

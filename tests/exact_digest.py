@@ -1,6 +1,7 @@
 """Digests of the package's exact outputs over every dimension up to (5,4).
 
-Run by hand, not part of the suite::
+Criterion 11 of ``tests/test_acceptance.py`` asserts the digests; run as a
+script, this prints them::
 
     PYTHONPATH=src python tests/exact_digest.py
 
@@ -17,9 +18,8 @@ line count:
 - ``analyze``;
 - the ``mode_map`` and every ``mode_flips`` of ``ff_schedule(max_partition(dim))``.
 
-A refactor that must not change a number runs it before and after: equal
-digests mean every line is the same.  It takes about 7 s (Python 3, 2 shared
-x86 cores).
+Equal digests mean every line is the same.  It takes about 7 s (Python 3,
+2 shared x86 cores).
 """
 
 from __future__ import annotations

@@ -64,7 +64,7 @@ from relaydmt.dmt_core import (
     as_dimension,
     dmt_rp,
 )
-from relaydmt.partition import AfPath, Partition, Supernode, is_independent
+from relaydmt.partition import Partition, is_independent
 from relaydmt.recursion import _d, dmt_recursive
 from relaydmt.stbc import Codebook
 
@@ -94,9 +94,9 @@ def bottleneck_full_diversity(dim: DimensionLike, p: Partition) -> bool:
     for istar in _bottleneck_layers(dim):
         left_nodes = p.layer_supernodes(istar)
         right_nodes = p.layer_supernodes(istar + 1)
-        if sum(n.size for n in left_nodes) != dim[istar]:
+        if sum(map(len, left_nodes)) != dim[istar]:
             continue
-        if sum(n.size for n in right_nodes) != dim[istar + 1]:
+        if sum(map(len, right_nodes)) != dim[istar + 1]:
             continue
         if p.size != len(left_nodes) * len(right_nodes):
             continue
@@ -107,11 +107,9 @@ def bottleneck_full_diversity(dim: DimensionLike, p: Partition) -> bool:
     return False
 
 
-def hop_edges(path: AfPath, hop: int) -> set[tuple[int, int]]:
+def hop_edges(path: tuple[frozenset[int], ...], hop: int) -> set[tuple[int, int]]:
     """All antenna pairs ``path`` uses on hop ``hop`` (1-based)."""
-    left = path.supernodes[hop - 1].antennas
-    right = path.supernodes[hop].antennas
-    return {(a, b) for a in left for b in right}
+    return {(a, b) for a in path[hop - 1] for b in path[hop]}
 
 
 def _set_partitions(items: tuple[int, ...]) -> Iterable[list[frozenset[int]]]:
@@ -146,9 +144,9 @@ def search_min_full_diversity_partition(
 
     best: tuple[int, Partition] | None = None
     for combo in itertools.product(*structures):
-        layer_nodes = [[Supernode(s) for s in sorted(nodes, key=lambda s: min(s))] for nodes in combo]
-        all_paths = [AfPath(chain) for chain in itertools.product(*layer_nodes)]
-        path_div = [_af_d_max(path.widths) for path in all_paths]
+        layer_nodes = [sorted(nodes, key=min) for nodes in combo]
+        all_paths = list(itertools.product(*layer_nodes))
+        path_div = [_af_d_max(tuple(map(len, path))) for path in all_paths]
         order = sorted(range(len(all_paths)), key=lambda j: -path_div[j])
         found = _backtrack_full_div(
             [all_paths[j] for j in order], [path_div[j] for j in order], d_max, budget
@@ -163,15 +161,15 @@ def search_min_full_diversity_partition(
 
 
 def _backtrack_full_div(
-    paths: list[AfPath], divs: list[int], target: int, budget: list[int]
-) -> list[AfPath] | None:
-    hops = len(paths[0].supernodes) - 1 if paths else 0
+    paths: list[tuple[frozenset[int], ...]], divs: list[int], target: int, budget: list[int]
+) -> list[tuple[frozenset[int], ...]] | None:
+    hops = len(paths[0]) - 1 if paths else 0
 
     # Iterative deepening on the partition size keeps the first hit minimal.
     for size_cap in range(1, target + 1):
-        cap_best: list[AfPath] | None = None
+        cap_best: list[tuple[frozenset[int], ...]] | None = None
 
-        def bounded(start: int, chosen: list[AfPath], used: list[set], total: int) -> None:
+        def bounded(start: int, chosen: list, used: list[set], total: int) -> None:
             nonlocal cap_best
             if cap_best is not None or budget[0] <= 0:
                 return

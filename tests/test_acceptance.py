@@ -15,6 +15,7 @@ import time
 
 import numpy as np
 import pytest
+from exact_digest import FAMILIES, digest
 from oracles import dmt_symmetric
 
 from relaydmt.channel_sim import (
@@ -42,6 +43,25 @@ pytestmark = pytest.mark.acceptance
 TRIALS = 10**6
 SEED = 20260809
 BAND = (1e-4, 1e-1)
+# Line count and SHA-256 of each tests/exact_digest.py family.  A change that
+# must move an exact result re-pins its family here and says which lines moved.
+EXACT_DIGESTS = {
+    "dmt_rp": (3900, "b74dbbefa883fde0f78561eeb2b39a715cc149597806a6121ef5d7db8b7cd9d0"),
+    "cutset_bound": (3900, "0004d111c892ce5f35800db01cfa7c4d94c55c9d5ca65e43767f2c7ab190a1c5"),
+    "where_to_decode": (17773, "a800d9c9fbf74068817f5c3cd773ce5f3dbd5224d1d719bdc9d2bf8dacdc606f"),
+    "dmt_serial_partition": (
+        27775, "fd3bb11ce73805c00c8b2a068f00e4314b4e989a84f46439c334854b3f016ebd"
+    ),
+    "dmt_ff_lower_bound": (
+        15600, "6199bbe677cb0dae91a4e0ef7b84c396d942317e65a7686f986a5f7e48b8ea10"
+    ),
+    "max_partition": (3900, "2e50e9ae4faa1e6900f4984da192730be46f1a77120f5cf4393a22cad733733a"),
+    "min_full_div_partition_2hop": (
+        125, "f6323fbb10f8ccbe7ff33d8b63c2e101f6358367e72dd34ecf53bc6946d4212d"
+    ),
+    "analyze": (3900, "a09ff1a2282b8970ba7f6a36029895ebfbd322331b1f3f44ecb9f3bb6b9f73c1"),
+    "ff_schedule": (80775, "e4c0c5cb4175e8a81aff4fdd99a1cf70df87c4d0b63585f6adda270b603ea583"),
+}
 
 
 def band_points(points):
@@ -146,7 +166,7 @@ def test_criterion_5_partitions():
         d_max = int(cutset_bound(counts).d_max)
         p = max_partition(counts)
         assert p.size == d_max and is_independent(counts, p), counts
-        assert all(path.widths == (1,) * len(counts) for path in p.paths)
+        assert all(w == (1,) * len(counts) for w in p.path_dims())
         assert flow_value(counts) == d_max, counts
         n_dims += 1
     elapsed = time.perf_counter() - t0
@@ -157,8 +177,10 @@ def test_criterion_5_partitions():
 def test_criterion_6_outage_diversity_bands():
     t0 = time.perf_counter()
     grid = [14.0, 16.0, 18.0, 20.0, 22.0]
-    af = outage_curve((2, 2, 2), AfScheme(), 2.0, grid, TRIALS, SEED)
-    ff = outage_curve((2, 2, 2), default_ff_scheme((2, 2, 2)), 2.0, grid, TRIALS, SEED)
+    af = outage_curve((2, 2, 2), AfScheme(), 2.0, grid, TRIALS, SEED, workers=2)
+    ff = outage_curve(
+        (2, 2, 2), default_ff_scheme((2, 2, 2)), 2.0, grid, TRIALS, SEED, workers=2
+    )
     af_slope = estimate_slope(band_points(af))
     ff_slope = estimate_slope(band_points(ff))
     assert 2.2 <= af_slope <= 3.5, f"(2,2,2) af slope {af_slope:.2f}"
@@ -170,9 +192,9 @@ def test_criterion_6_outage_diversity_bands():
 
     af_grid = [14.0, 16.0, 18.0, 20.0, 22.0, 24.0, 26.0, 28.0]
     df_grid = [10.0, 12.0, 14.0, 16.0, 18.0, 20.0]
-    all_af = outage_curve((3, 1, 4, 2), AfScheme(), 2.0, af_grid, TRIALS, SEED)
+    all_af = outage_curve((3, 1, 4, 2), AfScheme(), 2.0, af_grid, TRIALS, SEED, workers=2)
     decoded = outage_curve(
-        (3, 1, 4, 2), DfScheme(DecodeSet((2, 3))), 2.0, df_grid, TRIALS, SEED
+        (3, 1, 4, 2), DfScheme(DecodeSet((2, 3))), 2.0, df_grid, TRIALS, SEED, workers=2
     )
     all_af_slope = estimate_slope(band_points(all_af))
     decoded_slope = estimate_slope(band_points(decoded))
@@ -190,8 +212,8 @@ def test_criterion_6_outage_diversity_bands():
 def test_criterion_7_pf_vs_af():
     t0 = time.perf_counter()
     grid = [20.0, 23.0, 26.0, 29.0, 32.0, 35.0, 38.0, 41.0, 44.0, 47.0]
-    af = outage_curve((1, 4, 1), AfScheme(), 2.0, grid, TRIALS, seed=31415)
-    pf = outage_curve((1, 4, 1), PfScheme(), 2.0, grid, TRIALS, seed=31415)
+    af = outage_curve((1, 4, 1), AfScheme(), 2.0, grid, TRIALS, seed=31415, workers=2)
+    pf = outage_curve((1, 4, 1), PfScheme(), 2.0, grid, TRIALS, seed=31415, workers=2)
     af_slope = estimate_slope(band_points(af))
     pf_slope = estimate_slope(band_points(pf))
     assert abs(af_slope - pf_slope) <= 0.5, f"slopes {af_slope:.2f} vs {pf_slope:.2f}"
@@ -286,3 +308,15 @@ def test_criterion_10_deterministic_csv(tmp_path):
         outputs.append(path.read_bytes())
     assert outputs[0] == outputs[1] == outputs[2]
     print("PASS criterion 10: byte-identical CSV across reruns and worker counts")
+
+
+def test_criterion_11_exact_digests():
+    t0 = time.perf_counter()
+    got = {name: digest(family) for name, family in FAMILIES.items()}
+    assert got == EXACT_DIGESTS
+    elapsed = time.perf_counter() - t0
+    lines = sum(n for n, _ in got.values())
+    print(
+        f"PASS criterion 11: {len(got)} exact digests unchanged over {lines} lines "
+        f"({elapsed:.1f} s)"
+    )

@@ -42,9 +42,7 @@ from relaydmt.channel_sim import (
 )
 from relaydmt.dmt_core import DecodeSet, as_dimension
 from relaydmt.partition import (
-    AfPath,
     Partition,
-    Supernode,
     ff_schedule,
     max_partition,
     min_full_div_partition_2hop,
@@ -379,9 +377,7 @@ class TestFf:
 class TestParallelAf:
     def test_trivial_partition_is_af(self):
         counts = (2, 2, 2)
-        p = Partition(
-            (AfPath(tuple(Supernode(frozenset(range(n))) for n in counts)),)
-        )
+        p = Partition((tuple(frozenset(range(n)) for n in counts),))
         real = draw_block(counts, seed=16, block_index=0, count=32)
         eff = ParallelAfScheme(p).effectives(real, 12.0)[0]
         base = af_effective(real, 12.0)
@@ -393,7 +389,7 @@ class TestParallelAf:
         p = max_partition((2, 2, 2))
         snr = 1.0
         for path, eff in zip(p.paths, ParallelAfScheme(p).effectives(real, snr)):
-            chain = [next(iter(node.antennas)) for node in path.supernodes]
+            chain = [next(iter(node)) for node in path]
             h1 = complex(real.hops[0][chain[1], chain[0]])
             h2 = complex(real.hops[1][chain[2], chain[1]])
             d = math.sqrt((snr / 1) / ((snr / 1) * abs(h1) ** 2 + 1))

@@ -308,6 +308,11 @@ class TestSimulateCommand:
             ({"dim": [2, 2, 2], "layers": [[[0, 1]], [[0], [1, True]], [[0, 1]]],
               "paths": [[0, 0, 0], [0, 1, 0]]},
              "supernode [1, true] names antenna 1 twice"),
+            # Every listed supernode obeys the rule, also one that no path refers to.
+            ({"dim": [2, 2, 2], "layers": [[[0, 1]], [[0, 1], []], [[0, 1]]], "paths": [[0, 0, 0]]},
+             "supernode cannot be empty"),
+            ({"dim": [2, 2, 2], "layers": [[[0, 1]], [[0, 1], [-1]], [[0, 1]]], "paths": [[0, 0, 0]]},
+             "antenna indices are non-negative integers"),
         ],
     )
     def test_malformed_partition_file(self, doc, message, tmp_path, capsys):

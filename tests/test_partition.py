@@ -12,9 +12,7 @@ from oracles import bottleneck_full_diversity, search_min_full_diversity_partiti
 
 from relaydmt.dmt_core import DecodeSet, cutset_bound, dmt_rp, dmt_serial_partition
 from relaydmt.partition import (
-    AfPath,
     Partition,
-    Supernode,
     ff_schedule,
     is_full_diversity,
     is_independent,
@@ -22,16 +20,20 @@ from relaydmt.partition import (
     min_full_div_partition_2hop,
     partition_from_json,
     partition_to_json,
-    singleton_path,
 )
 
 
 def full_node(n):
-    return Supernode(frozenset(range(n)))
+    return frozenset(range(n))
+
+
+def singleton_path(antennas):
+    """Path through one named antenna per layer."""
+    return tuple(frozenset({a}) for a in antennas)
 
 
 def trivial_partition(counts):
-    return Partition((AfPath(tuple(full_node(n) for n in counts)),))
+    return Partition((tuple(full_node(n) for n in counts),))
 
 
 @st.composite
@@ -46,7 +48,7 @@ def independent_partitions(draw):
         groups = {}
         for a in range(n):
             groups.setdefault(draw(st.integers(0, a)), set()).add(a)
-        layers.append([Supernode(frozenset(g)) for g in groups.values()])
+        layers.append([frozenset(g) for g in groups.values()])
     chains = list(itertools.product(*layers))
     order = draw(st.permutations(range(len(chains))))
     wanted = draw(st.integers(1, len(chains)))
@@ -55,19 +57,40 @@ def independent_partitions(draw):
         ends = {(h, chains[j][h], chains[j][h + 1]) for h in range(hops)}
         if not ends & used:
             used |= ends
-            paths.append(AfPath(chains[j]))
+            paths.append(chains[j])
     return counts, Partition(tuple(paths))
+
+
+class TestPartitionRules:
+    # The rules a Partition holds on construction, whoever builds it.
+    @pytest.mark.parametrize(
+        "paths,message",
+        [
+            ((), "partition needs at least one path"),
+            (((frozenset({0}),),), "a path spans at least two layers"),
+            (((frozenset({0}), frozenset()),), "supernode cannot be empty"),
+            (((frozenset({0}), frozenset({-1})),), "antenna indices are non-negative integers"),
+            (((frozenset({0}), frozenset({True})),), "antenna indices are non-negative integers"),
+            (((frozenset({0}), frozenset({1.0})),), "antenna indices are non-negative integers"),
+        ],
+    )
+    def test_malformed_partition_rejected(self, paths, message):
+        with pytest.raises(ValueError, match=message):
+            Partition(paths)
+
+    def test_supernodes_are_the_given_frozensets(self):
+        _, p = min_full_div_partition_2hop(2, 4, 3)
+        assert p.paths == (
+            (frozenset({0, 1}), frozenset({0, 1}), frozenset({0, 1, 2})),
+            (frozenset({0, 1}), frozenset({2, 3}), frozenset({0, 1, 2})),
+        )
+        assert p.layer_supernodes(1) == (frozenset({0, 1}), frozenset({2, 3}))
 
 
 class TestIndependence:
     def test_relay_split_222(self):
         src, dst = full_node(2), full_node(2)
-        p = Partition(
-            (
-                AfPath((src, Supernode(frozenset({0})), dst)),
-                AfPath((src, Supernode(frozenset({1})), dst)),
-            )
-        )
+        p = Partition(((src, frozenset({0}), dst), (src, frozenset({1}), dst)))
         assert is_independent((2, 2, 2), p)
 
     def test_duplicated_path_shares_edges(self):
@@ -88,15 +111,15 @@ class TestIndependence:
     def test_overlapping_supernodes_malformed(self):
         p = Partition(
             (
-                AfPath((full_node(2), Supernode(frozenset({0, 1})), full_node(2))),
-                AfPath((full_node(2), Supernode(frozenset({1})), full_node(2))),
+                (full_node(2), frozenset({0, 1}), full_node(2)),
+                (full_node(2), frozenset({1}), full_node(2)),
             )
         )
         with pytest.raises(ValueError, match="overlapping"):
             is_independent((2, 2, 2), p)
 
     def test_out_of_range_antenna(self):
-        p = Partition((AfPath((full_node(3), full_node(2), full_node(2))),))
+        p = Partition(((full_node(3), full_node(2), full_node(2)),))
         with pytest.raises(ValueError):
             is_independent((2, 2, 2), p)
 
@@ -112,9 +135,7 @@ class TestFullDiversity:
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
     def test_symmetric_singleton_relays(self, n):
         src, dst = full_node(n), full_node(n)
-        p = Partition(
-            tuple(AfPath((src, Supernode(frozenset({j})), dst)) for j in range(n))
-        )
+        p = Partition(tuple((src, frozenset({j}), dst) for j in range(n)))
         assert is_full_diversity((n, n, n), p)
 
     def test_requires_independence(self):
@@ -217,7 +238,7 @@ class TestMaxPartition:
             for layer, n in enumerate(counts):
                 load = [0] * n
                 for path in p.paths:
-                    (antenna,) = path.supernodes[layer].antennas
+                    (antenna,) = path[layer]
                     load[antenna] += 1
                 assert all(la in (d_max // n, -(-d_max // n)) for la in load), counts
 
@@ -249,7 +270,7 @@ class TestMinFullDiversity2Hop:
         for counts in itertools.product(range(1, 5), repeat=3):
             _, p = min_full_div_partition_2hop(*counts)
             assert is_full_diversity(counts, p), counts
-            total = sum(int(dmt_rp(path.widths).d_max) for path in p.paths)
+            total = sum(int(dmt_rp(w).d_max) for w in p.path_dims())
             assert total == int(cutset_bound(counts).d_max), counts
 
     def test_each_path_is_bottleneck_reducible(self, dims_to_3_3):
@@ -259,8 +280,8 @@ class TestMinFullDiversity2Hop:
             if len(counts) != 3:
                 continue
             _, p = min_full_div_partition_2hop(*counts)
-            for path in p.paths:
-                o = sorted(path.widths)
+            for widths in p.path_dims():
+                o = sorted(widths)
                 assert o[2] + 1 >= o[0] + o[1], counts
 
     def test_matches_exhaustive_search(self):
@@ -299,6 +320,13 @@ class TestFlipSchedule:
         assert sched.mode_count == 1
         assert sched.mode_flips(1) == [(1, 1, 1)]
 
+    @pytest.mark.parametrize("mode", [0, -1, 5, True, 1.5])
+    def test_mode_outside_the_schedule_rejected(self, mode):
+        sched = ff_schedule((2, 2, 2, 2), max_partition((2, 2, 2, 2)))
+        assert sched.mode_count == 4
+        with pytest.raises(ValueError, match=r"mode must be an integer in 1\.\.4"):
+            sched.mode_flips(mode)
+
     def test_mode_map_is_bijection(self):
         # For one to three relay layers, the mode indexing lists every
         # tuple of the product of per-layer choices exactly once, and
@@ -312,8 +340,7 @@ class TestFlipSchedule:
             src = full_node(counts[0])
             dst = full_node(counts[-1])
             for combo in itertools.product(*[range(k) for k in layer_counts]):
-                nodes = [Supernode(frozenset({j})) for j in combo]
-                paths.append(AfPath((src, *nodes, dst)))
+                paths.append((src, *(frozenset({j}) for j in combo), dst))
             p = Partition(tuple(paths))
             with warnings.catch_warnings(record=True) as caught:
                 warnings.simplefilter("always")
@@ -377,7 +404,7 @@ class TestDiversitySumBound:
         for counts in dims_to_3_3:
             d_max = int(cutset_bound(counts).d_max)
             p = max_partition(counts)
-            total = sum(int(dmt_rp(path.widths).d_max) for path in p.paths)
+            total = sum(int(dmt_rp(w).d_max) for w in p.path_dims())
             assert total <= d_max
 
 

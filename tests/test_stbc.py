@@ -28,7 +28,7 @@ from relaydmt.channel_sim import (
     ff_effective,
 )
 from relaydmt.dmt_core import DecodeSet
-from relaydmt.partition import AfPath, Partition, Supernode
+from relaydmt.partition import Partition
 from relaydmt.stbc import (
     CODED_BLOCK_SIZE,
     Codebook,
@@ -598,10 +598,7 @@ class TestSimulateSer:
 
     def test_narrow_destination_supernode_draws_its_own_noise_shape(self, q4):
         # A (2,2,1) path through (2,2,2): its effective channel has one output, not dim[-1].
-        part = Partition(
-            (AfPath((Supernode(frozenset({0, 1})), Supernode(frozenset({0, 1})),
-                     Supernode(frozenset({0})))),)
-        )
+        part = Partition(((frozenset({0, 1}), frozenset({0, 1}), frozenset({0})),))
         scheme = ParallelAfScheme(part)
         pts = simulate_ser((2, 2, 2), scheme, alamouti(q4), [0.0, 30.0], 300, seed=2)
         assert pts[0].outage_count > pts[1].outage_count
