@@ -6,7 +6,8 @@ All curves here are computed analytically with integer/rational
 arithmetic, never floating point: the tradeoff of a multihop channel is
 a piecewise-linear function of the multiplexing gain, and the pointwise
 minimum of such curves can introduce rational breakpoints that must be
-stored exactly so that two equal curves compare equal bit-for-bit.
+stored exactly so that two equal curves compare equal bit-for-bit.  A
+coordinate is an ``int`` when integral, and a ``Fraction`` only otherwise.
 
 The multihop channel is described by its antenna counts per layer,
 source to destination.  The amplify-and-forward (AF) chain behaves, in
@@ -55,7 +56,7 @@ class Dimension:
         if len(self.counts) < 2:
             raise ValueError("a multihop channel needs at least two layers")
         # A bool is an int to isinstance, but not a count.
-        if any(type(n) is not int or n < 1 for n in self.counts):
+        if not (set(map(type, self.counts)) <= {int} and min(self.counts) >= 1):
             raise ValueError(f"antenna counts must be positive integers: {self.counts}")
 
     @property
@@ -135,8 +136,9 @@ class DmtCurve:
     Evaluation is linear interpolation, clamped to ``d(0)`` left of zero
     and to 0 beyond the last vertex.  Construction canonicalizes: collinear
     interior vertices are merged and a flat tail at ``d = 0`` is cut, so two
-    curves are equal iff they are the same function.  ``int`` and ``Fraction``
-    values are checked as given, others as ``Fraction``; kept ones are stored as ``Fraction``.
+    curves are equal iff they are the same function.  Inputs (float and numpy
+    included) are read exactly; each coordinate, and each value ``evaluate``
+    returns, is an ``int`` when integral and otherwise a ``Fraction``, never a float.
 
     A full tradeoff ends at ``d = 0``; a curve that stops above it is
     *partial*: only the maximum-diversity point ``d(0)`` is known
@@ -144,7 +146,7 @@ class DmtCurve:
     at ``r > 0`` raises.
     """
 
-    vertices: tuple[tuple[Fraction, Fraction], ...]
+    vertices: tuple[tuple[Rational, Rational], ...]
 
     def __post_init__(self) -> None:
         verts = [(_exact(r), _exact(d)) for r, d in self.vertices]
@@ -168,18 +170,18 @@ class DmtCurve:
         return self.vertices[-1][1] > 0
 
     @property
-    def d_max(self) -> Fraction:
+    def d_max(self) -> Rational:
         """Maximum diversity gain, ``d(0)``."""
         return self.vertices[0][1]
 
     @property
-    def r_max(self) -> Fraction:
+    def r_max(self) -> Rational:
         """Maximum multiplexing gain, the smallest r with ``d(r) = 0``."""
         if self.partial:
             raise ValueError("partial curve: only d(0) is known")
         return self.vertices[-1][0]
 
-    def evaluate(self, r: Rational) -> Fraction:
+    def evaluate(self, r: Rational) -> Rational:
         r = _exact(r)
         if r <= 0:
             return self.vertices[0][1]
@@ -187,13 +189,14 @@ class DmtCurve:
             raise ValueError("partial curve: only d(0) is known")
         verts = self.vertices
         if r >= verts[-1][0]:
-            return Fraction(0)
+            return 0
         # r is below the last abscissa, so the last segment qualifies if no earlier one does.
         for (x0, y0), (x1, y1) in zip(verts, verts[1:]):
             if r <= x1:
                 break
-        # On a vertex (each integer gain of dmt_rp is one) nothing is interpolated.
-        return y1 if r == x1 else y0 + (y1 - y0) * (r - x0) / (x1 - x0)
+        # On a vertex (each integer gain of dmt_rp is one) nothing is interpolated;
+        # between two, the division is a Fraction's, since ints would give a float.
+        return y1 if r == x1 else _exact(y0 + Fraction((y1 - y0) * (r - x0), x1 - x0))
 
     @staticmethod
     def pointwise_min(curves: Sequence["DmtCurve"]) -> "DmtCurve":
@@ -223,7 +226,7 @@ class DmtCurve:
         for i, (x0, x1) in enumerate(zip(grid, grid[1:])):
             # Each input on [x0, x1] as (value at x0, slope); t is the offset from x0.
             w = x1 - x0
-            lines = [(v[i], (v[i + 1] - v[i]) / w) for v in values]
+            lines = [(v[i], Fraction(v[i + 1] - v[i], w)) for v in values]
             pairs = itertools.combinations(lines, 2)
             crossings = {(ya - yb) / (sb - sa) for (ya, sa), (yb, sb) in pairs if sa != sb}
             for t in sorted(t for t in crossings | {0} if 0 <= t < w):
@@ -232,7 +235,7 @@ class DmtCurve:
 
     def scale(self, factor: Rational) -> "DmtCurve":
         """Multiply diversity values by a positive factor."""
-        factor = Fraction(factor)
+        factor = _exact(factor)
         if factor <= 0:
             raise ValueError("scale factor must be positive")
         return DmtCurve([(x, factor * y) for x, y in self.vertices])
@@ -243,12 +246,15 @@ class DmtCurve:
 
 
 def _exact(v) -> Rational:
-    # An int or Fraction as given; anything else (float, numpy int, str) as a Fraction.
-    return v if type(v) is int or type(v) is Fraction else Fraction(v)
+    # The canonical form: an int as given; anything else (float, numpy int, str) as a
+    # Fraction, and a Fraction as its int when its denominator is 1 (int(): the Fraction
+    # of a numpy int keeps that type as its numerator).
+    v = v if type(v) is int or type(v) is Fraction else Fraction(v)
+    return v if type(v) is int or v.denominator != 1 else int(v.numerator)
 
 
-def _merge_collinear(verts: list[tuple[Rational, Rational]]) -> tuple[tuple[Fraction, Fraction], ...]:
-    # The vertices left after merging, each converted to Fraction once.
+def _merge_collinear(verts: list[tuple[Rational, Rational]]) -> tuple[tuple[Rational, Rational], ...]:
+    # The vertices left after merging, kept in the canonical form _exact gave them.
     out = [verts[0]]
     for v in verts[1:]:
         while len(out) >= 2:
@@ -259,7 +265,7 @@ def _merge_collinear(verts: list[tuple[Rational, Rational]]) -> tuple[tuple[Frac
             else:
                 break
         out.append(v)
-    return tuple((Fraction(x), Fraction(y)) for x, y in out)
+    return tuple(out)
 
 
 # ---------------------------------------------------------------------------
@@ -365,8 +371,8 @@ def dmt_ff_lower_bound(dim: DimensionLike, k_modes: int) -> DmtCurve:
     af = dmt_rp(dim)
     deficit = _cutset_d_max(dim) - af.d_max
     # 1/k_modes <= 1 <= af.r_max: no abscissa lies past the AF curve's end.
-    xs = sorted({Fraction(0), Fraction(1, k_modes)} | {x for x, _ in af.vertices})
-    return DmtCurve((x, af.evaluate(x) + deficit * max(Fraction(0), 1 - k_modes * x)) for x in xs)
+    xs = sorted({0, Fraction(1, k_modes)} | {x for x, _ in af.vertices})
+    return DmtCurve((x, af.evaluate(x) + deficit * max(0, 1 - k_modes * x)) for x in xs)
 
 
 def dmt_parallel_af(dim: DimensionLike, path_dims: Sequence[DimensionLike]) -> DmtCurve:

@@ -49,6 +49,8 @@ __all__ = [
 
 def _check_nodes(nodes: Iterable[frozenset[int]]) -> None:
     for node in nodes:
+        if type(node) is not frozenset:  # paths are hashed, and a list or set is not hashable
+            raise ValueError(f"a supernode is a frozenset of antenna indices, not a {type(node).__name__}")
         if not node:
             raise ValueError("supernode cannot be empty")
         # type(a) is int: a JSON true is a bool, and names no antenna.

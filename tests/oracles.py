@@ -34,11 +34,19 @@ part of the package:
   ``stbc._CODES``, each applied to a whole tuple's two halves);
 * ``sample_channel`` -- the single realization a trial of a run sees;
 * ``draw_block`` -- a stack of ``count`` trials drawn from a block's
-  stream the way ``sample_block`` draws a whole block.
+  stream the way ``sample_block`` draws a whole block;
+* ``one_hop_outage``, ``af_1n1_outage`` and ``df_111_outage`` -- exact
+  outage probabilities of one hop, of AF over ``(1,1,1)`` (PF over
+  ``(1,n,1)`` is AF with a Gamma(n, 1) first hop) and of DF at both
+  layers of ``(1,1,1)`` (check the Monte-Carlo counts of
+  ``channel_sim.outage_curve``);
+* ``binomial_acceptance`` -- the exact two-sided acceptance region of a
+  binomial count.
 """
 
 from __future__ import annotations
 
+import bisect
 import itertools
 import math
 from fractions import Fraction
@@ -422,3 +430,80 @@ def nvd_minimum_dense(
     exact = np.where(nonzero, np.rint(prods), np.inf)
     i = int(np.argmin(exact))
     return float(exact[i]), tuple(tuples[i])
+
+
+# ---------------------------------------------------------------------------
+# Exact outage probabilities
+# ---------------------------------------------------------------------------
+#
+# Every hop entry is CN(0, 1), so |h|^2 is Exp(1) and a sum of n of them
+# Gamma(n, 1).  A rate R is in outage when the received SNR is below
+# t = 2^R - 1.
+
+
+def one_hop_outage(n_t: int, n_r: int, snr: float, rate: float) -> float:
+    """Outage of one ``n_t x n_r`` hop with a single antenna on one side.
+
+    The mutual information is ``log2(1 + (snr / n_t) |h|^2)`` with
+    ``|h|^2`` Gamma(n_t n_r, 1), so the outage is the Erlang CDF at
+    ``x = n_t t / snr``: ``1 - e^-x sum_{j < n_t n_r} x^j / j!``.
+    """
+    if min(n_t, n_r) != 1:
+        raise ValueError("the Erlang form needs one antenna on one side")
+    x = n_t * (2.0**rate - 1.0) / snr
+    return -math.expm1(-x) - math.exp(-x) * sum(x**j / math.factorial(j) for j in range(1, n_t * n_r))
+
+
+def af_1n1_outage(n: int, snr: float, rate: float) -> float:
+    """Outage of AF over ``(1,1,1)`` whose first-hop gain ``a`` is Gamma(n, 1).
+
+    With ``b`` the Exp(1) second-hop gain, the received SNR is
+    ``snr^2 a b / (snr a + snr b + 1)``.  It is below ``t`` for every ``b``
+    when ``snr a <= t``, and otherwise for ``b < t (snr a + 1) / (snr u)``
+    with ``u = snr a - t``.  So the outage is
+    ``1 - E[exp(-t (snr a + 1) / (snr u)); a > t / snr]``, one integral over
+    ``a = t / snr + e^s``, taken by the trapezoid rule in ``s``.  The
+    integrand decays double-exponentially at both ends, so the rule
+    converges geometrically in the step.  ``n = 1`` is AF (1,1,1); PF over
+    ``(1,n,1)`` projects the first hop onto its norm, so it is AF with
+    ``a = |h_1|^2``, Gamma(n, 1).
+    """
+    t = 2.0**rate - 1.0
+    s, step = np.linspace(-60.0, 5.0, 6501, retstep=True)
+    u = np.exp(s)  # a - t / snr
+    a = t / snr + u
+    density = a ** (n - 1) * np.exp(-a) / math.factorial(n - 1)
+    kept = np.exp(-t * (snr * a + 1.0) / (snr * snr * u))
+    return 1.0 - float(np.sum(density * kept * u) * step)
+
+
+def df_111_outage(snr: float, rate: float) -> float:
+    """Outage of DF at both layers of ``(1,1,1)``: either Exp(1) hop below ``t / snr``."""
+    return -math.expm1(-2.0 * (2.0**rate - 1.0) / snr)
+
+
+def binomial_acceptance(trials: int, p: float, tail: float) -> tuple[int, int]:
+    """Exact two-sided acceptance region ``[lo, hi]`` of a Binomial(trials, p) count.
+
+    ``lo`` is the largest count with ``P(X < lo) <= tail / 2`` and ``hi`` the
+    smallest with ``P(X > hi) <= tail / 2``, from the pmf evaluated with
+    ``math.lgamma`` over a window of 12 standard deviations and 12 more
+    counts on each side of the mean (the mass outside it is far below any
+    tail used here, and the window's mass is checked to be 1).
+    """
+    mean = trials * p
+    width = math.ceil(12.0 * math.sqrt(mean * (1.0 - p)) + 12.0)
+    ks = range(max(0, math.floor(mean) - width), min(trials, math.ceil(mean) + width) + 1)
+    log_norm = math.lgamma(trials + 1)
+    pmf = [
+        math.exp(log_norm - math.lgamma(k + 1) - math.lgamma(trials - k + 1)
+                 + k * math.log(p) + (trials - k) * math.log1p(-p))
+        for k in ks
+    ]
+    if abs(math.fsum(pmf) - 1.0) > 1e-9:
+        raise ValueError("the window misses binomial mass")
+    # Both running sums only grow, so each bisection finds how many counts at that
+    # edge of the window keep their tail mass within tail / 2.
+    lo = ks[0] + bisect.bisect_right(list(itertools.accumulate(pmf)), tail / 2)
+    hi = ks[-1] - bisect.bisect_right(list(itertools.accumulate(reversed(pmf))), tail / 2)
+    return lo, hi

@@ -12,7 +12,14 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from oracles import draw_block, sample_channel
+from oracles import (
+    af_1n1_outage,
+    binomial_acceptance,
+    df_111_outage,
+    draw_block,
+    one_hop_outage,
+    sample_channel,
+)
 
 import relaydmt
 from relaydmt import channel_sim, stbc
@@ -693,6 +700,32 @@ class TestEstimateOutage:
         for scheme in schemes:
             est = estimate_outage(dim, scheme, 2.0, 12.0, 4096, seed=3)
             assert 0.0 <= est.p_hat <= 1.0, scheme
+
+
+class TestExactOutage:
+    """Monte-Carlo counts against outage probabilities known in closed form.
+
+    The level is fixed in advance: each count must lie in the exact
+    two-sided binomial acceptance region of its point at tail 1e-6.
+    """
+
+    SEED, TRIALS, RATE, GRID_DB, TAIL = 7, 10**5, 2.0, [10.0, 15.0, 20.0, 25.0], 1e-6
+    CASES = [
+        ((1, 3), AfScheme(), lambda snr, rate: one_hop_outage(1, 3, snr, rate)),
+        ((2, 1), AfScheme(), lambda snr, rate: one_hop_outage(2, 1, snr, rate)),
+        ((1, 1, 1), AfScheme(), lambda snr, rate: af_1n1_outage(1, snr, rate)),
+        ((1, 4, 1), PfScheme(), lambda snr, rate: af_1n1_outage(4, snr, rate)),
+        ((1, 1, 1), DfScheme(DecodeSet((1, 2))), df_111_outage),
+    ]
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_counts_inside_the_binomial_acceptance_region(self, workers):
+        for dim, scheme, exact in self.CASES:
+            points = outage_curve(dim, scheme, self.RATE, self.GRID_DB, self.TRIALS, self.SEED, workers)
+            for point in points:
+                p = exact(10.0 ** (point.snr_db / 10.0), self.RATE)
+                lo, hi = binomial_acceptance(self.TRIALS, p, self.TAIL)
+                assert lo <= point.outage_count <= hi, (dim, scheme.kind, point.snr_db, p, lo, hi)
 
 
 class TestBlockRunner:

@@ -22,8 +22,9 @@ from relaydmt.dmt_core import (
 )
 
 
-def vertices(curve):
-    return [(int(x) if x.denominator == 1 else x, y) for x, y in curve.vertices]
+def canonical(v):
+    """The stored form of an exact value: an int when integral, else a Fraction, never a float."""
+    return type(v) in (int, Fraction) and type(v) is (int if v.denominator == 1 else Fraction)
 
 
 def _segment_intersections(ca, cb, right):
@@ -34,8 +35,9 @@ def _segment_intersections(ca, cb, right):
             lo, hi = max(ax0, bx0), min(ax1, bx1)
             if lo >= hi or lo >= right:
                 continue
-            sa = (ay1 - ay0) / (ax1 - ax0)
-            sb = (by1 - by0) / (bx1 - bx0)
+            # Fraction divisions: with int vertices a plain / would give a float.
+            sa = Fraction(ay1 - ay0, ax1 - ax0)
+            sb = Fraction(by1 - by0, bx1 - bx0)
             if sa == sb:
                 continue
             x = (by0 - sb * bx0 - ay0 + sa * ax0) / (sa - sb)
@@ -148,14 +150,21 @@ class TestCurveArithmetic:
     @given(st.lists(integer_curves() | rational_curves(), min_size=2, max_size=4))
     def test_pointwise_min_is_the_lower_envelope(self, curves):
         env = DmtCurve.pointwise_min(curves)
-        assert all(isinstance(x, Fraction) and isinstance(y, Fraction) for x, y in env.vertices)
+        assert all(canonical(v) for vertex in env.vertices for v in vertex)
         for x, y in env.vertices:
             assert y == min(c.evaluate(x) for c in curves), x
         xs = sorted({x for c in [env, *curves] for x, _ in c.vertices})
-        probes = xs + [(a + b) / 2 for a, b in zip(xs, xs[1:])]
+        probes = xs + [Fraction(a + b, 2) for a, b in zip(xs, xs[1:])]
         for x in probes:
+            assert canonical(env.evaluate(x)), x
             assert all(env.evaluate(x) <= c.evaluate(x) for c in curves), x
         assert env == all_pairs_envelope(curves)
+
+    def test_crossing_at_a_non_dyadic_rational(self):
+        # 3 - 3r meets 1 - r/2 at r = 4/5, which no binary float holds.
+        env = DmtCurve.pointwise_min([DmtCurve([(0, 3), (1, 0)]), DmtCurve([(0, 1), (2, 0)])])
+        assert env.vertices == ((0, 1), (Fraction(4, 5), Fraction(3, 5)), (1, 0))
+        assert all(canonical(v) for vertex in env.vertices for v in vertex)
 
     def test_partial_curve(self):
         # A curve that stops above d = 0 knows only d(0).
@@ -177,7 +186,8 @@ class TestCurveArithmetic:
     )
     def test_vertex_types_build_equal_curves(self, xs, data):
         # Integer vertices given as int, Fraction, exact float or numpy int
-        # (mixed per coordinate) build one curve, stored as Fraction.
+        # (mixed per coordinate) build one curve, stored as int; so is every
+        # value it gives at those gains, whatever their type.
         xs = [0] + sorted(xs)
         ds = sorted(data.draw(st.lists(st.integers(0, 12), min_size=len(xs), max_size=len(xs))))[::-1]
         kinds = iter(data.draw(st.lists(
@@ -186,7 +196,10 @@ class TestCurveArithmetic:
         curve = DmtCurve([(next(kinds)(x), next(kinds)(d)) for x, d in zip(xs, ds)])
         expect = DmtCurve([(Fraction(x), Fraction(d)) for x, d in zip(xs, ds)])
         assert curve == expect and hash(curve) == hash(expect)
-        assert all(type(v) is Fraction for vertex in curve.vertices for v in vertex)
+        assert all(canonical(v) for vertex in curve.vertices for v in vertex)
+        gains = [0] if curve.partial else xs + [xs[-1] + 1]  # a partial curve knows only d(0)
+        for kind in (int, Fraction, float, np.int64):
+            assert all(canonical(curve.evaluate(kind(x))) for x in gains)
 
     @pytest.mark.parametrize(
         "verts,message",
@@ -204,12 +217,14 @@ class TestCurveArithmetic:
             DmtCurve([(kind(x), kind(d)) for x, d in verts])
 
     def test_evaluation_at_integer_and_rational_gains(self):
-        # Between vertices and on them, int, Fraction and float r agree and give a Fraction.
+        # Between vertices and on them, left of 0 and past r_max, int, Fraction,
+        # float and numpy r agree and give an int when integral, else a Fraction.
         c = DmtCurve([(0, 5), (2, 1), (3, 0)])
-        for r, expect in [(1, 3), (2, 1), (Fraction(5, 2), Fraction(1, 2)), (0.5, 4)]:
+        cases = [(1, 3), (2, 1), (Fraction(5, 2), Fraction(1, 2)), (0.5, 4), (2.75, Fraction(1, 4))]
+        cases += [(np.int64(2), 1), (np.float64(1.5), 2), (-1, 5), (3, 0), (7.0, 0), (Fraction(1, 3), Fraction(13, 3))]
+        for r, expect in cases:
             value = c.evaluate(r)
-            assert value == expect and type(value) is Fraction
-        assert c.evaluate(np.int64(2)) == 1
+            assert value == expect and canonical(value), r
 
     def test_monotone_validation(self):
         with pytest.raises(ValueError):
@@ -229,6 +244,24 @@ class TestCurveArithmetic:
     def test_malformed_vertices_rejected(self, verts, message):
         with pytest.raises(ValueError, match=message):
             DmtCurve(verts)
+
+
+class TestCanonicalForm:
+    def test_every_analytic_vertex_is_int_or_fraction(self, dims_to_3_3):
+        # Integral coordinates are ints and the rest Fractions, on every
+        # family's curves; FF's 1/k breakpoints supply the Fractions.
+        kinds = set()
+        for counts in dims_to_3_3:
+            hops = len(counts) - 1
+            curves = [dmt_rp(counts), cutset_bound(counts)]
+            curves += [dmt_ff_lower_bound(counts, k) for k in (1, 2, 3)]
+            for size in range(hops):
+                for inner in itertools.combinations(range(1, hops), size):
+                    curves.append(dmt_serial_partition(counts, DecodeSet(inner + (hops,))))
+            for curve in curves:
+                assert all(canonical(v) for vertex in curve.vertices for v in vertex), (counts, curve)
+                kinds.update(type(v) for vertex in curve.vertices for v in vertex)
+        assert kinds == {int, Fraction}
 
 
 class TestDomainGuards:
@@ -282,10 +315,10 @@ class TestCoeffs:
 
 class TestRpCurve:
     def test_222(self):
-        assert vertices(dmt_rp((2, 2, 2))) == [(0, 3), (1, 1), (2, 0)]
+        assert dmt_rp((2, 2, 2)).vertices == ((0, 3), (1, 1), (2, 0))
 
     def test_243(self):
-        assert vertices(dmt_rp((2, 4, 3))) == [(0, 6), (1, 2), (2, 0)]
+        assert dmt_rp((2, 4, 3)).vertices == ((0, 6), (1, 2), (2, 0))
 
     @pytest.mark.parametrize("nt,nr", [(1, 1), (2, 2), (2, 4), (3, 2)])
     def test_single_hop_is_rayleigh(self, nt, nr):
@@ -337,7 +370,7 @@ class TestRayleigh:
         ],
     )
     def test_values(self, nt, nr, expect):
-        assert vertices(dmt_rayleigh(nt, nr)) == expect
+        assert list(dmt_rayleigh(nt, nr).vertices) == expect
 
 
 class TestCutset:
@@ -549,7 +582,7 @@ class TestFfLowerBound:
 class TestParallelAf:
     def test_single_antenna_paths(self):
         curve = dmt_parallel_af((2, 2, 2), [(1, 1, 1)] * 4)
-        assert vertices(curve) == [(0, 4), (1, 0)]
+        assert curve.vertices == ((0, 4), (1, 0))
 
     def test_243_split(self):
         curve = dmt_parallel_af((2, 4, 3), [(2, 2, 3), (2, 2, 3)])

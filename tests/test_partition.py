@@ -72,6 +72,8 @@ class TestPartitionRules:
             (((frozenset({0}), frozenset({-1})),), "antenna indices are non-negative integers"),
             (((frozenset({0}), frozenset({True})),), "antenna indices are non-negative integers"),
             (((frozenset({0}), frozenset({1.0})),), "antenna indices are non-negative integers"),
+            ((([0, 1], [0], [0, 1]),), "a supernode is a frozenset of antenna indices, not a list"),
+            (((frozenset({0}), {0, 1}),), "a supernode is a frozenset of antenna indices, not a set"),
         ],
     )
     def test_malformed_partition_rejected(self, paths, message):
