@@ -239,7 +239,7 @@ def default_ff_scheme(dim: DimensionLike) -> FfScheme:
     """Flip-and-forward over the minimum full-diversity two-hop partition."""
     dim = as_dimension(dim)
     if dim.hops != 2:
-        raise ValueError("no default partition beyond two hops; supply one explicitly")
+        raise ValueError("a default partition exists only for two-hop channels; supply one explicitly")
     _, part = min_full_div_partition_2hop(*dim.counts)
     return FfScheme(ff_schedule(dim, part))
 
@@ -250,10 +250,10 @@ def default_ff_scheme(dim: DimensionLike) -> FfScheme:
 
 
 def _check_seed(seed: int) -> None:
-    # The one seed rule: TypeError for a non-integer, ValueError outside
-    # 0..2**64-1.  Philox keys are 64-bit words; a seed outside them would
-    # alias one inside.
-    if not 0 <= operator.index(seed) < 2**64:
+    # The one seed rule: TypeError for a non-integer, ValueError for a bool or
+    # outside 0..2**64-1.  Philox keys are 64-bit words; a seed outside them
+    # would alias one inside, and True would run as seed 1.
+    if isinstance(seed, bool) or not 0 <= operator.index(seed) < 2**64:
         raise ValueError(f"seed must be an integer in 0..2**64-1, got {seed}")
 
 
@@ -642,16 +642,16 @@ def estimate_slope(points: Sequence[OutageEstimate]) -> float:
 
     Weighted least squares of ``log10 p`` against ``log10 SNR``; the
     weight of a point is the inverse variance of its log-probability
-    estimate, and points with fewer than ``MIN_EVENTS_FOR_SLOPE``
-    events (or with empty/full counts) are discarded as too noisy.
+    estimate; points with fewer than ``MIN_EVENTS_FOR_SLOPE`` events (or
+    empty/full counts) are dropped, and 3 must remain, at two or more SNRs.
     """
     usable = [
         p
         for p in points
         if 0 < p.outage_count < p.trials and p.outage_count >= MIN_EVENTS_FOR_SLOPE
     ]
-    if len(usable) < 3:
-        raise ValueError("need at least 3 points with usable outage counts")
+    if len(usable) < 3 or len({p.snr_db for p in usable}) < 2:
+        raise ValueError("need at least 3 points with usable outage counts, at two or more SNRs")
     x = np.array([p.snr_db / 10.0 for p in usable])
     y = np.array([math.log10(p.p_hat) for p in usable])
     w = np.array([p.trials * p.p_hat / (1.0 - p.p_hat) for p in usable])

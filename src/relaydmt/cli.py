@@ -48,8 +48,8 @@ _SCHEMES = {
 _CURVES = {
     "rp": ((), lambda args, dim: dmt_core.dmt_rp(dim)),
     "cutset": ((), lambda args, dim: dmt_core.cutset_bound(dim)),
-    "df": ((), lambda args, dim: dmt_core.dmt_serial_partition(
-        dim, DecodeSet(tuple(range(1, dim.hops + 1))))),
+    # DF at every relay layer is full cooperation: the cut-set bound.
+    "df": ((), lambda args, dim: dmt_core.cutset_bound(dim)),
     "serial": (("decode",), lambda args, dim: dmt_core.dmt_serial_partition(
         dim, _parse_decode(_required(args, "decode", "the serial curve"), dim))),
     "ff-bound": (("k_modes",), lambda args, dim: dmt_core.dmt_ff_lower_bound(

@@ -233,13 +233,6 @@ class DmtCurve:
                 verts.append((x0 + t, min(y + s * t for y, s in lines)))
         return DmtCurve(verts + [(right, low[-1])])
 
-    def scale(self, factor: Rational) -> "DmtCurve":
-        """Multiply diversity values by a positive factor."""
-        factor = _exact(factor)
-        if factor <= 0:
-            raise ValueError("scale factor must be positive")
-        return DmtCurve([(x, factor * y) for x, y in self.vertices])
-
     def __repr__(self) -> str:
         pts = ", ".join(f"({x},{y})" for x, y in self.vertices)
         return f"DmtCurve([{pts}])"
@@ -345,6 +338,8 @@ def where_to_decode(dim: DimensionLike, d: int) -> DecodeSet:
     :func:`dmt_rp`), the cut-set ceiling is ``min_i n_{i-1} n_i``.
     """
     dim = as_dimension(dim)
+    if type(d) is not int:  # a bool is not a diversity
+        raise ValueError(f"diversity must be an integer (an int, not a bool): {d!r}")
     if d > _cutset_d_max(dim):
         raise ValueError(f"unachievable diversity: {d} > d_max = {_cutset_d_max(dim)}")
     indices, end = [], 0
@@ -400,5 +395,5 @@ def dmt_parallel_af(dim: DimensionLike, path_dims: Sequence[DimensionLike]) -> D
     if d0 > d_cut:
         raise ValueError(f"paths sum to diversity {d0}, above the cut-set d_max {d_cut}")
     if all(c == curves[0] for c in curves[1:]):
-        return curves[0].scale(len(curves))
+        return DmtCurve([(x, len(curves) * y) for x, y in curves[0].vertices])
     return DmtCurve([(0, d0)])

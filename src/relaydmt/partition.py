@@ -173,9 +173,9 @@ def min_full_div_partition_2hop(n0: int, n1: int, n2: int) -> tuple[int, Partiti
 
 @dataclass(frozen=True)
 class FlipSchedule:
-    """Relaying modes of the flip-and-forward scheme.
+    """Flip-and-forward modes on a partition that fits the channel (else ``ValueError``).
 
-    ``supernodes[i-1]`` holds relay layer i's ``K_i`` ordered supernodes;
+    ``supernodes[i-1]`` is relay layer i's ``K_i`` supernodes, ``partition.layer_supernodes(i)``;
     there are ``mode_count = prod K_i`` modes.  ``mode_map[k-1]`` is the
     tuple ``(f_1(k), ..., f_{N-1}(k))`` of 1-based supernode choices, with
     ``f_i(k) = ceil((k-1) / (K_1 ... K_{i-1})) mod K_i + 1`` for every relay
@@ -186,7 +186,14 @@ class FlipSchedule:
     """
 
     dim: Dimension
-    supernodes: tuple[tuple[frozenset[int], ...], ...]  # per relay layer, ordered
+    partition: Partition
+
+    def __post_init__(self) -> None:
+        _validate(self.dim, self.partition)
+
+    @functools.cached_property
+    def supernodes(self) -> tuple[tuple[frozenset[int], ...], ...]:
+        return tuple(self.partition.layer_supernodes(layer) for layer in range(1, self.dim.hops))
 
     @property
     def layer_counts(self) -> tuple[int, ...]:
@@ -219,7 +226,7 @@ class FlipSchedule:
 
 
 def ff_schedule(dim: DimensionLike, p: Partition) -> FlipSchedule:
-    """The :class:`FlipSchedule` of a partition's relay supernodes; warns unless full-diversity."""
+    """The :class:`FlipSchedule` of partition ``p``; warns unless ``p`` is independent and full-diversity."""
     dim = as_dimension(dim)
     if not (is_independent(dim, p) and is_full_diversity(dim, p)):
         warnings.warn(
@@ -228,7 +235,7 @@ def ff_schedule(dim: DimensionLike, p: Partition) -> FlipSchedule:
             "is not guaranteed",
             stacklevel=2,
         )
-    return FlipSchedule(dim, tuple(p.layer_supernodes(layer) for layer in range(1, dim.hops)))
+    return FlipSchedule(dim, p)
 
 
 # ---------------------------------------------------------------------------

@@ -81,25 +81,28 @@ _ZETA8 = np.exp(1j * np.pi / 4.0)
 
 @dataclass(frozen=True)
 class QamAlphabet:
-    """Square QAM constellation on unnormalized Gaussian integers.
+    """Square QAM constellation on unnormalized Gaussian integers, given by its order, 4 or 16.
 
-    ``points`` are the raw lattice points ({+-1 +-1j} for order 4,
-    {+-1, +-3}^2 for order 16); a codebook rescales its own codewords to
-    the transmit power (:attr:`Codebook.energy_norm`).
+    ``points`` are the raw lattice points of that order ({+-1 +-1j} for 4,
+    {+-1, +-3}^2 for 16); a codebook rescales its own codewords to the
+    transmit power (:attr:`Codebook.energy_norm`).
     """
 
-    points: tuple[complex, ...]
+    order: int
+
+    def __post_init__(self) -> None:
+        # A bool or a float is not an order, though True == 1 and 4.0 == 4.
+        if type(self.order) is not int or self.order not in (4, 16):
+            raise ValueError("only 4-QAM and 16-QAM are supported")
 
     @property
-    def order(self) -> int:
-        return len(self.points)
+    def points(self) -> tuple[complex, ...]:
+        m = math.isqrt(self.order)
+        return tuple(complex(a, b) for a in range(1 - m, m, 2) for b in range(1 - m, m, 2))
 
     @classmethod
     def qam(cls, order: int) -> "QamAlphabet":
-        reals = {4: (-1, 1), 16: (-3, -1, 1, 3)}.get(order)
-        if reals is None:
-            raise ValueError("only 4-QAM and 16-QAM are supported")
-        return cls(tuple(complex(a, b) for a in reals for b in reals))
+        return cls(order)
 
     def difference_points(self, max_coord: int | None = None) -> tuple[complex, ...]:
         """Pairwise differences of the constellation, optionally boxed.
@@ -108,10 +111,8 @@ class QamAlphabet:
         parts are at most that large in magnitude (used to fit large
         constellations under the exhaustive-search evaluation cap).
         """
-        reals = sorted({int(p.real) for p in self.points})
-        diffs = sorted({a - b for a in reals for b in reals})
-        if max_coord is not None:
-            diffs = [d for d in diffs if abs(d) <= max_coord]
+        m = math.isqrt(self.order)
+        diffs = [d for d in range(2 - 2 * m, 2 * m - 1, 2) if max_coord is None or abs(d) <= max_coord]
         return tuple(complex(a, b) for a in diffs for b in diffs)
 
 
@@ -246,8 +247,8 @@ def golden(q: QamAlphabet, m: int = 0) -> Codebook:
     unity and its negation, which keeps the product of the two
     determinants a Gaussian integer and hence bounded away from zero.
     """
-    if m not in (0, 1):
-        raise ValueError("only m = 0 and m = 1 are supported")
+    if type(m) is not int or m not in (0, 1):  # a bool is not an m
+        raise ValueError(f"only m = 0 and m = 1 are supported: {m!r}")
     return Codebook("golden" if m == 0 else "parallel-golden", q)
 
 

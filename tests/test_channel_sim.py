@@ -337,8 +337,13 @@ class TestFf:
         assert np.allclose(effs[0].noise_cov, base.noise_cov)
 
     def test_no_default_schedule_beyond_two_hops(self):
-        with pytest.raises(ValueError, match="beyond two hops"):
+        with pytest.raises(ValueError, match="a default partition exists only for two-hop channels"):
             default_ff_scheme((2, 2, 2, 2))
+
+    def test_no_default_schedule_on_one_hop(self):
+        # A one-hop channel was told there is no default "beyond two hops".
+        with pytest.raises(ValueError, match="a default partition exists only for two-hop channels"):
+            default_ff_scheme((2, 2))
 
     def test_energy_identity_of_flip_transform(self):
         # Flip pair carries exactly twice the energy of the selection pair.
@@ -577,6 +582,7 @@ class TestEstimateOutage:
             (-1, ValueError, "seed must be an integer in 0..2"),
             (2**64, ValueError, "seed must be an integer in 0..2"),
             (1.5, TypeError, "cannot be interpreted as an integer"),
+            (True, ValueError, "seed must be an integer in 0..2"),  # ran as seed 1
         ],
     )
     @pytest.mark.parametrize("run", RUNS)
@@ -976,6 +982,11 @@ class TestEstimateSlope:
         ]
         with pytest.raises(ValueError):
             estimate_slope(pts)
+
+    def test_requires_two_snrs(self):
+        # Three usable points at one SNR used to give nan with a RuntimeWarning.
+        with pytest.raises(ValueError, match="at two or more SNRs"):
+            estimate_slope([OutageEstimate(10.0, 1.0, 1000, 100)] * 3)
 
     def test_sparse_counts_filtered(self):
         good = [OutageEstimate(db, 2.0, 10**5, 10 ** (5 - db // 10)) for db in (10, 20, 30)]

@@ -157,6 +157,20 @@ class TestDmtCommand:
             doc = {"dim": [2, 4, 3], "curves": {"parallel-af": rows}}
             assert out == json.dumps(doc, indent=2) + "\n"
 
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_df_curve_is_the_cutset_bound(self, fmt, capsys, dims_to_4_3):
+        # DF at every relay layer is full cooperation, so the two curves print the same rows.
+        for counts in dims_to_4_3:
+            dim = ",".join(map(str, counts))
+            code, out, _ = run(capsys, "dmt", "--dim", dim, "--curve", "df,cutset", "--format", fmt)
+            assert code == 0
+            if fmt == "csv":
+                rows = [line.split(",", 1) for line in out.splitlines()[1:]]
+                df, cutset = ([row for name, row in rows if name == curve] for curve in ("df", "cutset"))
+            else:
+                df, cutset = (json.loads(out)["curves"][curve] for curve in ("df", "cutset"))
+            assert df == cutset and df, counts
+
     def test_options_accepted_with_their_curves(self, capsys):
         code, out, _ = run(
             capsys, "dmt", "--dim", "2,2,2", "--curve", "serial,ff-bound,parallel-af",

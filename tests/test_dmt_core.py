@@ -275,8 +275,8 @@ class TestDomainGuards:
             (DecodeSet, ((0, 3),), "decode indices start at layer 1"),
             (DmtCurve.pointwise_min, ([],), "need at least one curve"),
             (DmtCurve.pointwise_min, ([dmt_rp((2, 2)), DmtCurve([(0, 8)])],), "partial curves"),
-            (DmtCurve.scale, (dmt_rp((2, 2)), 0), "scale factor must be positive"),
-            (DmtCurve.scale, (dmt_rp((2, 2)), -1), "scale factor must be positive"),
+            (where_to_decode, ((2, 2, 2), True), "diversity must be an integer"),
+            (where_to_decode, ((2, 2, 2), 2.5), "diversity must be an integer"),
             (cutset_bound, ((0, 2),), "antenna counts must be positive"),
             (cutset_bound, ((2, 0),), "antenna counts must be positive"),
             (dmt_rp, (5,), "antenna counts must be positive integers: 5"),
@@ -613,7 +613,15 @@ class TestParallelAf:
         assert curve.d_max == cutset_bound((2, 2, 2)).d_max == 4
 
     def test_same_curve_different_dims_still_scales(self):
-        # (2,2,3) and (3,2,2) share a curve; the parallel result is 2x it.
+        # (2,2,3) and (3,2,2) share the curve (0,4)-(1,1)-(2,0); the parallel result is 2x it.
+        assert dmt_rp((2, 2, 3)) == dmt_rp((3, 2, 2)) == DmtCurve([(0, 4), (1, 1), (2, 0)])
         curve = dmt_parallel_af((3, 4, 3), [(2, 2, 3), (3, 2, 2)])
-        assert not curve.partial
-        assert curve == dmt_rp((2, 2, 3)).scale(2)
+        assert curve == DmtCurve([(0, 8), (1, 2), (2, 0)])
+
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_identical_paths_scale_the_path_curve(self, k, dims_to_3_3):
+        # Widening every layer k-fold leaves room for k copies under the cut-set bound.
+        for counts in dims_to_3_3:
+            channel = tuple(k * n for n in counts)
+            expected = tuple((r, k * d) for r, d in dmt_rp(counts).vertices)
+            assert dmt_parallel_af(channel, [counts] * k).vertices == expected, (counts, k)

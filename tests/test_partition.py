@@ -10,8 +10,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from oracles import bottleneck_full_diversity, search_min_full_diversity_partition
 
-from relaydmt.dmt_core import DecodeSet, cutset_bound, dmt_rp, dmt_serial_partition
+from relaydmt.dmt_core import DecodeSet, as_dimension, cutset_bound, dmt_rp, dmt_serial_partition
 from relaydmt.partition import (
+    FlipSchedule,
     Partition,
     ff_schedule,
     is_full_diversity,
@@ -321,6 +322,30 @@ class TestFlipSchedule:
             sched = ff_schedule((2, 3, 2), p)
         assert sched.mode_count == 1
         assert sched.mode_flips(1) == [(1, 1, 1)]
+
+    @pytest.mark.parametrize(
+        "dim,paths,message",
+        [
+            # Relay layer 2 missing: such a schedule used to drop the third hop without a word.
+            ((2, 2, 2, 2), [(0, 0, 0), (1, 1, 1)], "path spans 3 layers, channel has 4"),
+            ((2, 2, 2), [(0, 5, 0)], "antenna index out of range in layer 1"),
+            ((2, 2, 2), [(0, 0, 0), (1, (0, 1), 1)], "overlapping supernodes in layer 1"),
+        ],
+    )
+    def test_misfit_partition_rejected(self, dim, paths, message):
+        nodes = [tuple(frozenset(a if isinstance(a, tuple) else {a}) for a in path) for path in paths]
+        with pytest.raises(ValueError, match=message):
+            FlipSchedule(as_dimension(dim), Partition(tuple(nodes)))
+
+    def test_supernodes_are_the_partition_relay_layers(self, dims_to_3_3):
+        for counts in dims_to_3_3:
+            parts = [max_partition(counts)]
+            if len(counts) == 3:
+                parts.append(min_full_div_partition_2hop(*counts)[1])
+            for p in parts:
+                sched = FlipSchedule(as_dimension(counts), p)
+                relays = tuple(p.layer_supernodes(layer) for layer in range(1, len(counts) - 1))
+                assert sched.supernodes == relays, (counts, p)
 
     @pytest.mark.parametrize("mode", [0, -1, 5, True, 1.5])
     def test_mode_outside_the_schedule_rejected(self, mode):

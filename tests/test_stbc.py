@@ -72,15 +72,46 @@ class TestAlphabet:
         assert math.isclose(alamouti(q4).energy_norm, 1 / math.sqrt(2))
         assert math.isclose(alamouti(q16).energy_norm, 1 / math.sqrt(10))
 
+    def test_points_literal(self, q4, q16):
+        # The enumeration order of the points fixes every codeword index and coded digest.
+        assert q4.points == ((-1 - 1j), (-1 + 1j), (1 - 1j), (1 + 1j))
+        assert q16.points == (
+            (-3 - 3j), (-3 - 1j), (-3 + 1j), (-3 + 3j), (-1 - 3j), (-1 - 1j), (-1 + 1j), (-1 + 3j),
+            (1 - 3j), (1 - 1j), (1 + 1j), (1 + 3j), (3 - 3j), (3 - 1j), (3 + 1j), (3 + 3j),
+        )
+
     def test_difference_sets(self, q4, q16):
         assert len(q4.difference_points()) == 9
         assert len(q16.difference_points()) == 49
         assert len(q16.difference_points(max_coord=4)) == 25
         assert set(q4.difference_points()) <= set(q16.difference_points(max_coord=4))
 
+    # The kept coordinates of each difference box, per order and max_coord (None: unboxed).
+    _DIFFERENCE_COORDS = {
+        4: {None: (-2, 0, 2), 0: (0,), 1: (0,), 2: (-2, 0, 2), 3: (-2, 0, 2), 4: (-2, 0, 2),
+            5: (-2, 0, 2), 6: (-2, 0, 2)},
+        16: {None: (-6, -4, -2, 0, 2, 4, 6), 0: (0,), 1: (0,), 2: (-2, 0, 2), 3: (-2, 0, 2),
+             4: (-4, -2, 0, 2, 4), 5: (-4, -2, 0, 2, 4), 6: (-6, -4, -2, 0, 2, 4, 6)},
+    }
+
+    @pytest.mark.parametrize("order", [4, 16])
+    def test_difference_points_literal(self, order):
+        # Real parts outer, imaginary inner: the order verify_nvd's first tuple depends on.
+        for max_coord, coords in self._DIFFERENCE_COORDS[order].items():
+            expected = tuple(complex(a, b) for a in coords for b in coords)
+            assert QamAlphabet.qam(order).difference_points(max_coord) == expected, max_coord
+
     def test_unsupported_order(self):
         with pytest.raises(ValueError):
             QamAlphabet.qam(8)
+
+    @pytest.mark.parametrize("order", [2, 8, True, 4.0])
+    def test_order_outside_4_and_16_rejected(self, order):
+        # 4.0 == 4, yet a float is not an order, and True is not one either.
+        with pytest.raises(ValueError, match="only 4-QAM and 16-QAM are supported"):
+            QamAlphabet.qam(order)
+        with pytest.raises(ValueError, match="only 4-QAM and 16-QAM are supported"):
+            QamAlphabet(order)
 
 
 class TestAlamouti:
@@ -146,6 +177,12 @@ class TestGolden:
     def test_unsupported_m(self, q4):
         with pytest.raises(ValueError):
             golden(q4, m=2)
+
+    @pytest.mark.parametrize("m", [True, 1.0])
+    def test_non_int_m_rejected(self, q4, m):
+        # Both used to give the parallel code.
+        with pytest.raises(ValueError, match="only m = 0 and m = 1 are supported"):
+            golden(q4, m=m)
 
 
 class TestCodebook:
