@@ -162,16 +162,14 @@ def cmd_dmt(args) -> int:
 
 
 def cmd_reduce(args) -> int:
-    dim = args.dim
-    report = reduction.analyze(dim)
-    practical = reduction.practical_vertical_reduction(dim)
+    report = reduction.analyze(args.dim)
     doc = {
-        "dim": list(dim.counts),
+        "dim": list(args.dim.counts),
         "order": report.order,
         "minimal_form": list(report.minimal_form.counts),
         "minimal_vertical_form": list(report.minimal_vertical_form.counts),
         "n_bar": report.n_bar,
-        "practical_vertical_reduction": list(practical.counts),
+        "practical_vertical_reduction": list(report.practical_vertical_form.counts),
     }
     with _output(args.output) as out:
         if args.format == "json":

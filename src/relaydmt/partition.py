@@ -189,6 +189,7 @@ class FlipSchedule:
     partition: Partition
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "dim", as_dimension(self.dim))
         _validate(self.dim, self.partition)
 
     @functools.cached_property

@@ -18,6 +18,9 @@ part of the package:
   every interior layer (checks ``dmt_core.dmt_rp``);
 * ``reduces_to`` -- the paper's reduction criterion (checks the channel
   order of ``reduction.analyze``);
+* ``practical_vertical_reduction`` -- each relay layer capped at a second
+  ``analyze`` call's ``n_bar``, one layer at a time (checks
+  ``analyze``'s ``practical_vertical_form``);
 * ``interval_boundaries`` -- the cost-interval edges (a second derivation
   of ``rp_costs``, the disconnection costs ``c_i = d(i - 1) - d(i)`` read
   off ``dmt_core.dmt_rp``);
@@ -74,6 +77,7 @@ from relaydmt.dmt_core import (
 )
 from relaydmt.partition import Partition, is_independent
 from relaydmt.recursion import _d, dmt_recursive
+from relaydmt.reduction import analyze
 from relaydmt.stbc import Codebook
 
 # ---------------------------------------------------------------------------
@@ -292,6 +296,19 @@ def reduces_to(dim: DimensionLike, k: int) -> bool:
     """
     o = as_dimension(dim).ordered
     return k == len(o) - 1 or k * (o[k + 1] + 1) >= sum(o[: k + 1])
+
+
+def practical_vertical_reduction(dim: DimensionLike) -> Dimension:
+    """Cap each relay layer at ``n_bar`` antennas, keeping layer positions.
+
+    Source and destination are untouched.
+    """
+    dim = as_dimension(dim)
+    n_bar = analyze(dim).n_bar
+    counts = list(dim.counts)
+    for i in range(1, dim.hops):
+        counts[i] = min(counts[i], n_bar)
+    return Dimension(tuple(counts))
 
 
 def rp_costs(dim: DimensionLike) -> tuple[Fraction, ...]:

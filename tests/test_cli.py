@@ -200,6 +200,16 @@ class TestReduceCommand:
         assert doc["practical_vertical_reduction"] == [2, 3]
         assert doc["order"] == 1
 
+    def test_output_bytes_pinned(self, capsys, dims_to_4_3):
+        # One sha256 over the csv then json output of every dimension up to (4,3).
+        digest = hashlib.sha256()
+        for counts in dims_to_4_3:
+            for fmt in ("csv", "json"):
+                code, out, _ = run(capsys, "reduce", "--dim", ",".join(map(str, counts)), "--format", fmt)
+                assert code == 0
+                digest.update(out.encode())
+        assert digest.hexdigest() == "6e186bd04ba43fb73232202ff041df9fa8f889cc0eb207257987462ddc129582"
+
 
 class TestPartitionCommand:
     def test_min_full_div(self, capsys):

@@ -10,6 +10,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from oracles import bottleneck_full_diversity, search_min_full_diversity_partition
 
+from relaydmt.channel_sim import BLOCK_SIZE, FfScheme, outage_curve
 from relaydmt.dmt_core import DecodeSet, as_dimension, cutset_bound, dmt_rp, dmt_serial_partition
 from relaydmt.partition import (
     FlipSchedule,
@@ -346,6 +347,23 @@ class TestFlipSchedule:
                 sched = FlipSchedule(as_dimension(counts), p)
                 relays = tuple(p.layer_supernodes(layer) for layer in range(1, len(counts) - 1))
                 assert sched.supernodes == relays, (counts, p)
+
+    def test_tuple_dimension_coerced(self):
+        # A plain tuple builds the schedule ff_schedule builds, and runs the same FF counts.
+        _, p = min_full_div_partition_2hop(2, 2, 2)
+        sched, reference = FlipSchedule((2, 2, 2), p), ff_schedule((2, 2, 2), p)
+        assert sched == reference and sched.mode_map == reference.mode_map
+        counts = [
+            outage_curve((2, 2, 2), FfScheme(s), 2.0, [10.0], BLOCK_SIZE, seed=1)[0].outage_count
+            for s in (sched, reference)
+        ]
+        assert counts[0] == counts[1] > 0
+
+    @pytest.mark.parametrize("counts", [(2, True, 2), (2, 2.0, 2), (2, 0, 2)])
+    def test_bad_dimension_rejected(self, counts):
+        _, p = min_full_div_partition_2hop(2, 2, 2)
+        with pytest.raises(ValueError, match="antenna counts must be positive integers"):
+            FlipSchedule(counts, p)
 
     @pytest.mark.parametrize("mode", [0, -1, 5, True, 1.5])
     def test_mode_outside_the_schedule_rejected(self, mode):

@@ -1,8 +1,8 @@
 import pytest
-from oracles import interval_boundaries, reduces_to, rp_costs
+from oracles import interval_boundaries, practical_vertical_reduction, reduces_to, rp_costs
 
 from relaydmt.dmt_core import as_dimension, dmt_rp
-from relaydmt.reduction import analyze, equivalent, practical_vertical_reduction
+from relaydmt.reduction import analyze
 
 
 class TestCanReduce:
@@ -65,49 +65,51 @@ class TestAnalyze:
             assert (analyze(counts).order == 1) == expected, counts
 
 
+def same_form(a, b):
+    return analyze(a).minimal_form == analyze(b).minimal_form
+
+
 class TestEquivalence:
+    """Two channels are equivalent when ``analyze`` gives them the same minimal form."""
+
     def test_3142_vs_3122(self):
-        assert equivalent((3, 1, 4, 2), (3, 1, 2, 2))
+        assert same_form((3, 1, 4, 2), (3, 1, 2, 2))
 
     def test_different_orders(self):
-        assert not equivalent((2, 2, 2), (2, 2))
+        assert not same_form((2, 2, 2), (2, 2))
 
     def test_permutations_equivalent(self, dims_to_4_3):
         for counts in dims_to_4_3:
-            assert equivalent(counts, tuple(reversed(counts)))
+            assert same_form(counts, tuple(reversed(counts)))
 
     def test_relation_properties(self, dims_to_3_3):
-        forms = {c: analyze(c).minimal_form.counts for c in dims_to_3_3}
-        sample = dims_to_3_3[::7]
-        for a in sample:
-            assert equivalent(a, a)
-            for b in sample[::5]:
-                assert equivalent(a, b) == equivalent(b, a)
-                # Equivalence must coincide with curve equality.
-                assert equivalent(a, b) == (dmt_rp(a) == dmt_rp(b)), (a, b)
-        # Transitivity through the representative form.
-        by_form = {}
-        for c, f in forms.items():
-            by_form.setdefault(f, []).append(c)
-        for group in by_form.values():
-            for a, b in zip(group, group[1:]):
-                assert equivalent(a, b)
+        # Equal minimal forms group the dimensions exactly as equal curves do,
+        # so equivalence by form coincides with curve equality on every pair.
+        by_form, by_curve = {}, {}
+        for counts in dims_to_3_3:
+            by_form.setdefault(analyze(counts).minimal_form, set()).add(counts)
+            by_curve.setdefault(dmt_rp(counts), set()).add(counts)
+        assert sorted(map(sorted, by_form.values())) == sorted(map(sorted, by_curve.values()))
 
 
 class TestPracticalReduction:
     def test_3142(self):
-        assert practical_vertical_reduction((3, 1, 4, 2)).counts == (3, 1, 2, 2)
+        assert analyze((3, 1, 4, 2)).practical_vertical_form.counts == (3, 1, 2, 2)
 
     def test_141(self):
-        assert practical_vertical_reduction((1, 4, 1)).counts == (1, 1, 1)
+        assert analyze((1, 4, 1)).practical_vertical_form.counts == (1, 1, 1)
 
     def test_already_minimal(self):
-        assert practical_vertical_reduction((2, 2, 2)).counts == (2, 2, 2)
+        assert analyze((2, 2, 2)).practical_vertical_form.counts == (2, 2, 2)
+
+    def test_matches_reference(self, dims_to_5_4):
+        for counts in dims_to_5_4:
+            assert analyze(counts).practical_vertical_form == practical_vertical_reduction(counts), counts
 
     def test_always_equivalent_and_layerwise_bounded(self, dims_to_5_4):
         for counts in dims_to_5_4:
-            reduced = practical_vertical_reduction(counts)
-            assert equivalent(counts, reduced), counts
+            reduced = analyze(counts).practical_vertical_form
+            assert same_form(counts, reduced), counts
             assert reduced[0] == counts[0] and reduced[-1] == counts[-1]
             assert all(r <= c for r, c in zip(reduced, counts))
 

@@ -102,3 +102,8 @@ def test_benchmark_spans_install(monkeypatch):
     import spans
 
     run.install_spans(spans.Tracer())
+
+
+def test_reduction_is_one_analysis():
+    # Equivalence and the practical form are read off analyze's report, not exported beside it.
+    assert importlib.import_module("relaydmt.reduction").__all__ == ["ReductionReport", "analyze"]
