@@ -2,21 +2,23 @@
 
 Max-diversity relaying in a distributed network comes from routing the
 signal over edge-disjoint AF paths; flip-and-forward then converts the
-partition into sign patterns that keep the full channel width.
+partition into sign patterns that keep the full channel width.  A
+``FlipSchedule`` is built straight from the channel and the partition,
+and warns if the partition is not independent and full-diversity, since
+its modes then need not reach the cut-set diversity.
 """
 
 from relaydmt import (
     DecodeSet,
+    FlipSchedule,
     cutset_bound,
     dmt_rp,
     dmt_serial_partition,
-    ff_schedule,
     is_full_diversity,
     is_independent,
     max_partition,
     min_full_div_partition_2hop,
 )
-from relaydmt.dmt_core import as_dimension
 from relaydmt.partition import partition_to_json
 
 dim = (2, 4, 3)
@@ -33,14 +35,14 @@ print(f"  full diversity: {is_full_diversity(dim, p_min)} "
 print()
 
 print("flip schedule derived from the partition:")
-sched = ff_schedule(as_dimension(dim), p_min)
+sched = FlipSchedule(dim, p_min)
 print(f"  relay-layer supernode counts {sched.layer_counts}, {sched.mode_count} modes")
 for mode in range(1, sched.mode_count + 1):
     print(f"  mode {mode}: relay signs {sched.mode_flips(mode)}")
 print()
 
 print("the (2,2,2) schedule reproduces the textbook sign pair:")
-sched2 = ff_schedule(as_dimension((2, 2, 2)), min_full_div_partition_2hop(2, 2, 2)[1])
+sched2 = FlipSchedule((2, 2, 2), min_full_div_partition_2hop(2, 2, 2)[1])
 for mode in range(1, 3):
     print(f"  mode {mode}: {sched2.mode_flips(mode)}")
 print()

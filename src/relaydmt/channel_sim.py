@@ -32,11 +32,8 @@ the coded runner in ``stbc`` (one map per grid) share :func:`_map_blocks`.
 from __future__ import annotations
 
 import functools
-import hashlib
-import json
 import math
 import operator
-import platform
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager
 from contextvars import ContextVar
@@ -46,7 +43,7 @@ from typing import IO, Callable, Sequence
 import numpy as np
 
 from .dmt_core import DecodeSet, Dimension, DimensionLike, as_dimension
-from .partition import FlipSchedule, Partition, _validate, ff_schedule, min_full_div_partition_2hop
+from .partition import FlipSchedule, Partition, _validate, min_full_div_partition_2hop
 
 __all__ = [
     "BLOCK_SIZE",
@@ -70,7 +67,6 @@ __all__ = [
     "outage_curve",
     "estimate_slope",
     "write_outage_csv",
-    "run_manifest",
     "default_ff_scheme",
 ]
 
@@ -241,7 +237,7 @@ def default_ff_scheme(dim: DimensionLike) -> FfScheme:
     if dim.hops != 2:
         raise ValueError("a default partition exists only for two-hop channels; supply one explicitly")
     _, part = min_full_div_partition_2hop(*dim.counts)
-    return FfScheme(ff_schedule(dim, part))
+    return FfScheme(FlipSchedule(dim, part))
 
 
 # --------------------------------------------------------------------------
@@ -249,16 +245,17 @@ def default_ff_scheme(dim: DimensionLike) -> FfScheme:
 # --------------------------------------------------------------------------
 
 
-def _check_seed(seed: int) -> None:
-    # The one seed rule: TypeError for a non-integer, ValueError for a bool or
-    # outside 0..2**64-1.  Philox keys are 64-bit words; a seed outside them
-    # would alias one inside, and True would run as seed 1.
-    if isinstance(seed, bool) or not 0 <= operator.index(seed) < 2**64:
-        raise ValueError(f"seed must be an integer in 0..2**64-1, got {seed}")
+def _check_key_word(name: str, word: int) -> None:
+    # The one rule for the seed and the block index, the two words of a Philox
+    # key: TypeError for a non-integer, ValueError for a bool or outside
+    # 0..2**64-1.  A word outside them would alias one inside, and True would run as 1.
+    if isinstance(word, bool) or not 0 <= operator.index(word) < 2**64:
+        raise ValueError(f"{name} must be an integer in 0..2**64-1, got {word}")
 
 
 def _block_rng(seed: int, block_index: int) -> np.random.Generator:
-    _check_seed(seed)
+    _check_key_word("seed", seed)
+    _check_key_word("block index", block_index)
     key = np.array([seed, block_index], dtype=np.uint64)
     return np.random.Generator(np.random.Philox(key=key))
 
@@ -525,10 +522,10 @@ def _block_pool(workers: int, trials: int, block_size: int, seed: int):
     """Scope of a run's pool: yields its block count, its width (``workers`` capped there) and pool.
 
     Before any pool opens, refuses a ``trials`` or ``workers`` that is not a positive
-    integer (a bool included) with ``ValueError``, and a bad ``seed`` as :func:`_check_seed`
+    integer (a bool included) with ``ValueError``, and a bad ``seed`` as :func:`_check_key_word`
     does.  Opens no pool at width 1 (the pool is then ``None``) or inside an open scope.
     """
-    _check_seed(seed)
+    _check_key_word("seed", seed)
     for what, count in (("trial", trials), ("worker", workers)):
         if isinstance(count, bool) or not hasattr(count, "__index__") or operator.index(count) < 1:
             raise ValueError(f"need at least one {what}, as an integer; got {count!r}")
@@ -676,16 +673,3 @@ def write_outage_csv(points: Sequence[OutageEstimate], out: IO[str]) -> None:
             f"{p.snr_db:.6g},{p.rate_bpcu:.6g},{p.trials},{p.outage_count},"
             f"{p.p_hat:.10g},{p.ci95[0]:.10g},{p.ci95[1]:.10g}\n"
         )
-
-
-def run_manifest(record: dict) -> dict:
-    """``record`` plus ``config_hash``, the SHA-1 of its sorted-key JSON, and ``versions``.
-
-    The hash leaves the versions out, so a run keeps its hash across upgrades.
-    """
-    from . import __version__  # the package is fully imported by now
-    canon = json.dumps(record, sort_keys=True, separators=(",", ":"))
-    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]["name"]
-    versions = {"relaydmt": __version__, "numpy": np.__version__,
-                "python": platform.python_version(), "blas": blas}
-    return {**record, "config_hash": hashlib.sha1(canon.encode()).hexdigest(), "versions": versions}

@@ -5,21 +5,25 @@ and reproducible Monte-Carlo runs.
 Exit codes: 0 success, 2 usage error, 3 numerical failure.  Every
 simulation writes a CSV of points plus a JSON manifest recording the
 full configuration and seed; re-running the same command with the same
-seed produces byte-identical CSV regardless of the worker count.
+seed produces byte-identical CSV regardless of the worker count.  This
+module alone writes manifests: :func:`run_manifest` adds the
+configuration hash and the versions to the record a run builds.
 """
 
 from __future__ import annotations
 
 import argparse
 import contextlib
+import hashlib
 import json
 import math
 import os
+import platform
 import sys
 
 import numpy as np
 
-from . import channel_sim, dmt_core, partition, reduction, stbc
+from . import __version__, channel_sim, dmt_core, partition, reduction, stbc
 from .dmt_core import DecodeSet, as_dimension
 
 SEED_ENV_VAR = "RELAYDMT_SEED"
@@ -204,11 +208,23 @@ def _partition(args, dim):
         return part
     if dim.hops == 2:
         return partition.min_full_div_partition_2hop(*dim.counts)[1]
-    raise ValueError(f"scheme {args.scheme!r} needs --partition for channels with more than two hops")
+    raise ValueError(f"scheme {args.scheme!r} needs --partition; a default exists only for two-hop channels")
 
 
 def _ff_scheme(args, dim):
-    return channel_sim.FfScheme(partition.ff_schedule(dim, _partition(args, dim)))
+    return channel_sim.FfScheme(partition.FlipSchedule(dim, _partition(args, dim)))
+
+
+def run_manifest(record: dict) -> dict:
+    """``record`` plus ``config_hash``, the SHA-1 of its sorted-key JSON, and ``versions``.
+
+    The hash leaves the versions out, so a run keeps its hash across upgrades.
+    """
+    canon = json.dumps(record, sort_keys=True, separators=(",", ":"))
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]["name"]
+    versions = {"relaydmt": __version__, "numpy": np.__version__,
+                "python": platform.python_version(), "blas": blas}
+    return {**record, "config_hash": hashlib.sha1(canon.encode()).hexdigest(), "versions": versions}
 
 
 def cmd_simulate(args) -> int:
@@ -233,7 +249,7 @@ def cmd_simulate(args) -> int:
                                           workers=args.workers, rate_policy=record["rate_policy"])
     with _output(args.output) as out:
         channel_sim.write_outage_csv(points, out)
-    manifest = channel_sim.run_manifest(record)
+    manifest = run_manifest(record)
     manifest_path = args.manifest
     if manifest_path is None and args.output not in (None, "-"):
         manifest_path = args.output + ".manifest.json"

@@ -41,7 +41,6 @@ __all__ = [
     "is_full_diversity",
     "max_partition",
     "min_full_div_partition_2hop",
-    "ff_schedule",
     "partition_to_json",
     "partition_from_json",
 ]
@@ -183,6 +182,9 @@ class FlipSchedule:
     layer i negates the antennas of supernode ``f_i(k)`` unless
     ``f_i(k) == 1`` (mode 1 of every layer is the identity).  The mode
     tuples enumerate the full product set exactly once.
+
+    A partition that fits but is not independent and full-diversity builds a
+    schedule with a ``UserWarning``: its modes need not reach the cut-set diversity.
     """
 
     dim: Dimension
@@ -191,6 +193,11 @@ class FlipSchedule:
     def __post_init__(self) -> None:
         object.__setattr__(self, "dim", as_dimension(self.dim))
         _validate(self.dim, self.partition)
+        if not (is_independent(self.dim, self.partition) and is_full_diversity(self.dim, self.partition)):
+            # stacklevel 3 skips the dataclass __init__: the warning names the caller of FlipSchedule(...).
+            warnings.warn(
+                "partition is not an independent full-diversity partition; the flip schedule is "
+                "still constructible but the cut-set diversity is not guaranteed", stacklevel=3)
 
     @functools.cached_property
     def supernodes(self) -> tuple[tuple[frozenset[int], ...], ...]:
@@ -224,19 +231,6 @@ class FlipSchedule:
             tuple(-1 if c != 1 and a in nodes[c - 1] else 1 for a in range(n))
             for n, (nodes, c) in zip(self.dim.counts[1:], choices)
         ]
-
-
-def ff_schedule(dim: DimensionLike, p: Partition) -> FlipSchedule:
-    """The :class:`FlipSchedule` of partition ``p``; warns unless ``p`` is independent and full-diversity."""
-    dim = as_dimension(dim)
-    if not (is_independent(dim, p) and is_full_diversity(dim, p)):
-        warnings.warn(
-            "partition is not an independent full-diversity partition; the "
-            "flip schedule is still constructible but the cut-set diversity "
-            "is not guaranteed",
-            stacklevel=2,
-        )
-    return FlipSchedule(dim, p)
 
 
 # ---------------------------------------------------------------------------

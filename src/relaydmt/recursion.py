@@ -40,6 +40,6 @@ def _d(ordered: tuple[int, ...], k: int) -> int:
 def dmt_recursive(dim: DimensionLike, k: int) -> int:
     """Diversity at gain ``k`` by the flow recursion, kept here while the benchmark traces it."""
     dim = as_dimension(dim)
-    if not 0 <= k <= dim.n_min:
-        raise ValueError(f"k must be in 0..{dim.n_min}")
+    if type(k) is not int or not 0 <= k <= dim.n_min:  # a bool or 1.5 is not a gain
+        raise ValueError(f"k must be an integer (an int, not a bool) in 0..{dim.n_min}: {k!r}")
     return _d(dim.ordered, k)

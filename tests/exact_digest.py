@@ -16,7 +16,8 @@ line count:
 - ``dmt_ff_lower_bound`` for 1, 2, 3 and 5 modes;
 - ``max_partition`` as JSON, and the two-hop minimum partition as JSON;
 - ``analyze``;
-- the ``mode_map`` and every ``mode_flips`` of ``ff_schedule(max_partition(dim))``.
+- the ``mode_map`` and every ``mode_flips`` of ``FlipSchedule(dim, max_partition(dim))``,
+  the ``ff_schedule`` family.
 
 Equal digests mean every line is the same.  It takes about 4–5 s (Python
 3.11, 2 shared x86 cores).
@@ -26,7 +27,6 @@ from __future__ import annotations
 
 import hashlib
 import itertools
-import warnings
 from collections.abc import Callable, Iterable
 
 from relaydmt.dmt_core import (
@@ -38,7 +38,7 @@ from relaydmt.dmt_core import (
     where_to_decode,
 )
 from relaydmt.partition import (
-    ff_schedule,
+    FlipSchedule,
     max_partition,
     min_full_div_partition_2hop,
     partition_to_json,
@@ -61,9 +61,7 @@ def _where_to_decode(dim: tuple[int, ...]) -> Iterable[object]:
 
 
 def _schedule(dim: tuple[int, ...]) -> Iterable[object]:
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")  # ff_schedule warns on a partition short of full diversity
-        sched = ff_schedule(dim, max_partition(dim))
+    sched = FlipSchedule(dim, max_partition(dim))  # full diversity everywhere, so it never warns
     yield sched.mode_map
     yield from (sched.mode_flips(m) for m in range(1, sched.mode_count + 1))
 

@@ -43,14 +43,14 @@ from relaydmt.channel_sim import (
     mutual_info,
     outage_curve,
     pf_effective,
-    run_manifest,
     sample_block,
     write_outage_csv,
 )
+from relaydmt.cli import run_manifest
 from relaydmt.dmt_core import DecodeSet, as_dimension
 from relaydmt.partition import (
+    FlipSchedule,
     Partition,
-    ff_schedule,
     max_partition,
     min_full_div_partition_2hop,
 )
@@ -127,6 +127,19 @@ class TestSampling:
         with pytest.raises(TypeError):
             sample_block((1, 1), 1.5, 0)
 
+    @pytest.mark.parametrize(
+        "block,error,message",
+        [
+            (-1, ValueError, "block index must be an integer in 0..2"),  # raised OverflowError
+            (2**64, ValueError, "block index must be an integer in 0..2"),
+            (True, ValueError, "block index must be an integer in 0..2"),  # drew block 1
+            (1.5, TypeError, "cannot be interpreted as an integer"),  # drew block 1, truncated
+        ],
+    )
+    def test_bad_block_index_rejected(self, block, error, message):
+        with pytest.raises(error, match=message):
+            sample_block((2, 2), 1, block)
+
 
 class TestChannelRealization:
     def test_dim_read_off_hop_shapes(self):
@@ -184,7 +197,7 @@ class TestNoiseFloorEverywhere:
         # scheme's covariance is Hermitian with eigenvalues >= 1.
         dim = (2, 2, 2)
         real = draw_block(dim, seed=23, block_index=0, count=128)
-        sched = ff_schedule(as_dimension(dim), min_full_div_partition_2hop(*dim)[1])
+        sched = FlipSchedule(as_dimension(dim), min_full_div_partition_2hop(*dim)[1])
         part = min_full_div_partition_2hop(*dim)[1]
         covs = [af_effective(real, 30.0).noise_cov, pf_effective(real, 30.0).noise_cov]
         covs += [e.noise_cov for e in ff_effective(real, sched, 30.0)]
@@ -329,7 +342,7 @@ class TestPf:
 class TestFf:
     def test_mode_one_is_af(self):
         dim = (2, 2, 2)
-        sched = ff_schedule(as_dimension(dim), min_full_div_partition_2hop(*dim)[1])
+        sched = FlipSchedule(as_dimension(dim), min_full_div_partition_2hop(*dim)[1])
         real = draw_block(dim, seed=13, block_index=0, count=32)
         effs = ff_effective(real, sched, 15.0)
         base = af_effective(real, 15.0)
@@ -357,13 +370,13 @@ class TestFf:
 
     def test_noise_floor_per_mode(self):
         dim = (2, 2, 2)
-        sched = ff_schedule(as_dimension(dim), min_full_div_partition_2hop(*dim)[1])
+        sched = FlipSchedule(as_dimension(dim), min_full_div_partition_2hop(*dim)[1])
         real = draw_block(dim, seed=15, block_index=0, count=128)
         for eff in ff_effective(real, sched, 30.0):
             assert np.all(np.linalg.eigvalsh(eff.noise_cov) >= 1.0 - 1e-9)
 
     def test_dimension_mismatch(self):
-        sched = ff_schedule(as_dimension((2, 2, 2)), min_full_div_partition_2hop(2, 2, 2)[1])
+        sched = FlipSchedule(as_dimension((2, 2, 2)), min_full_div_partition_2hop(2, 2, 2)[1])
         real = sample_channel((2, 3, 2), seed=1)
         with pytest.raises(ValueError, match="different dimension"):
             ff_effective(real, sched, 10.0)
@@ -374,7 +387,7 @@ class TestFf:
         # Mode k is AF whose relay i also applies its +-1 pattern f_i(k).
         d = as_dimension(dim)
         part = min_full_div_partition_2hop(*dim)[1] if d.hops == 2 else max_partition(dim)
-        sched = ff_schedule(d, part)
+        sched = FlipSchedule(d, part)
         assert sched.mode_count > 1
         real = draw_block(dim, seed=25, block_index=0, count=256)
         effs = ff_effective(real, sched, snr)
@@ -950,7 +963,7 @@ class TestSchemeOrderings:
         # (2,2,2,2) with four flip modes: the extra diversity order shows
         # up as a widening outage gap over plain AF.
         dim = (2, 2, 2, 2)
-        sched = ff_schedule(as_dimension(dim), max_partition(dim))
+        sched = FlipSchedule(as_dimension(dim), max_partition(dim))
         af = estimate_outage(dim, AfScheme(), 2.0, 18.0, 200000, seed=63)
         ff = estimate_outage(dim, FfScheme(sched), 2.0, 18.0, 200000, seed=63)
         assert ff.p_hat < 0.5 * af.p_hat

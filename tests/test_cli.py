@@ -281,6 +281,18 @@ class TestSimulateCommand:
         assert code == 2
         assert "--partition" in err
 
+    @pytest.mark.parametrize(
+        "scheme,extra", [("ff", ["--rate", "2"]), ("parallel-af", ["--rate", "2"]), ("coded-ff", [])]
+    )
+    def test_partition_scheme_on_one_hop(self, capsys, scheme, extra):
+        # A one-hop channel was told it needs --partition "for channels with more than two hops".
+        code, _, err = run(
+            capsys, "simulate", "--dim", "2,2", "--scheme", scheme, *extra,
+            "--snr", "10:1:10", "--trials", "10",
+        )
+        assert code == 2
+        assert "needs --partition; a default exists only for two-hop channels" in err
+
     def test_ff_with_partition_file(self, tmp_path, capsys):
         part_file = tmp_path / "p.json"
         code, out, _ = run(capsys, "partition", "--dim", "2,2,2,2", "--max",

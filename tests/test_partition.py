@@ -15,7 +15,6 @@ from relaydmt.dmt_core import DecodeSet, as_dimension, cutset_bound, dmt_rp, dmt
 from relaydmt.partition import (
     FlipSchedule,
     Partition,
-    ff_schedule,
     is_full_diversity,
     is_independent,
     max_partition,
@@ -305,14 +304,14 @@ class TestMinFullDiversity2Hop:
 class TestFlipSchedule:
     def test_222_matches_reference_modes(self):
         _, p = min_full_div_partition_2hop(2, 2, 2)
-        sched = ff_schedule((2, 2, 2), p)
+        sched = FlipSchedule((2, 2, 2), p)
         assert sched.mode_count == 2
         assert sched.mode_flips(1) == [(1, 1)]
         assert sched.mode_flips(2) == [(1, -1)]
 
     def test_2222_enumerates_all_pairs(self):
         p = max_partition((2, 2, 2, 2))
-        sched = ff_schedule((2, 2, 2, 2), p)
+        sched = FlipSchedule((2, 2, 2, 2), p)
         assert sched.layer_counts == (2, 2)
         assert sched.mode_count == 4
         assert sorted(sched.mode_map) == sorted(itertools.product((1, 2), (1, 2)))
@@ -320,7 +319,7 @@ class TestFlipSchedule:
     def test_single_supernode_layers(self):
         p = trivial_partition((2, 3, 2))
         with pytest.warns(UserWarning):
-            sched = ff_schedule((2, 3, 2), p)
+            sched = FlipSchedule((2, 3, 2), p)
         assert sched.mode_count == 1
         assert sched.mode_flips(1) == [(1, 1, 1)]
 
@@ -338,6 +337,27 @@ class TestFlipSchedule:
         with pytest.raises(ValueError, match=message):
             FlipSchedule(as_dimension(dim), Partition(tuple(nodes)))
 
+    @pytest.mark.parametrize("dim", [(2, 2, 2, 2), (2, 1, 2)])
+    def test_misfit_partition_raises_before_any_warning(self, dim):
+        # The one-path (2,2,2) partition below would warn; on a channel it does not fit it only raises.
+        a = frozenset({0, 1})
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            with pytest.raises(ValueError):
+                FlipSchedule(dim, Partition(((a, a, a),)))
+        assert caught == []
+
+    def test_direct_schedule_warns_on_a_partition_short_of_full_diversity(self):
+        # One path through whole layers of (2,2,2): independent, AF diversity 2 < cut-set 4.
+        # Built directly, the schedule used to skip this warning.
+        a = frozenset({0, 1})
+        p = Partition(((a, a, a),))
+        assert is_independent((2, 2, 2), p) and not is_full_diversity((2, 2, 2), p)
+        with pytest.warns(UserWarning, match="not an independent full-diversity partition") as caught:
+            sched = FlipSchedule((2, 2, 2), p)
+        assert [w.filename for w in caught] == [__file__]  # the warning names this caller
+        assert sched.mode_count == 1
+
     def test_supernodes_are_the_partition_relay_layers(self, dims_to_3_3):
         for counts in dims_to_3_3:
             parts = [max_partition(counts)]
@@ -349,9 +369,9 @@ class TestFlipSchedule:
                 assert sched.supernodes == relays, (counts, p)
 
     def test_tuple_dimension_coerced(self):
-        # A plain tuple builds the schedule ff_schedule builds, and runs the same FF counts.
+        # A plain tuple builds the schedule a Dimension builds, and runs the same FF counts.
         _, p = min_full_div_partition_2hop(2, 2, 2)
-        sched, reference = FlipSchedule((2, 2, 2), p), ff_schedule((2, 2, 2), p)
+        sched, reference = FlipSchedule((2, 2, 2), p), FlipSchedule(as_dimension((2, 2, 2)), p)
         assert sched == reference and sched.mode_map == reference.mode_map
         counts = [
             outage_curve((2, 2, 2), FfScheme(s), 2.0, [10.0], BLOCK_SIZE, seed=1)[0].outage_count
@@ -367,7 +387,7 @@ class TestFlipSchedule:
 
     @pytest.mark.parametrize("mode", [0, -1, 5, True, 1.5])
     def test_mode_outside_the_schedule_rejected(self, mode):
-        sched = ff_schedule((2, 2, 2, 2), max_partition((2, 2, 2, 2)))
+        sched = FlipSchedule((2, 2, 2, 2), max_partition((2, 2, 2, 2)))
         assert sched.mode_count == 4
         with pytest.raises(ValueError, match=r"mode must be an integer in 1\.\.4"):
             sched.mode_flips(mode)
@@ -375,7 +395,7 @@ class TestFlipSchedule:
     def test_mode_map_is_bijection(self):
         # For one to three relay layers, the mode indexing lists every
         # tuple of the product of per-layer choices exactly once, and
-        # ff_schedule warns exactly when the partition is not an
+        # FlipSchedule warns exactly when the partition is not an
         # independent full-diversity one.
         shapes = [ks for n in (1, 2, 3) for ks in itertools.product((1, 2, 3, 4), repeat=n)]
         warned_shapes = set()
@@ -389,7 +409,7 @@ class TestFlipSchedule:
             p = Partition(tuple(paths))
             with warnings.catch_warnings(record=True) as caught:
                 warnings.simplefilter("always")
-                sched = ff_schedule(counts, p)
+                sched = FlipSchedule(counts, p)
             warned = any(issubclass(w.category, UserWarning) for w in caught)
             assert warned == (not (is_independent(counts, p) and is_full_diversity(counts, p))), (
                 layer_counts

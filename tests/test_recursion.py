@@ -27,6 +27,12 @@ class TestRecursiveValues:
         with pytest.raises(ValueError):
             dmt_recursive((2, 2, 2), 3)
 
+    @pytest.mark.parametrize("k", [1.5, True, 1.0])
+    def test_non_int_gain_rejected(self, k):
+        # 1.5 returned the float 0.25, and True ran as k = 1.
+        with pytest.raises(ValueError, match=r"k must be an integer \(an int, not a bool\)"):
+            dmt_recursive((2, 2), k)
+
 
 class TestAgreementWithClosedForm:
     def test_single_hop_is_rayleigh(self):
